@@ -78,6 +78,6 @@ from .symbolic import (
     short_rep_reduction_symbolic,
     tail_cancellation_check,
 )
-from .tensorops import graded_flip, graded_kron, tensor_bracket
+from .tensorops import graded_flip, graded_kron
 
 __version__ = "0.1.0"

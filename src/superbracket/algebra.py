@@ -362,10 +362,7 @@ def _residual_max(spec: AlgebraSpec, lc: LinComb, env: dict, memo: dict):
         idx = int(np.argmax(arr))
         if float(arr[idx]) > worst:
             worst = float(arr[idx])
-            worst_pt = {
-                k: complex(np.atleast_1d(np.asarray(v))[idx % np.atleast_1d(np.asarray(v)).size])
-                for k, v in env.items()
-            }
+            worst_pt = ex.sample_at(env, idx)
 
     combined = None
     for g, c in lc.terms.items():
@@ -535,11 +532,32 @@ def build_algebra(family: FamilyTag, params: AlgebraParams | None = None) -> Alg
     else:
         raise InconsistentParams(f"unknown family {family!r}")
 
+    values = {Gen.H_L: H_L, Gen.H_R: H_R, Gen.p_L: pl, Gen.p_R: pr}
+    return _spec_for_jacobians(family, params, values, dLR, dRL, constraint)
+
+
+def _spec_for_jacobians(
+    family: FamilyTag,
+    params: AlgebraParams,
+    values: Dict[Gen, Expr],
+    dLR: Expr,
+    dRL: Expr,
+    constraint: Optional[Tuple[Expr, Expr]],
+) -> AlgebraSpec:
+    """Bracket table for given energies, momenta and cross-handed Jacobians.
+
+    ``values`` maps the energy and momentum generators to their expressions.
+    Every row follows from the energies and the Jacobians; the cross-handed
+    boost rows are left out where a Jacobian vanishes.  Shared by
+    ``build_algebra`` and by the tables of redefined boosts
+    (``families.transformed_algebra_spec``).
+    """
+    H_L, H_R = values[Gen.H_L], values[Gen.H_R]
+    H = {"L": H_L, "R": H_R}
     Phi = {"L": ex.diff(H_L, "pL"), "R": ex.diff(H_R, "pR")}
     half_i = const(0.5j)
     phiQ = {"L": mul(half_i, Phi["L"]), "R": mul(half_i, Phi["R"])}
     phiS = dict(phiQ)
-    H = {"L": H_L, "R": H_R}
     cross = {
         "L": ex.ZERO if ex.is_const(dLR, 0) else mul(H_L, dLR, inverse(H_R)),
         "R": ex.ZERO if ex.is_const(dRL, 0) else mul(H_R, dRL, inverse(H_L)),
@@ -657,8 +675,6 @@ def build_algebra(family: FamilyTag, params: AlgebraParams | None = None) -> Alg
             put(t3, tp, LinComb.of(tp, const(2 * w)))
             put(t3, tm, LinComb.of(tm, const(-2 * w)))
             put(tp, tm, LinComb.of(t3, const(w)))
-
-    values = {Gen.H_L: H_L, Gen.H_R: H_R, Gen.p_L: pl, Gen.p_R: pr}
 
     return AlgebraSpec(
         family=family,

@@ -21,7 +21,16 @@ import numpy as np
 
 from . import expressions as ex
 from .algebra import AlgebraSpec, DMinusOne, DPlusOne, DZero, Gen, LinComb, OUTER
-from .diffops import DiffOperator, mat_eval, mat_scale, mat_eye, op_add, op_scale, op_sub
+from .diffops import (
+    DiffOperator,
+    mat_eval,
+    mat_eye,
+    mat_scale,
+    op_add,
+    op_bracket,
+    op_scale,
+    op_sub,
+)
 from .errors import IncompatibleCentrals, InvalidParams, UnsupportedFamily
 from .expressions import Expr, add, const, mul, neg, quot, var
 from .reports import ConsistencyReport
@@ -34,7 +43,6 @@ from .tensorops import (
     graded_flip,
     site_scalar,
     tensor_boost_term,
-    tensor_bracket,
     tensor_mult,
     tensor_scalar,
 )
@@ -369,7 +377,7 @@ def homomorphism_check(
     convention_search: bool = True,
     include_boost_rows: Optional[bool] = None,
 ) -> ConsistencyReport:
-    """tensor_bracket(Delta x, Delta y) = Delta z for every table row [x,y] = z.
+    """[Delta x, Delta y] = Delta z for every table row [x,y] = z.
 
     Boost rows are asserted for the braided map, whose tail is constructed to
     close the homomorphism; the unbraided boost coefficients come from the
@@ -414,7 +422,7 @@ def _hom_check_once(
     env = TWO_SITE.sample_env(s)
     memo: dict = {}
     for (a, b), row in _rows_for_hom_check(spec, delta.ops, include_boost_rows):
-        lhs = tensor_bracket(delta[a], delta[b])
+        lhs = op_bracket(delta[a], delta[b])
         rhs = delta.of_lincomb(row)
         res, pt = op_sub(lhs, rhs).max_abs(env, memo)
         report.add(f"Delta[{a.label},{b.label}]", res, pt)
@@ -422,7 +430,7 @@ def _hom_check_once(
     for a, b in itertools.combinations((Gen.Q_L, Gen.S_L, Gen.Q_R, Gen.S_R), 2):
         if (a, b) in spec.table or (b, a) in spec.table:
             continue
-        res, pt = tensor_bracket(delta[a], delta[b]).max_abs(env, memo)
+        res, pt = op_bracket(delta[a], delta[b]).max_abs(env, memo)
         report.add(f"Delta[{a.label},{b.label}] (vanishing row)", res, pt)
     return report
 

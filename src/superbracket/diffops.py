@@ -196,11 +196,7 @@ class DiffOperator:
             idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
             if float(vals[idx]) > worst:
                 worst = float(vals[idx])
-                k = idx[-1]
-                worst_pt = {
-                    name: complex(np.atleast_1d(np.asarray(v))[k % np.atleast_1d(np.asarray(v)).size])
-                    for name, v in env.items()
-                }
+                worst_pt = ex.sample_at(env, idx[-1])
         return worst, worst_pt
 
     def __repr__(self):
@@ -238,7 +234,8 @@ def op_add(x: DiffOperator, y: DiffOperator) -> DiffOperator:
     if x.parity != y.parity and not (_op_is_zero(x) or _op_is_zero(y)):
         raise GradeError("sum of operators of different parity")
     B = {}
-    for v in set(x.B) | set(y.B):
+    # the context's order, not a set's: max_abs breaks ties by this order
+    for v in x.ctx.variables:
         m = mat_add(x.b_or_zero(v), y.b_or_zero(v))
         if not mat_is_zero(m):
             B[v] = m

@@ -24,13 +24,12 @@ Number = Union[int, float, complex]
 EnvValue = Union[complex, np.ndarray]
 
 
-def _worst_point(env: Mapping[str, EnvValue], mask) -> dict:
-    """Extract the first offending sample from a boolean mask."""
-    idx = int(np.argmax(mask))
+def sample_at(env: Mapping[str, EnvValue], idx: int) -> dict:
+    """The sample at flat index ``idx`` of ``env``; scalar entries broadcast."""
     point = {}
     for name, val in env.items():
-        arr = np.asarray(val)
-        point[name] = complex(arr.flat[idx % arr.size]) if arr.ndim else complex(arr)
+        arr = np.atleast_1d(np.asarray(val))
+        point[name] = complex(arr.flat[idx % arr.size])
     return point
 
 
@@ -240,7 +239,7 @@ class Quot(Expr):
         if np.any(bad):
             raise PoleError(
                 f"division by ~0 in {self.den!r}",
-                point=_worst_point(env, np.atleast_1d(bad)),
+                point=sample_at(env, int(np.argmax(bad))),
             )
         return n / d
 
@@ -276,7 +275,7 @@ class Pow(Expr):
             if np.any(bad):
                 raise PoleError(
                     f"negative power of ~0 in {self.base!r}",
-                    point=_worst_point(env, np.atleast_1d(bad)),
+                    point=sample_at(env, int(np.argmax(bad))),
                 )
         return np.power(np.asarray(b, dtype=np.complex128), r) if isinstance(b, np.ndarray) \
             else complex(b) ** r
@@ -332,7 +331,7 @@ class Tan(_Unary):
         c = np.cos(a)
         bad = np.abs(c) < _POLE_EPS
         if np.any(bad):
-            raise PoleError(f"tan pole in {self!r}", point=_worst_point(env, np.atleast_1d(bad)))
+            raise PoleError(f"tan pole in {self!r}", point=sample_at(env, int(np.argmax(bad))))
         return np.sin(a) / c
 
 
@@ -347,7 +346,7 @@ class Cot(_Unary):
         s = np.sin(a)
         bad = np.abs(s) < _POLE_EPS
         if np.any(bad):
-            raise PoleError(f"cot pole in {self!r}", point=_worst_point(env, np.atleast_1d(bad)))
+            raise PoleError(f"cot pole in {self!r}", point=sample_at(env, int(np.argmax(bad))))
         return np.cos(a) / s
 
 

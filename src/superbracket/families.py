@@ -35,6 +35,8 @@ from .algebra import (
     LeftSeparable,
     Ratio,
     RightSeparable,
+    _spec_for_jacobians,
+    build_algebra,
     inverse,
 )
 from .diffops import DiffOperator, op_add, op_scale
@@ -87,11 +89,7 @@ def cross_jacobian_residual(spec: AlgebraSpec, pt, swapped: bool = False) -> com
 def _max_abs(e: Expr, env: dict, memo: dict):
     vals = np.abs(np.atleast_1d(np.asarray(e.eval(env, memo))))
     idx = int(np.argmax(vals))
-    point = {
-        k: complex(np.atleast_1d(np.asarray(v))[idx % np.atleast_1d(np.asarray(v)).size])
-        for k, v in env.items()
-    }
-    return float(vals[idx]), point
+    return float(vals[idx]), ex.sample_at(env, idx)
 
 
 def product_constraint_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
@@ -152,10 +150,7 @@ def product_constraint_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport
         v2 = np.abs(np.atleast_1d(np.asarray(line2.eval(env, memo))))
         both_vanish = active & (v1 <= s.tolerance) & (v2 <= s.tolerance)
         bad = float(np.count_nonzero(both_vanish))
-        point = None
-        if bad:
-            idx = int(np.argmax(both_vanish))
-            point = {k: complex(np.atleast_1d(np.asarray(v))[idx]) for k, v in env.items()}
+        point = ex.sample_at(env, int(np.argmax(both_vanish))) if bad else None
         cond = report.add("product-trichotomy", bad, point)
         cond.note = "branch lines vanished together at some sample" if bad else \
             "branch lines stay nonzero where the prefactor does"
@@ -321,68 +316,13 @@ def transformed_algebra_spec(base: AlgebraSpec, to: FamilyTag) -> AlgebraSpec:
     d_LR d_RL is then zeta^2, not 1; the constrained realisation with
     product 1 is what ``build_algebra`` produces).
     """
-    from .algebra import build_algebra
-
     if not isinstance(base.family, DZero):
         raise UnsupportedTransform("transformed tables start from the d_zero family")
     if isinstance(to, (LeftSeparable, RightSeparable)):
         return build_algebra(to, base.params)
     if isinstance(to, Ratio):
-        zeta = to.zeta
-        spec = build_algebra(DZero(), base.params)
-        HL, HR = spec.H["L"], spec.H["R"]
-        dLR = mul(const(zeta), quot(HR, HL))
-        dRL = mul(const(zeta), quot(HL, HR))
-        rebuilt = _rebuild_with_jacobians(spec, to, dLR, dRL)
-        return rebuilt
+        HL, HR = base.H["L"], base.H["R"]
+        dLR = mul(const(to.zeta), quot(HR, HL))
+        dRL = mul(const(to.zeta), quot(HL, HR))
+        return _spec_for_jacobians(to, base.params, base.values, dLR, dRL, constraint=None)
     raise UnsupportedTransform(f"no transformed table for {to!r}")
-
-
-def _rebuild_with_jacobians(spec: AlgebraSpec, family, dLR: Expr, dRL: Expr) -> AlgebraSpec:
-    """Re-derive the boost rows of a d_zero table for prescribed Jacobians."""
-    from .algebra import build_algebra
-
-    class _Custom(Ratio):
-        pass
-
-    # Rebuild by hand: reuse the build for d_zero and patch the cross rows.
-    from .algebra import AlgebraSpec as AS, Gen, LinComb
-
-    HL, HR = spec.H["L"], spec.H["R"]
-    i = ex.I
-    cross = {"L": mul(HL, dLR, inverse(HR)), "R": mul(HR, dRL, inverse(HL))}
-    table = dict(spec.table)
-
-    def put(a, b, lc):
-        if b < a:
-            a, b = b, a
-            lc = lc.scale(1.0 if (a.odd and b.odd) else -1.0)
-        table[(a, b)] = lc
-
-    for side, other, J, d_AB, H_own in (
-        ("L", "R", Gen.J_L, dLR, Gen.H_L),
-        ("R", "L", Gen.J_R, dRL, Gen.H_R),
-    ):
-        C = cross[side]
-        p_gen = Gen.p_R if other == "R" else Gen.p_L
-        H_gen = Gen.H_R if other == "R" else Gen.H_L
-        Q = Gen.Q_R if other == "R" else Gen.Q_L
-        S = Gen.S_R if other == "R" else Gen.S_L
-        put(J, p_gen, LinComb.of(H_own, mul(i, d_AB)))
-        put(J, H_gen, LinComb.of(H_gen, mul(i, C, spec.Phi[other])))
-        put(J, Q, LinComb.of(Q, mul(C, spec.phiQ[other])))
-        put(J, S, LinComb.of(S, mul(C, spec.phiS[other])))
-    put(Gen.J_L, Gen.P,
-        LinComb.of(Gen.P, add(spec.phiQ["L"], mul(cross["L"], spec.phiQ["R"]))))
-    put(Gen.J_R, Gen.P,
-        LinComb.of(Gen.P, add(spec.phiQ["R"], mul(cross["R"], spec.phiQ["L"]))))
-    put(Gen.J_L, Gen.K,
-        LinComb.of(Gen.K, add(spec.phiS["L"], mul(cross["L"], spec.phiS["R"]))))
-    put(Gen.J_R, Gen.K,
-        LinComb.of(Gen.K, add(spec.phiS["R"], mul(cross["R"], spec.phiS["L"]))))
-
-    return AS(
-        family=family, params=spec.params, H=spec.H, Phi=spec.Phi,
-        phiQ=spec.phiQ, phiS=spec.phiS, dLR=dLR, dRL=dRL, cross=cross,
-        table=table, constraint=None, values=spec.values,
-    )

@@ -299,9 +299,7 @@ def boost_commutator_zero(rep: Representation, s: Sampler) -> ConsistencyReport:
         m = comm.b_or_zero(v)
         vals = np.abs(mat_eval(m, env, memo))
         idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        k = idx[-1]
-        pt = {name: complex(np.atleast_1d(np.asarray(val))[k % np.atleast_1d(np.asarray(val)).size])
-              for name, val in env.items()}
+        pt = ex.sample_at(env, idx[-1])
         cond = report.add(f"[J_L,J_R] d/d{v} coefficient", float(vals[idx]), pt)
         cond.note = f"coefficient expression: {m[0][0]!r}"
     return report
@@ -325,8 +323,7 @@ def ode_solution_check(kappa: float, gamma_exp: float, s: Sampler) -> Consistenc
         return report
     f, df = ratio_momentum_map(kappa, gamma_exp)
     pl = var("pL")
-    pts = s.momenta()
-    env = {"pL": pts + 0j}
+    env = {"pL": s.momenta() + 0j}
     memo: dict = {}
 
     f_vals = np.asarray(f.eval(env, memo))
@@ -337,7 +334,7 @@ def ode_solution_check(kappa: float, gamma_exp: float, s: Sampler) -> Consistenc
               quot(ex.sin(mul(const(0.5), f)), ex.sin(mul(const(0.5), pl))))
     residual = np.abs(np.asarray(df.eval(env, memo)) - np.asarray(rhs.eval(env, memo)))
     idx = int(np.argmax(residual))
-    report.add("momentum-map-ode", float(residual[idx]), {"pL": complex(pts[idx])})
+    report.add("momentum-map-ode", float(residual[idx]), ex.sample_at(env, idx))
 
     g = gamma_exp
     denom = add(
@@ -351,7 +348,7 @@ def ode_solution_check(kappa: float, gamma_exp: float, s: Sampler) -> Consistenc
     lhs = ex.sin(mul(const(0.5), f))
     residual = np.abs(np.asarray(lhs.eval(env, memo)) - np.asarray(closed.eval(env, memo)))
     idx = int(np.argmax(residual))
-    report.add("pulled-back-energy-closed-form", float(residual[idx]), {"pL": complex(pts[idx])})
+    report.add("pulled-back-energy-closed-form", float(residual[idx]), ex.sample_at(env, idx))
     return report
 
 

@@ -1,10 +1,11 @@
 """Suite runner and report emitters.
 
-Each enabled check produces one or more independent ReportRecords; check
-errors are captured into the record rather than aborting the suite.  With a
-fixed seed the records (minus wall-clock timing) are bit-reproducible, and
-the canonical JSON output therefore omits the elapsed-time field unless
-timing is requested explicitly.
+Every check follows one protocol: it yields a verdict (record name,
+ConsistencyReport, sample count) per ReportRecord, and ``run_suite`` alone
+times it, captures its errors into the record rather than aborting the suite,
+picks the status and builds the record.  With a fixed seed the records
+(minus wall-clock timing) are bit-reproducible, and the canonical JSON output
+therefore omits the elapsed-time field unless timing is requested explicitly.
 """
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import io
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from functools import cached_property
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from .representations import (
     transformed_representation,
     verify_relations,
 )
+from .reports import ConditionResult, ConsistencyReport
 from .sampling import Sampler
 from .suite import CheckInvocation, CheckSuiteConfig
 from .symbolic import short_rep_reduction_symbolic, tail_cancellation_check
@@ -95,7 +98,7 @@ CHECK_DESCRIPTIONS: Dict[str, str] = {
         "hatted supercharges for randomly sampled mixing parameters."
     ),
     "coproduct_hom": (
-        "Verifies tensor_bracket(Delta x, Delta y) = Delta z for every "
+        "Verifies the graded bracket [Delta x, Delta y] = Delta z for every "
         "bracket-table row on the short representation, retrying the "
         "discrete tail sign conventions if a tail-dependent row fails."
     ),
@@ -157,251 +160,185 @@ class _SuiteContext:
         self.family = _family_tag(cfg)
         self.params = _params(cfg)
         self.sampler = _sampler(cfg, seed_override)
-        self._spec = None
-        self._rep = None
 
-    @property
+    @cached_property
     def spec(self):
-        if self._spec is None:
-            self._spec = build_algebra(self.family, self.params)
-        return self._spec
+        return build_algebra(self.family, self.params)
 
-    @property
-    def separable(self) -> bool:
-        return isinstance(self.family, (LeftSeparable, RightSeparable))
+    @cached_property
+    def representation(self):
+        eta = self.cfg.eta
+        if isinstance(self.family, (LeftSeparable, RightSeparable)):
+            base = build_representation(DZero(), self.params, eta=eta)
+            return transformed_representation(base, self.family)
+        return build_representation(self.family, self.params, eta=eta, spec=self.spec)
 
-    def representation(self, eta=None):
-        if self._rep is None:
-            eta = self.cfg.eta if eta is None else eta
-            if self.separable:
-                base = build_representation(DZero(), self.params, eta=eta)
-                self._rep = transformed_representation(base, self.family)
-            else:
-                self._rep = build_representation(
-                    self.family, self.params, eta=eta, spec=None if self.separable else self.spec
-                )
-        return self._rep
+    @cached_property
+    def coproduct(self):
+        rep = self.representation
+        return build_coproduct(self.spec, self.cfg.braiding, rep)
 
 
-def _record_from_report(name: str, report, seed: int, samples: int, elapsed: float,
-                        note: str = "") -> ReportRecord:
-    if getattr(report, "vacuous", False):
-        status = "vacuous"
-    else:
-        status = "pass" if report.passed else "fail"
-    worst = report.worst
-    return ReportRecord(
-        check=name,
-        status=status,
-        max_residual=report.max_residual,
-        worst_point=worst.worst_point if worst else None,
-        samples=samples,
-        seed=seed,
-        elapsed_ms=elapsed,
-        note=note or getattr(report, "note", "") or "",
-    )
+class _Verdict(NamedTuple):
+    """What a check hands the runner for one report record."""
+
+    check: str
+    report: ConsistencyReport
+    samples: int
+    expect_fail: bool = False
 
 
-def _run_jacobi(ctx: _SuiteContext) -> List[ReportRecord]:
-    t0 = time.monotonic()
-    report = jacobi_check(ctx.spec, ctx.sampler)
-    return [_record_from_report("jacobi", report, ctx.sampler.seed, ctx.sampler.count,
-                                (time.monotonic() - t0) * 1000.0)]
+# Each check takes the suite context and its invocation and yields one verdict
+# per report record.  Checks that combine several results fold them into one
+# ConsistencyReport; a condition without a numeric residual (a round trip, an
+# exact symbolic identity) enters with residual 0 and its own pass flag.
+
+def _jacobi(ctx, inv):
+    yield _Verdict("jacobi", jacobi_check(ctx.spec, ctx.sampler), ctx.sampler.count)
 
 
-def _run_classify(ctx: _SuiteContext) -> List[ReportRecord]:
-    t0 = time.monotonic()
-    spec = ctx.spec
-    tag = classify_family(spec.dLR, spec.dRL, spec, ctx.sampler)
+def _classify(ctx, inv):
+    spec, s = ctx.spec, ctx.sampler
+    tag = classify_family(spec.dLR, spec.dRL, spec, s)
     roundtrip_ok = repr(tag) == repr(ctx.family)
-    cross = cross_jacobian_report(spec, ctx.sampler)
-    product = product_constraint_check(spec, ctx.sampler)
-    passed = roundtrip_ok and cross.passed and product.passed
-    worst = max([c for c in cross.conditions + product.conditions],
-                key=lambda c: c.max_residual, default=None)
     note = f"classified as {tag!r}"
     if not roundtrip_ok:
         note += f" (expected {ctx.family!r})"
-    return [ReportRecord(
-        check="classify",
-        status="pass" if passed else "fail",
-        max_residual=worst.max_residual if worst else 0.0,
-        worst_point=worst.worst_point if worst else None,
-        samples=ctx.sampler.count,
-        seed=ctx.sampler.seed,
-        elapsed_ms=(time.monotonic() - t0) * 1000.0,
-        note=note,
-    )]
+    report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance, note=note)
+    report.conditions = (cross_jacobian_report(spec, s).conditions
+                         + product_constraint_check(spec, s).conditions)
+    report.conditions.append(ConditionResult("family-roundtrip", 0.0, None, roundtrip_ok))
+    yield _Verdict("classify", report, s.count)
 
 
-def _run_boost_commutator(ctx: _SuiteContext) -> List[ReportRecord]:
-    t0 = time.monotonic()
-    report = boost_commutator_zero(ctx.representation(), ctx.sampler)
-    return [_record_from_report("boost_commutator", report, ctx.sampler.seed,
-                                ctx.sampler.count, (time.monotonic() - t0) * 1000.0)]
+def _boost_commutator(ctx, inv):
+    report = boost_commutator_zero(ctx.representation, ctx.sampler)
+    yield _Verdict("boost_commutator", report, ctx.sampler.count)
 
 
-def _run_relations(ctx: _SuiteContext) -> List[ReportRecord]:
-    t0 = time.monotonic()
-    report = verify_relations(ctx.representation(), ctx.spec, ctx.sampler)
-    return [_record_from_report("relations", report, ctx.sampler.seed, ctx.sampler.count,
-                                (time.monotonic() - t0) * 1000.0)]
+def _relations(ctx, inv):
+    report = verify_relations(ctx.representation, ctx.spec, ctx.sampler)
+    yield _Verdict("relations", report, ctx.sampler.count)
 
 
-def _run_ode(ctx: _SuiteContext, inv: CheckInvocation) -> List[ReportRecord]:
-    t0 = time.monotonic()
+def _ode(ctx, inv):
     report = ode_solution_check(inv.arg("kappa"), inv.arg("gamma"), ctx.sampler)
-    return [_record_from_report("ode", report, ctx.sampler.seed, ctx.sampler.count,
-                                (time.monotonic() - t0) * 1000.0)]
+    yield _Verdict("ode", report, ctx.sampler.count)
 
 
-def _run_shortening(ctx: _SuiteContext) -> List[ReportRecord]:
-    t0 = time.monotonic()
-    rep = ctx.representation()
-    rng = np.random.default_rng(ctx.sampler.seed)
-    worst = 0.0
-    worst_pt = None
+def _shortening(ctx, inv):
+    s = ctx.sampler
+    rng = np.random.default_rng(s.seed)
+    report = ConsistencyReport(seed=s.seed, tolerance=max(s.tolerance, 1e-13),
+                               note=f"eta={ctx.cfg.eta}")
     for _ in range(20):
         x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         y = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        report = shortening_identities(rep, x, y, ctx.sampler)
-        if report.max_residual > worst:
-            worst = report.max_residual
-            worst_pt = {"x": x, "y": y}
-    tol = max(ctx.sampler.tolerance, 1e-13)
-    return [ReportRecord(
-        check="shortening",
-        status="pass" if worst <= tol else "fail",
-        max_residual=worst,
-        worst_point=worst_pt,
-        samples=20,
-        seed=ctx.sampler.seed,
-        elapsed_ms=(time.monotonic() - t0) * 1000.0,
-        note=f"eta={ctx.cfg.eta}",
-    )]
+        for c in shortening_identities(ctx.representation, x, y, s).conditions:
+            # a draw with no residual at all names no point
+            report.add(c.name, c.max_residual, c.worst_point if c.max_residual else None)
+    yield _Verdict("shortening", report, 20)
 
 
-def _run_coproduct_hom(ctx: _SuiteContext) -> List[ReportRecord]:
-    t0 = time.monotonic()
-    rep = ctx.representation()
-    delta = build_coproduct(ctx.spec, ctx.cfg.braiding, rep)
-    report = homomorphism_check(delta, ctx.spec, rep, ctx.sampler)
-    return [_record_from_report("coproduct_hom", report, ctx.sampler.seed,
-                                ctx.sampler.count, (time.monotonic() - t0) * 1000.0)]
+def _coproduct_hom(ctx, inv):
+    report = homomorphism_check(ctx.coproduct, ctx.spec, ctx.representation, ctx.sampler)
+    yield _Verdict("coproduct_hom", report, ctx.sampler.count)
 
 
-def _run_cocommutativity(ctx: _SuiteContext) -> List[ReportRecord]:
-    t0 = time.monotonic()
-    rep = ctx.representation()
-    delta = build_coproduct(ctx.spec, ctx.cfg.braiding, rep)
-    worst = 0.0
-    worst_pt = None
-    ok = True
+def _cocommutativity(ctx, inv):
+    s = ctx.sampler
+    delta = ctx.coproduct
+    report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance, note="all central elements")
     for g in CENTRAL_GENS:
-        report = cocommutativity_check(delta, g, ctx.sampler)
-        ok = ok and report.passed
-        if report.max_residual > worst:
-            worst = report.max_residual
-            worst_pt = report.worst.worst_point if report.worst else None
-    records = [ReportRecord(
-        check="cocommutativity",
-        status="pass" if ok else "fail",
-        max_residual=worst,
-        worst_point=worst_pt,
-        samples=ctx.sampler.count,
-        seed=ctx.sampler.seed,
-        elapsed_ms=(time.monotonic() - t0) * 1000.0,
-        note="all central elements",
-    )]
-    t0 = time.monotonic()
-    fixture = cocommutativity_check(delta, Gen.Q_L, ctx.sampler, expected_fail=True)
-    records.append(ReportRecord(
-        check="cocommutativity_fermion_fixture",
-        status="expected-fail" if not fixture.passed else "fail",
-        max_residual=fixture.max_residual,
-        worst_point=fixture.worst.worst_point if fixture.worst else None,
-        samples=ctx.sampler.count,
-        seed=ctx.sampler.seed,
-        elapsed_ms=(time.monotonic() - t0) * 1000.0,
-        note="the fermionic coproduct must not be cocommutative",
-    ))
-    return records
+        report.conditions += cocommutativity_check(delta, g, s).conditions
+    yield _Verdict("cocommutativity", report, s.count)
+    fixture = cocommutativity_check(delta, Gen.Q_L, s, expected_fail=True)
+    fixture.note = "the fermionic coproduct must not be cocommutative"
+    yield _Verdict("cocommutativity_fermion_fixture", fixture, s.count, expect_fail=True)
 
 
-def _run_tail_cancellation(ctx: _SuiteContext) -> List[ReportRecord]:
-    t0 = time.monotonic()
-    report = tail_cancellation_check(ctx.spec, ctx.cfg.braiding)
-    failures = report.failures()
-    return [ReportRecord(
-        check="tail_cancellation",
-        status="pass" if report.passed else "fail",
-        max_residual=float(len(failures)),
-        worst_point=None,
-        samples=0,
-        seed=ctx.sampler.seed,
-        elapsed_ms=(time.monotonic() - t0) * 1000.0,
-        note="exact symbolic check; residual counts failed identities",
-    )]
+def _tail_cancellation(ctx, inv):
+    failures = tail_cancellation_check(ctx.spec, ctx.cfg.braiding).failures()
+    report = ConsistencyReport(
+        tolerance=0.0, note="exact symbolic check; residual counts failed identities")
+    report.add("failed identities", len(failures), None)
+    yield _Verdict("tail_cancellation", report, 0)
 
 
-def _run_short_reduction(ctx: _SuiteContext) -> List[ReportRecord]:
-    t0 = time.monotonic()
+def _short_reduction(ctx, inv):
+    s = ctx.sampler
     symbolic = short_rep_reduction_symbolic(ctx.spec)
-    rep = ctx.representation()
-    numeric = short_rep_reduction_check(ctx.spec, rep, ctx.sampler)
-    passed = symbolic.passed and numeric.passed
-    return [ReportRecord(
-        check="short_reduction",
-        status="pass" if passed else "fail",
-        max_residual=numeric.max_residual,
-        worst_point=None,
-        samples=ctx.sampler.count,
-        seed=ctx.sampler.seed,
-        elapsed_ms=(time.monotonic() - t0) * 1000.0,
-        note=("exact symbolically; numeric residual shown"
-              if symbolic.passed else "symbolic reduction failed"),
-    )]
+    numeric = short_rep_reduction_check(ctx.spec, ctx.representation, s)
+    report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance, note=(
+        "exact symbolically; numeric residual shown"
+        if symbolic.passed else "symbolic reduction failed"))
+    report.conditions = numeric.conditions + [
+        ConditionResult("exact reduction", 0.0, None, symbolic.passed)]
+    yield _Verdict("short_reduction", report, s.count)
 
 
-_RUNNERS: Dict[str, Callable] = {
-    "jacobi": _run_jacobi,
-    "classify": _run_classify,
-    "boost_commutator": _run_boost_commutator,
-    "relations": _run_relations,
-    "shortening": _run_shortening,
-    "coproduct_hom": _run_coproduct_hom,
-    "cocommutativity": _run_cocommutativity,
-    "tail_cancellation": _run_tail_cancellation,
-    "short_reduction": _run_short_reduction,
+CHECKS: Dict[str, Callable[[_SuiteContext, CheckInvocation], Iterator[_Verdict]]] = {
+    "jacobi": _jacobi,
+    "classify": _classify,
+    "boost_commutator": _boost_commutator,
+    "relations": _relations,
+    "ode": _ode,
+    "shortening": _shortening,
+    "coproduct_hom": _coproduct_hom,
+    "cocommutativity": _cocommutativity,
+    "tail_cancellation": _tail_cancellation,
+    "short_reduction": _short_reduction,
 }
+
+
+def _status(v: _Verdict) -> str:
+    if v.expect_fail:
+        return "fail" if v.report.passed else "expected-fail"
+    if v.report.vacuous:
+        return "vacuous"
+    return "pass" if v.report.passed else "fail"
 
 
 def run_suite(cfg: CheckSuiteConfig, seed_override: Optional[int] = None) -> List[ReportRecord]:
     """Execute the enabled checks in declared order.
 
-    Individual check errors are captured into their record; the suite always
-    runs to completion.
+    Each record is timed from the end of the previous one of its check.  An
+    error inside a check replaces all of that check's records by one failed
+    record; the suite always runs to completion.
     """
     ctx = _SuiteContext(cfg, seed_override)
+    seed, count = ctx.sampler.seed, ctx.sampler.count
     records: List[ReportRecord] = []
     for inv in cfg.checks:
+        done: List[ReportRecord] = []
         t0 = time.monotonic()
         try:
-            if inv.name == "ode":
-                records.extend(_run_ode(ctx, inv))
-            else:
-                records.extend(_RUNNERS[inv.name](ctx))
+            for v in CHECKS[inv.name](ctx, inv):
+                t1 = time.monotonic()
+                worst = v.report.worst
+                done.append(ReportRecord(
+                    check=v.check,
+                    status=_status(v),
+                    max_residual=v.report.max_residual,
+                    worst_point=worst.worst_point if worst else None,
+                    samples=v.samples,
+                    seed=seed,
+                    elapsed_ms=(t1 - t0) * 1000.0,
+                    note=v.report.note,
+                ))
+                t0 = t1
         except SuperbracketError as err:
-            records.append(ReportRecord(
+            done = [ReportRecord(
                 check=inv.name,
                 status="fail",
                 max_residual=float("nan"),
                 worst_point=None,
-                samples=ctx.sampler.count,
-                seed=ctx.sampler.seed,
+                samples=count,
+                seed=seed,
                 elapsed_ms=(time.monotonic() - t0) * 1000.0,
                 note=f"{type(err).__name__}: {err}",
-            ))
+            )]
+        records.extend(done)
     return records
 
 

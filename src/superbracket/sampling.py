@@ -12,22 +12,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .expressions import Expr
+from .expressions import Expr, sample_at
 
 # Points the sampler must stay away from: zeros of sin(p/2) and the poles of
 # cot/tan that the expression grammar can produce on (-4*pi, 4*pi).
-_DEFAULT_LOCI = tuple(k * math.pi for k in range(-8, 9))
-_SINGULAR_LOCI: list[float] = list(_DEFAULT_LOCI)
+_SINGULAR_LOCI = tuple(k * math.pi for k in range(-8, 9))
 _MARGIN = 0.05
 
 
-def register_singular_locus(value: float) -> None:
-    """Register an extra point the sampler must avoid."""
-    _SINGULAR_LOCI.append(float(value))
-
-
 def registered_singular_loci() -> Tuple[float, ...]:
-    return tuple(_SINGULAR_LOCI)
+    return _SINGULAR_LOCI
 
 
 def _clear_of_loci(arr: np.ndarray) -> np.ndarray:
@@ -170,14 +164,10 @@ def is_zero(e: Expr, s: Sampler, constraint=None) -> ZeroReport:
     residuals = np.abs(values)
     worst = int(np.argmax(residuals))
     max_res = float(residuals[worst])
-    point = {
-        name: complex(np.atleast_1d(np.asarray(v))[worst % np.atleast_1d(np.asarray(v)).size])
-        for name, v in env.items()
-    }
     return ZeroReport(
         passed=max_res <= s.tolerance,
         max_residual=max_res,
-        worst_point=point,
+        worst_point=sample_at(env, worst),
         seed=s.seed,
         count=s.count,
         tolerance=s.tolerance,

@@ -261,7 +261,6 @@ class SymbolicEngine:
                         work(c * 0.5 * rc, tuple(neww))
                     return
                 if b < a:
-                    sign = -1.0 if not (a.parity and b.parity) else 1.0
                     # x y = (-1)^{|x||y|} y x + [x, y]
                     koszul = -1.0 if (a.parity and b.parity) else 1.0
                     row = self.row(a, b)
@@ -425,16 +424,15 @@ def boost_coproduct_symbolic(spec: AlgebraSpec, braiding: str, side: str = "L",
     the identified-momentum families the two tails add and the momenta are
     identified in the phases.
     """
-    engine_side = side
     J = Gen.J_L if side == "L" else Gen.J_R
-    cosine = (PhaseCoef.phase(1, engine_side, 2).scaled(0.5)
-              + PhaseCoef.phase(1, engine_side, -2).scaled(0.5))
-    cosine2 = (PhaseCoef.phase(2, engine_side, 2).scaled(0.5)
-               + PhaseCoef.phase(2, engine_side, -2).scaled(0.5))
+    cosine = (PhaseCoef.phase(1, side, 2).scaled(0.5)
+              + PhaseCoef.phase(1, side, -2).scaled(0.5))
+    cosine2 = (PhaseCoef.phase(2, side, 2).scaled(0.5)
+               + PhaseCoef.phase(2, side, -2).scaled(0.5))
     delta0 = (SymbolicElement.of(cosine2, (J,), ())
               + SymbolicElement.of(cosine, (), (J,)))
-    prefactor = (PhaseCoef.phase(1, engine_side, -1)
-                 * PhaseCoef.phase(2, engine_side, 1)).scaled(0.25)
+    prefactor = (PhaseCoef.phase(1, side, -1)
+                 * PhaseCoef.phase(2, side, 1)).scaled(0.25)
     if not identified:
         out = delta0 + fermionic_tail(side, braiding).scaled(prefactor)
         return out

@@ -24,7 +24,6 @@ from .diffops import (
     mat_scale,
     mat_zero,
     multiplication_op,
-    op_bracket,
 )
 from .errors import DimensionMismatch
 from .expressions import Expr, mul, var
@@ -96,11 +95,6 @@ def _eye4() -> Matrix:
 def tensor_scalar(e: Expr) -> DiffOperator:
     """A pure two-site scalar as a multiplication operator."""
     return multiplication_op(TWO_SITE, mat_scale(e, _eye4()), parity=0)
-
-
-def tensor_bracket(x: DiffOperator, y: DiffOperator) -> DiffOperator:
-    """Graded supercommutator of two-site operators (Koszul signs built in)."""
-    return op_bracket(x, y)
 
 
 _FLIP = np.array(

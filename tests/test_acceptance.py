@@ -185,10 +185,10 @@ def test_criterion_6_coproduct_homomorphism():
     report = homomorphism_check(delta, rep.spec, rep, S100)
     assert report.passed, report.failures()[:5]
     # the specific angle-addition row
-    from superbracket.diffops import op_sub
-    from superbracket.tensorops import P1, P2, tensor_bracket, tensor_scalar
+    from superbracket.diffops import op_bracket, op_sub
+    from superbracket.tensorops import P1, P2, tensor_scalar
 
-    lhs = tensor_bracket(delta[Gen.J_L], delta[Gen.p_L])
+    lhs = op_bracket(delta[Gen.J_L], delta[Gen.p_L])
     rhs = tensor_scalar(mul(const(1j), ex.sin(mul(const(0.5), add(P1, P2)))))
     env = {"p1": np.array([0.7 + 0j]), "p2": np.array([1.3 + 0j])}
     angle, _ = op_sub(lhs, rhs).max_abs(env)

@@ -21,12 +21,12 @@ from superbracket.coproducts import (
     homomorphism_check,
     short_rep_reduction_check,
 )
-from superbracket.diffops import op_sub
+from superbracket.diffops import op_bracket, op_sub
 from superbracket.errors import IncompatibleCentrals, InvalidParams, UnsupportedFamily
 from superbracket.expressions import add, const, mul, var
 from superbracket.representations import build_representation
 from superbracket.sampling import Sampler, is_zero
-from superbracket.tensorops import P1, P2, TWO_SITE, tensor_bracket, tensor_scalar
+from superbracket.tensorops import P1, P2, TWO_SITE, tensor_scalar
 
 S = Sampler(count=100)
 
@@ -49,7 +49,7 @@ def test_homomorphism_all_rows(short_rep, braided):
 
 def test_energy_coproduct_is_the_lift(short_rep, braided):
     # {Delta Q_L, Delta S_L} = H(p1+p2) * identity: the angle-addition identity
-    lhs = tensor_bracket(braided[Gen.Q_L], braided[Gen.S_L])
+    lhs = op_bracket(braided[Gen.Q_L], braided[Gen.S_L])
     lift = tensor_scalar(ex.sin(mul(const(0.5), add(P1, P2))))
     env = TWO_SITE.sample_env(S)
     res, _ = op_sub(lhs, lift).max_abs(env)
@@ -61,7 +61,7 @@ def test_boost_momentum_row_by_angle_addition(short_rep, braided):
     # sin(p1/2)cos(p2/2) + cos(p1/2)sin(p2/2) = sin((p1+p2)/2)
     dj = braided[Gen.J_L]
     dp = braided[Gen.p_L]
-    lhs = tensor_bracket(dj, dp)
+    lhs = op_bracket(dj, dp)
     rhs = tensor_scalar(mul(const(1j), ex.sin(mul(const(0.5), add(P1, P2)))))
     env = {"p1": np.array([0.7 + 0j]), "p2": np.array([1.3 + 0j])}
     res, _ = op_sub(lhs, rhs).max_abs(env)
@@ -74,7 +74,7 @@ def test_boost_momentum_row_by_angle_addition(short_rep, braided):
 def test_central_coproduct_functional_equation(short_rep, braided):
     # {Delta Q_L, Delta Q_R} = Delta P requires P(p1+p2) =
     # P(p1) e^{i p2/2} + e^{-i p1/2} P(p2), i.e. P proportional to sin(p/2)
-    lhs = tensor_bracket(braided[Gen.Q_L], braided[Gen.Q_R])
+    lhs = op_bracket(braided[Gen.Q_L], braided[Gen.Q_R])
     env = TWO_SITE.sample_env(S)
     res, _ = op_sub(lhs, braided[Gen.P]).max_abs(env)
     assert res <= 1e-12
@@ -188,7 +188,7 @@ def test_unbraided_g_term_annihilates_opposite_fermions(short_rep):
     dj = delta[Gen.J_L]
     env = {"p1": np.array([0.7, 2.11]) + 0j, "p2": np.array([1.55, 0.95]) + 0j}
     # the full Delta J applied against Delta H must close (H is primitive):
-    lhs = tensor_bracket(dj, delta[Gen.H_L])
+    lhs = op_bracket(dj, delta[Gen.H_L])
     assert lhs.max_abs(env)[0] < 1e2  # finite; detailed closure not asserted
 
 

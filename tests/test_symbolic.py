@@ -4,7 +4,7 @@ import pytest
 from superbracket import expressions as ex
 from superbracket.algebra import DMinusOne, DPlusOne, DZero, Gen, build_algebra
 from superbracket.coproducts import build_coproduct
-from superbracket.diffops import op_add, op_scale, op_sub
+from superbracket.diffops import op_add, op_bracket, op_scale, op_sub
 from superbracket.errors import NormalFormDivergence
 from superbracket.expressions import const, mul, var
 from superbracket.representations import build_representation
@@ -20,7 +20,7 @@ from superbracket.symbolic import (
     symbolic_table,
     tail_cancellation_check,
 )
-from superbracket.tensorops import TWO_SITE, tensor_bracket, tensor_mult
+from superbracket.tensorops import TWO_SITE, tensor_mult
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +106,7 @@ def test_symbolic_matches_numeric_where_representable():
         tensor_mult(_at(s_m, 1), _at(q_m, 2), 1, 1),
         tensor_mult(_at(q_m, 1), _at(s_m, 2), 1, 1),
     )
-    lhs = tensor_bracket(bilinear, delta[Gen.Q_R])
+    lhs = op_bracket(bilinear, delta[Gen.Q_R])
     p_m = data.matrices[Gen.P]
     phase = lambda site, n: ex.exp(mul(const(0.25j * n), var("p1" if site == 1 else "p2")))
     rhs = op_add(

@@ -1,14 +1,13 @@
 import numpy as np
 
 from superbracket import expressions as ex
-from superbracket.diffops import mat, mat_eval, op_sub
+from superbracket.diffops import mat, mat_eval, op_bracket, op_sub
 from superbracket.expressions import const, mul, var
 from superbracket.tensorops import (
     P1,
     P2,
     graded_flip,
     graded_kron,
-    tensor_bracket,
     tensor_mult,
 )
 
@@ -55,7 +54,7 @@ def test_disjoint_sites_supercommute():
             b = _rand_site_matrix(rng, pb)
             x = tensor_mult(a, eye, pa, 0)
             y = tensor_mult(eye, b, 0, pb)
-            res, _ = tensor_bracket(x, y).max_abs(env)
+            res, _ = op_bracket(x, y).max_abs(env)
             assert res <= 1e-14, (pa, pb)
 
 
@@ -65,7 +64,7 @@ def test_odd_square_supercommutator():
     q = _rand_site_matrix(rng, 1)
     phase = lambda v, n: ex.exp(mul(const(0.25j * n), v))
     x = tensor_mult(q, mat([[phase(P2, 1), ex.ZERO], [ex.ZERO, phase(P2, 1)]]), 1, 0)
-    lhs = tensor_bracket(x, x)
+    lhs = op_bracket(x, x)
     qq = _num(q) @ _num(q)
     expected = tensor_mult(
         mat([[const(qq[0, 0]), const(qq[0, 1])], [const(qq[1, 0]), const(qq[1, 1])]]),
