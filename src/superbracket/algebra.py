@@ -265,7 +265,6 @@ class AlgebraSpec:
     constraint: Optional[Tuple[Expr, Expr]]  # (p_R = f(p_L), df/dp_L)
     values: Dict[Gen, Expr] = field(default_factory=dict)
     central_set: frozenset = CENTRALS
-    _derive_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def zeta(self):
@@ -285,16 +284,10 @@ class AlgebraSpec:
 
     def derive(self, boost: Gen, f: Expr) -> Expr:
         """Derivation action of a boost on a coefficient: [J_A, f] = i H_A df/dp_A."""
-        key = (boost, id(f))
-        hit = self._derive_cache.get(key)
-        if hit is not None and hit[0] is f:
-            return hit[1]
         side = "L" if boost == Gen.J_L else "R"
         v = "pL" if side == "L" else "pR"
         jac = self.dLR if side == "L" else self.dRL
-        out = mul(ex.I, self.H[side], convective_diff(f, v, jac))
-        self._derive_cache[key] = (f, out)
-        return out
+        return mul(ex.I, self.H[side], convective_diff(f, v, jac))
 
     def sample_env(self, s: Sampler) -> dict:
         pl, pr = s.pairs(self.constraint)

@@ -103,6 +103,7 @@ class CoproductMap:
     data: IdentifiedData
     ops: Dict[Gen, DiffOperator]
     convention: Tuple[int, int] = (1, 1)  # (tail phase orientation, tail sign)
+    boost_skipped: str = ""  # why J_L and J_R have no coproduct here, if they have none
 
     def __getitem__(self, g: Gen) -> DiffOperator:
         return self.ops[g]
@@ -201,18 +202,20 @@ def build_coproduct(
         else:
             ops[g] = tensor_scalar(scalar_lift(value))
 
+    boost_skipped = ""
     if include_boost:
         try:
             dj = build_boost_coproduct(spec, braiding, rep, convention=convention, data=data)
-        except (UnsupportedFamily, InvalidParams):
-            dj = None
-        if dj is not None:
+        except (UnsupportedFamily, InvalidParams) as err:
+            boost_skipped = str(err)
+        else:
             h_L, h_R = rep.params["h_L"], rep.params["h_R"]
             ops[Gen.J_L] = dj
             ops[Gen.J_R] = op_scale(const(h_R / h_L), dj)
 
     return CoproductMap(
-        braiding=braiding, spec=spec, rep=rep, data=data, ops=ops, convention=convention
+        braiding=braiding, spec=spec, rep=rep, data=data, ops=ops, convention=convention,
+        boost_skipped=boost_skipped,
     )
 
 
@@ -382,7 +385,9 @@ def homomorphism_check(
     Boost rows are asserted for the braided map, whose tail is constructed to
     close the homomorphism; the unbraided boost coefficients come from the
     quasi-cocommutativity construction and are not claimed to be a
-    homomorphism here, so those rows default to excluded.
+    homomorphism here, so those rows default to excluded.  A map built
+    without boost coproducts cannot have its boost rows checked; the note
+    then says so and why.
 
     If a boost-tail-dependent row fails under the map's sign convention, the
     discrete convention switches are retried and the (unique) passing
@@ -392,6 +397,8 @@ def homomorphism_check(
         include_boost_rows = delta.braiding == "braided"
     report = _hom_check_once(delta, spec, s, include_boost_rows)
     report.note = f"convention {delta.convention}"
+    if include_boost_rows and delta.boost_skipped:
+        report.note += f"; J_L and J_R rows not checked ({delta.boost_skipped})"
     tail_failures = [c for c in report.failures() if "J_" in c.name]
     if tail_failures and convention_search:
         passing = []

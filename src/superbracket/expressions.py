@@ -6,12 +6,21 @@ returns bit-identical arrays.  Differentiation is exact (no simplification
 beyond constant folding in the constructors, which keeps trees from growing
 during repeated products and derivatives).
 
+Nodes are hash-consed: every constructor looks its node up in one weak intern
+table and builds it only on a miss, so structurally equal trees are one object
+for as long as any of them is alive.  Identity is therefore structural
+equality: the identity-keyed memos of ``Expr.eval`` and ``substitute`` share
+work between equal subtrees, and differentiating a tree again returns the
+nodes of the first derivative, so no derivative cache is kept.
+
 Variables are plain strings; the algebra layers use "pL"/"pR" for the two
 momenta, "p" for an identified momentum and "p1"/"p2" for two-site momenta.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Union
+import weakref
+from math import copysign
+from typing import FrozenSet, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -33,9 +42,40 @@ def sample_at(env: Mapping[str, EnvValue], idx: int) -> dict:
     return point
 
 
+# (class, *key) -> the one live node with that key.  The table holds its keys,
+# and so the children of live nodes, strongly, and its nodes weakly: an entry
+# goes when the last outside reference to its node does.  It takes no lock;
+# threads racing on one key would each build a correct node and only lose the
+# sharing.
+_NODES: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+
+
+def _intern(key: tuple, fields: tuple) -> "Expr":
+    """The live node with ``key``, built from ``fields`` on a miss.
+
+    ``key[0]`` is the node's class, whose ``__slots__`` ``fields`` fill in
+    order.  Child nodes enter ``key`` as themselves: they are interned
+    already, so their default (identity) equality is structural equality.
+    """
+    node = _NODES.get(key)
+    if node is None:
+        cls = key[0]
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        _NODES[key] = node
+    return node
+
+
 class Expr:
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
     kind = "?"
+
+    def __new__(cls, *fields):
+        return _intern((cls, *fields), fields)
+
+    def __setattr__(self, *a):
+        raise AttributeError("expressions are immutable")
 
     # -- construction sugar -------------------------------------------------
     def __add__(self, other):
@@ -79,8 +119,10 @@ class Expr:
         raise NotImplementedError
 
     def eval(self, env: Mapping[str, EnvValue], memo: dict | None = None) -> EnvValue:
-        # The memo is keyed by the node object itself (identity hashing);
-        # keeping the key alive prevents id-reuse across temporaries.
+        # The memo is keyed by the node object itself (identity hashing).
+        # Nodes are interned in a weak table, so equal subtrees are one key
+        # and each is evaluated once; keeping the key alive prevents id-reuse
+        # across temporaries.
         if memo is None:
             memo = {}
         hit = memo.get(self)
@@ -118,11 +160,11 @@ class Const(Expr):
     __slots__ = ("value",)
     kind = "const"
 
-    def __init__(self, value: Number):
-        object.__setattr__(self, "value", complex(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+    def __new__(cls, value: Number):
+        # Keyed by sign as well: 0.0 == -0.0, but their reprs differ.
+        value = complex(value)
+        return _intern((cls, value, copysign(1.0, value.real), copysign(1.0, value.imag)),
+                       (value,))
 
     def diff(self, v):
         return ZERO
@@ -140,12 +182,6 @@ class Const(Expr):
 class Var(Expr):
     __slots__ = ("name",)
     kind = "var"
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
 
     def diff(self, v):
         return ONE if v == self.name else ZERO
@@ -166,11 +202,9 @@ class Var(Expr):
 class _NAry(Expr):
     __slots__ = ("args",)
 
-    def __init__(self, args: Iterable[Expr]):
-        object.__setattr__(self, "args", tuple(args))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+    def __new__(cls, args: Iterable[Expr]):
+        args = tuple(args)
+        return _intern((cls, args), (args,))
 
     def children(self):
         return self.args
@@ -218,13 +252,6 @@ class Quot(Expr):
     __slots__ = ("num", "den")
     kind = "quot"
 
-    def __init__(self, num: Expr, den: Expr):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
-
     def children(self):
         return (self.num, self.den)
 
@@ -253,12 +280,9 @@ class Pow(Expr):
     __slots__ = ("base", "exponent")
     kind = "pow"
 
-    def __init__(self, base: Expr, exponent: float):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", float(exponent))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+    def __new__(cls, base: Expr, exponent: float):
+        exponent = float(exponent)
+        return _intern((cls, base, exponent), (base, exponent))
 
     def children(self):
         return (self.base,)
@@ -286,12 +310,6 @@ class Pow(Expr):
 
 class _Unary(Expr):
     __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
 
     def children(self):
         return (self.arg,)
@@ -529,55 +547,31 @@ def absval(x) -> Expr:
     return AbsNode(coerce(x))
 
 
+_REBUILD = {
+    Add: add, Mul: mul, Quot: quot, Sin: sin, Cos: cos, Tan: tan, Cot: cot,
+    Arccot: arccot, ExpNode: exp, AbsNode: absval,
+}
+
+
 def _substitute(e: Expr, mapping: Mapping[str, Expr], memo: dict) -> Expr:
-    key = id(e)
-    hit = memo.get(key)
+    hit = memo.get(e)
     if hit is not None:
         return hit
     if isinstance(e, Var):
         out = mapping.get(e.name, e)
     elif isinstance(e, Const):
         out = e
-    elif isinstance(e, Add):
-        out = add(*(_substitute(a, mapping, memo) for a in e.args))
-    elif isinstance(e, Mul):
-        out = mul(*(_substitute(a, mapping, memo) for a in e.args))
-    elif isinstance(e, Quot):
-        out = quot(_substitute(e.num, mapping, memo), _substitute(e.den, mapping, memo))
     elif isinstance(e, Pow):
         out = pow_(_substitute(e.base, mapping, memo), e.exponent)
-    elif isinstance(e, Sin):
-        out = sin(_substitute(e.arg, mapping, memo))
-    elif isinstance(e, Cos):
-        out = cos(_substitute(e.arg, mapping, memo))
-    elif isinstance(e, Tan):
-        out = tan(_substitute(e.arg, mapping, memo))
-    elif isinstance(e, Cot):
-        out = cot(_substitute(e.arg, mapping, memo))
-    elif isinstance(e, Arccot):
-        out = arccot(_substitute(e.arg, mapping, memo))
-    elif isinstance(e, ExpNode):
-        out = exp(_substitute(e.arg, mapping, memo))
-    elif isinstance(e, AbsNode):
-        out = absval(_substitute(e.arg, mapping, memo))
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node {e.kind}")
-    memo[key] = out
+    else:
+        out = _REBUILD[type(e)](*(_substitute(c, mapping, memo) for c in e.children()))
+    memo[e] = out
     return out
 
 
-_DIFF_CACHE: Dict[tuple, tuple] = {}
-
-
 def diff(e: Expr, v: str) -> Expr:
-    """Exact partial derivative d e / d v as a new expression."""
-    key = (id(e), v)
-    hit = _DIFF_CACHE.get(key)
-    if hit is not None and hit[0] is e:
-        return hit[1]
-    de = e.diff(v)
-    _DIFF_CACHE[key] = (e, de)
-    return de
+    """Exact partial derivative d e / d v as an (interned) expression."""
+    return e.diff(v)
 
 
 def convective_diff(e: Expr, v: str, jac: Expr, other: str | None = None) -> Expr:

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superbracket import expressions as ex
+from superbracket.algebra import AlgebraParams, Ratio, build_algebra, jacobi_check
 from superbracket.errors import BranchError, DomainError, PoleError
 from superbracket.expressions import (
     add,
@@ -16,6 +18,7 @@ from superbracket.expressions import (
     quot,
     var,
 )
+from superbracket.sampling import Sampler
 
 P = var("p")
 PL, PR = var("pL"), var("pR")
@@ -26,20 +29,24 @@ def fd(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2 * h)
 
 
-# one expression per node kind, all differentiable on (0.2, 3.0)
-ZOO = [
-    ex.sin(mul(const(0.5), P)),
-    ex.cos(add(mul(const(0.5), P), const(0.3))),
-    ex.tan(mul(const(1 / 3), P)),
-    ex.cot(add(mul(const(0.5), P), const(0.5))),
-    ex.arccot(P),
-    ex.exp(mul(const(0.25j), P)),
-    ex.pow_(P, 2.5),
-    quot(ex.sin(P), P),
-    mul(P, ex.cos(P), add(P, const(1))),
-    add(mul(P, P), ex.sin(P), const(-2)),
-    quot(const(1), add(mul(P, P), const(1))),
-]
+def zoo(p):
+    """One expression per node kind in ``p``, all differentiable on (0.2, 3.0)."""
+    return [
+        ex.sin(mul(const(0.5), p)),
+        ex.cos(add(mul(const(0.5), p), const(0.3))),
+        ex.tan(mul(const(1 / 3), p)),
+        ex.cot(add(mul(const(0.5), p), const(0.5))),
+        ex.arccot(p),
+        ex.exp(mul(const(0.25j), p)),
+        ex.pow_(p, 2.5),
+        quot(ex.sin(p), p),
+        mul(p, ex.cos(p), add(p, const(1))),
+        add(mul(p, p), ex.sin(p), const(-2)),
+        quot(const(1), add(mul(p, p), const(1))),
+    ]
+
+
+ZOO = zoo(P)
 
 
 def test_eval_identity_cases():
@@ -152,6 +159,53 @@ def test_pole_errors():
     except PoleError as e:
         err = e
     assert err is not None and abs(err.point["p"].real - math.pi) < 1e-9
+
+
+def test_equal_trees_are_one_object():
+    again = zoo(var("p"))
+    assert all(a is b for a, b in zip(ZOO, again))
+    assert all(diff(a, "p") is diff(b, "p") for a, b in zip(ZOO, again))
+    q = var("q")
+    assert all(e.substitute({"p": q}) is f for e, f in zip(ZOO, zoo(q)))
+    assert all(e.substitute({"p": q}).substitute({"q": P}) is e for e in ZOO)
+
+
+def test_constants_are_interned_by_sign_as_well_as_value():
+    assert const(0.0) is ex.ZERO and const(1) is ex.ONE
+    assert const(-0.0) is not ex.ZERO
+    assert repr(const(-0.0)) == "-0.0" and repr(ex.ZERO) == "0.0"
+    assert const(complex(1, -0.0)) is not ex.ONE
+
+
+def test_nodes_are_immutable():
+    with pytest.raises(AttributeError):
+        P.name = "q"
+    with pytest.raises(AttributeError):
+        ZOO[0].arg = P
+
+
+def test_intern_table_forgets_dead_nodes():
+    gc.collect()
+    before = len(ex._NODES)
+    e = ex.sin(var("a momentum no other test names"))
+    assert len(ex._NODES) == before + 2
+    del e
+    gc.collect()
+    assert len(ex._NODES) == before
+
+
+def test_intern_table_does_not_grow_over_repeated_sweeps():
+    # every node a sweep builds dies with it (no cache pins derivatives);
+    # only the spec's own trees stay
+    spec = build_algebra(Ratio(2), AlgebraParams())
+    gc.collect()
+    before = len(ex._NODES)
+    sizes = []
+    for _ in range(4):
+        jacobi_check(spec, Sampler(seed=7, count=100))
+        gc.collect()
+        sizes.append(len(ex._NODES))
+    assert sizes == [before] * 4
 
 
 def test_constant_folding_keeps_trees_small():

@@ -95,6 +95,51 @@ def test_json_reports_are_byte_identical_across_hash_seeds():
     assert len(outputs) == 1
 
 
+def test_zero_samples_read_vacuous_not_fail(tmp_path):
+    text = bundled_text("d_plus_one").replace("points=100", "points=0")
+    assert "points=0" in text
+    statuses = {r.check: r.status for r in run_suite(parse_suite(text))}
+    for check in ("jacobi", "classify", "boost_commutator", "relations", "coproduct_hom",
+                  "cocommutativity", "cocommutativity_fermion_fixture"):
+        assert statuses[check] == "vacuous", check
+    assert "fail" not in statuses.values()
+    # the exact identities need no samples
+    assert statuses["tail_cancellation"] == statuses["short_reduction"] == "pass"
+    suite = tmp_path / "no_points.suite"
+    suite.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "superbracket.cli", "run", str(suite)],
+        capture_output=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
+
+
+def test_coproduct_hom_note_names_unchecked_boost_rows():
+    notes = {name: {r.check: r.note for r in run_suite(parse_suite(bundled_text(name)))}
+             for name in ("d_plus_one", "d_minus_one")}
+    assert notes["d_plus_one"]["coproduct_hom"] == "convention (1, 1)"
+    omitted = notes["d_minus_one"]["coproduct_hom"]
+    assert omitted.startswith("convention (1, 1); J_L and J_R rows not checked")
+    assert "materialised for d = +1" in omitted
+
+
+def test_report_does_not_depend_on_earlier_suites_in_the_process():
+    script = (
+        "import sys; from importlib import resources; "
+        "from superbracket.runner import emit_report, run_suite; "
+        "from superbracket.suite import parse_suite; "
+        "text = resources.files('superbracket').joinpath('suites/ratio.suite').read_text(); "
+        "sys.stdout.buffer.write(emit_report(run_suite(parse_suite(text), seed_override=7)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    for name in BUNDLED:
+        run_suite(parse_suite(bundled_text(name)))
+    after = emit_report(run_suite(parse_suite(bundled_text("ratio")), seed_override=7))
+    assert after == proc.stdout
+
+
 def test_check_names_agree():
     assert len(set(KNOWN_CHECKS)) == len(KNOWN_CHECKS)
     assert set(CHECKS) == set(KNOWN_CHECKS) == set(CHECK_DESCRIPTIONS)
