@@ -344,19 +344,12 @@ def outer_action(spec: AlgebraSpec, t: Gen, x: Gen) -> LinComb:
     return spec.row(t, x)
 
 
-def _residual_max(spec: AlgebraSpec, lc: LinComb, env: dict, memo: dict):
-    """Max modulus of a LinComb over sampled points (see module docstring)."""
-    worst = 0.0
-    worst_pt = None
+def _residual_arrays(spec: AlgebraSpec, lc: LinComb, env: dict, memo: dict):
+    """The arrays whose max modulus is the residual of ``lc`` (see module docstring).
 
-    def track(values):
-        nonlocal worst, worst_pt
-        arr = np.abs(np.atleast_1d(np.asarray(values)))
-        idx = int(np.argmax(arr))
-        if float(arr[idx]) > worst:
-            worst = float(arr[idx])
-            worst_pt = ex.sample_at(env, idx)
-
+    Each coefficient of a generator that carries no value comes first, in
+    term order, then the value carriers' terms summed with the scalar part.
+    """
     combined = None
     for g, c in lc.terms.items():
         cval = c.eval(env, memo)
@@ -364,13 +357,19 @@ def _residual_max(spec: AlgebraSpec, lc: LinComb, env: dict, memo: dict):
             term = np.asarray(cval) * np.asarray(spec.values[g].eval(env, memo))
             combined = term if combined is None else combined + term
         else:
-            track(cval)
+            yield cval
     if not ex.is_const(lc.scalar, 0):
         sval = np.asarray(lc.scalar.eval(env, memo))
         combined = sval if combined is None else combined + sval
     if combined is not None:
-        track(combined)
-    return worst, worst_pt
+        yield combined
+
+
+def _residual_count(lc: LinComb) -> int:
+    """How many arrays ``_residual_arrays`` yields for ``lc``."""
+    plain = sum(g not in VALUE_CARRIERS for g in lc.terms)
+    combined = plain < len(lc.terms) or not ex.is_const(lc.scalar, 0)
+    return plain + int(combined)
 
 
 def jacobi_triples(include_outer: bool = True):
@@ -402,7 +401,6 @@ def jacobi_check(
         report.note = "no samples"
         return report
     env = spec.sample_env(s)
-    memo: dict = {}
 
     pair_cache: Dict[Tuple[Gen, Gen], LinComb] = {}
 
@@ -414,10 +412,7 @@ def jacobi_check(
             pair_cache[key] = hit
         return hit
 
-    residuals: Dict[tuple, float] = {}
-    global_max = 0.0
-    global_worst = None
-    reported = 0
+    triples = []
     for (x, y, z) in jacobi_triples(include_outer):
         s1 = -1.0 if (x.parity and z.parity) else 1.0
         s2 = -1.0 if (y.parity and x.parity) else 1.0
@@ -425,20 +420,32 @@ def jacobi_check(
         lc = bracket(spec, x, br(y, z)).scale(s1)
         lc = lc + bracket(spec, y, br(z, x)).scale(s2)
         lc = lc + bracket(spec, z, br(x, y)).scale(s3)
-        if lc.structurally_zero:
-            continue
-        try:
-            value, point = _residual_max(spec, lc, env, memo)
-        except PoleError as err:
-            raise PoleError(
-                f"pole while evaluating triple ({x.label},{y.label},{z.label}): {err}",
-                point=err.point,
-            ) from err
-        residuals[(x.label, y.label, z.label)] = value
+        if not lc.structurally_zero:
+            triples.append(((x.label, y.label, z.label), lc))
+
+    # Block-major: one block memo serves every triple.
+    def arrays(block: dict, memo: dict):
+        for labels, lc in triples:
+            try:
+                yield from _residual_arrays(spec, lc, block, memo)
+            except PoleError as err:
+                raise PoleError(
+                    f"pole while evaluating triple ({','.join(labels)}): {err}", point=err.point
+                ) from err
+
+    maxima = ex._sweep_max(env, arrays)
+    residuals: Dict[tuple, float] = {}
+    global_max = 0.0
+    global_worst = None
+    reported = 0
+    for (labels, _), (value, point) in zip(
+        triples, ex._worst_points(env, maxima, [_residual_count(lc) for _, lc in triples])
+    ):
+        residuals[labels] = value
         if value > global_max:
             global_max, global_worst = value, point
         if value > s.tolerance and reported < max_reported_failures:
-            report.add(f"jacobi({x.label},{y.label},{z.label})", value, point)
+            report.add(f"jacobi({','.join(labels)})", value, point)
             reported += 1
     summary = report.add("jacobi-all-triples", global_max, global_worst)
     summary.note = f"{len(residuals)} non-trivially-evaluated triples"

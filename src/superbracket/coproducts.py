@@ -30,6 +30,7 @@ from .diffops import (
     op_bracket,
     op_scale,
     op_sub,
+    ops_max_abs,
 )
 from .errors import IncompatibleCentrals, InvalidParams, UnsupportedFamily
 from .expressions import Expr, add, const, mul, neg, quot, var
@@ -41,6 +42,7 @@ from .tensorops import (
     P2,
     TWO_SITE,
     graded_flip,
+    graded_kron,
     site_scalar,
     tensor_boost_term,
     tensor_mult,
@@ -426,19 +428,18 @@ def _hom_check_once(
     if s.count == 0:
         report.vacuous = True
         return report
-    env = TWO_SITE.sample_env(s)
-    memo: dict = {}
+    names, ops = [], []
     for (a, b), row in _rows_for_hom_check(spec, delta.ops, include_boost_rows):
-        lhs = op_bracket(delta[a], delta[b])
-        rhs = delta.of_lincomb(row)
-        res, pt = op_sub(lhs, rhs).max_abs(env, memo)
-        report.add(f"Delta[{a.label},{b.label}]", res, pt)
+        names.append(f"Delta[{a.label},{b.label}]")
+        ops.append(op_sub(op_bracket(delta[a], delta[b]), delta.of_lincomb(row)))
     # implied-zero pairs among the fermions (absent rows must stay absent)
     for a, b in itertools.combinations((Gen.Q_L, Gen.S_L, Gen.Q_R, Gen.S_R), 2):
         if (a, b) in spec.table or (b, a) in spec.table:
             continue
-        res, pt = op_bracket(delta[a], delta[b]).max_abs(env, memo)
-        report.add(f"Delta[{a.label},{b.label}] (vanishing row)", res, pt)
+        names.append(f"Delta[{a.label},{b.label}] (vanishing row)")
+        ops.append(op_bracket(delta[a], delta[b]))
+    for name, (res, pt) in zip(names, ops_max_abs(ops, TWO_SITE.sample_env(s))):
+        report.add(name, res, pt)
     return report
 
 
@@ -530,13 +531,6 @@ class _TOperator:
             msub(self.base, other.base), msub(self.t1, other.t1), msub(self.t2, other.t2)
         )
 
-    def max_abs(self) -> float:
-        out = 0.0
-        for m in (self.base, self.t1, self.t2):
-            if m is not None:
-                out = max(out, float(np.max(np.abs(m))))
-        return out
-
 
 def short_rep_reduction_check(
     spec: AlgebraSpec,
@@ -557,46 +551,49 @@ def short_rep_reduction_check(
         return report
     data = identify_momentum(rep)
     q, sm = _short_rep_bilinears(data)
-    env = TWO_SITE.sample_env(s)
-    memo: dict = {}
-
-    def tensor_eval(m1, m2, parity2):
-        from .tensorops import graded_kron
-
-        return mat_eval(graded_kron(_sub(m1, 1), _sub(m2, 2), parity2), env, memo)
-
-    sq = tensor_eval(sm, q, 1)
-    qs = tensor_eval(q, sm, 1)
-    h1 = np.atleast_1d(np.asarray(site_scalar(data.scalars[Gen.H_L], 1).eval(env, memo)))
-    h2 = np.atleast_1d(np.asarray(site_scalar(data.scalars[Gen.H_L], 2).eval(env, memo)))
-    e_p1 = np.atleast_1d(np.asarray(site_scalar(_phase(1), 1).eval(env, memo)))
-    e_p2 = np.atleast_1d(np.asarray(site_scalar(_phase(1), 2).eval(env, memo)))
-    alpha = -(e_p1 * e_p2)
-    beta = 1.0 / (e_p1 * e_p2)
+    sq_m = graded_kron(_sub(sm, 1), _sub(q, 2), 1)
+    qs_m = graded_kron(_sub(q, 1), _sub(sm, 2), 1)
     eye4 = np.eye(4, dtype=np.complex128)[:, :, None]
+    gens = ((Gen.Q_L, "Q"), (Gen.S_L, "S"))
 
-    if with_t_terms:
-        tail = _TOperator(
-            2 * (sq + qs),
-            t1=-(beta * h2) * eye4,
-            t2=-(alpha * h1) * eye4,
-        )
-    else:
-        tail = _TOperator(2 * (sq + qs))
-    reference = _TOperator(sq + qs)
+    # Each generator yields its residual's three parts (0.0 for an absent one).
+    def residual_parts(env: dict, memo: dict):
+        sq = mat_eval(sq_m, env, memo)
+        qs = mat_eval(qs_m, env, memo)
+        h1 = np.atleast_1d(np.asarray(site_scalar(data.scalars[Gen.H_L], 1).eval(env, memo)))
+        h2 = np.atleast_1d(np.asarray(site_scalar(data.scalars[Gen.H_L], 2).eval(env, memo)))
+        e_p1 = np.atleast_1d(np.asarray(site_scalar(_phase(1), 1).eval(env, memo)))
+        e_p2 = np.atleast_1d(np.asarray(site_scalar(_phase(1), 2).eval(env, memo)))
+        alpha = -(e_p1 * e_p2)
+        beta = 1.0 / (e_p1 * e_p2)
+        if with_t_terms:
+            tail = _TOperator(
+                2 * (sq + qs),
+                t1=-(beta * h2) * eye4,
+                t2=-(alpha * h1) * eye4,
+            )
+        else:
+            tail = _TOperator(2 * (sq + qs))
+        reference = _TOperator(sq + qs)
+        for g, _ in gens:
+            dx = delta_fermion_eval(data.matrices[g], env, memo)
+            lhs = (tail @ dx) - (dx @ tail)
+            rhs = (reference @ dx) - (dx @ reference)
+            res = lhs - rhs
+            for m in (res.base, res.t1, res.t2):
+                yield 0.0 if m is None else m
 
-    for g, name in ((Gen.Q_L, "Q"), (Gen.S_L, "S")):
-        dx = delta_fermion_eval(data.matrices[g], env, memo)
-        lhs = (tail @ dx) - (dx @ tail)
-        rhs = (reference @ dx) - (dx @ reference)
-        report.add(f"short-reduction[{name}]", (lhs - rhs).max_abs(), None)
+    maxima = ex._sweep_max(TWO_SITE.sample_env(s), residual_parts)
+    for k, (_, name) in enumerate(gens):
+        worst = 0.0
+        for value, _ in maxima[3 * k:3 * k + 3]:
+            worst = max(worst, value)
+        report.add(f"short-reduction[{name}]", worst, None)
     return report
 
 
 def delta_fermion_eval(matrix, env, memo) -> _TOperator:
     """Evaluated braided coproduct of a fermion image (no T content)."""
-    from .tensorops import graded_kron
-
     eye = mat_eye(2)
     t1 = graded_kron(_sub(matrix, 1), _sub(mat_scale(_phase(1), eye), 2), 0)
     t2 = graded_kron(_sub(mat_scale(_phase(-1), eye), 1), _sub(matrix, 2), 1)

@@ -185,25 +185,32 @@ class DiffOperator:
     def b_or_zero(self, v: str) -> Matrix:
         return self.B.get(v, mat_zero(self.n))
 
-    def max_abs(self, env: dict, memo: Optional[dict] = None):
-        """Max modulus over all coefficient matrices at the env samples."""
-        if memo is None:
-            memo = {}
-        worst = 0.0
-        worst_pt = None
-        for m in [self.A, *self.B.values()]:
-            vals = np.abs(mat_eval(m, env, memo))
-            idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            if float(vals[idx]) > worst:
-                worst = float(vals[idx])
-                worst_pt = ex.sample_at(env, idx[-1])
-        return worst, worst_pt
+    def max_abs(self, env: dict):
+        """Max modulus over all coefficient matrices at the env samples, and its sample."""
+        return ops_max_abs([self], env)[0]
 
     def __repr__(self):
         parts = [f"A={self.A!r}"]
         for v, m in self.B.items():
             parts.append(f"B_{v}={m!r}")
         return f"DiffOperator(n={self.n}, parity={self.parity}, " + ", ".join(parts) + ")"
+
+
+def ops_max_abs(ops, env: dict) -> list:
+    """``op.max_abs(env)`` for each of ``ops``, from one blocked sweep with a shared memo.
+
+    Within a coefficient matrix the first maximum in flat (i, j, sample)
+    order wins; across the matrices of an operator, the first above all
+    before it and above 0.0, else (0.0, None).
+    """
+    mats = [[op.A, *op.B.values()] for op in ops]
+
+    def arrays(block: dict, memo: dict):
+        for ms in mats:
+            for m in ms:
+                yield mat_eval(m, block, memo)
+
+    return ex._worst_points(env, ex._sweep_max(env, arrays), [len(ms) for ms in mats])
 
 
 def multiplication_op(ctx, matrix: Matrix, parity: int = 0) -> DiffOperator:

@@ -13,14 +13,21 @@ equality: the identity-keyed memos of ``Expr.eval`` and ``substitute`` share
 work between equal subtrees, and differentiating a tree again returns the
 nodes of the first derivative, so no derivative cache is kept.
 
+Sampled checks sweep their samples in blocks of ``_BLOCK_POINTS`` (4096),
+with one memo per block shared by every tree the check evaluates, and keep
+only a running maximum per tracked array (``_sweep_max``).  Peak memory
+therefore does not grow with the sample count, and the first global maximum
+is still the one ``np.argmax`` over all samples would pick.
+
 Variables are plain strings; the algebra layers use "pL"/"pR" for the two
 momenta, "p" for an identified momentum and "p1"/"p2" for two-site momenta.
 """
 from __future__ import annotations
 
+import itertools
 import weakref
 from math import copysign
-from typing import FrozenSet, Iterable, Mapping, Union
+from typing import Callable, FrozenSet, Iterable, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +35,8 @@ from .errors import BranchError, DomainError, PoleError
 
 _POLE_EPS = 1e-14
 _IMAG_EPS = 1e-12
+# Samples per block of a sampled sweep: 64 KiB per complex array.
+_BLOCK_POINTS = 4096
 
 Number = Union[int, float, complex]
 EnvValue = Union[complex, np.ndarray]
@@ -42,6 +51,73 @@ def sample_at(env: Mapping[str, EnvValue], idx: int) -> dict:
     return point
 
 
+def _beats(v: float, w: float) -> bool:
+    """Whether ``v`` displaces ``w`` as np.argmax would: the first NaN, else the first maximum."""
+    return v > w or (v != v and w == w)
+
+
+def _sweep_max(
+    env: Mapping[str, EnvValue],
+    evaluate: Callable[[dict, dict], Iterable],
+) -> List[Tuple[float, int]]:
+    """Max modulus of every array ``evaluate`` yields, and the sample index of that maximum.
+
+    ``evaluate(block_env, memo)`` is called once per block of ``_BLOCK_POINTS``
+    samples of ``env`` (scalar entries broadcast), with a fresh memo, and must
+    yield the same arrays in the same order each time.  An array's last axis
+    runs over the block's samples, or it is a scalar; leading axes are taken
+    in flat order.  Each array is reduced as it arrives, so a block's arrays
+    are never all alive at once, and for each one the result is the value
+    and flat sample index (for ``sample_at(env, idx)``) that ``np.argmax``
+    over the whole array would give.
+    """
+    n = max((np.size(v) for v in env.values()), default=1)
+    tracked: list = []  # per array yielded: one [value, index] per row
+    for start in range(0, max(n, 1), _BLOCK_POINTS):
+        block = {name: v[start:start + _BLOCK_POINTS] if np.ndim(v) == 1 and v.size == n else v
+                 for name, v in env.items()}
+        for t, arr in enumerate(evaluate(block, {})):
+            a = np.abs(np.asarray(arr))
+            if a.ndim <= 1:
+                i = int(a.argmax())
+                found = [(float(a.flat[i]), i)]
+            else:
+                a = a.reshape(-1, a.shape[-1])
+                cols = a.argmax(axis=1)
+                found = zip(a[np.arange(len(a)), cols].tolist(), cols.tolist())
+            if start == 0:
+                tracked.append([[value, i] for value, i in found])
+                continue
+            for row, (value, i) in zip(tracked[t], found):
+                if _beats(value, row[0]):
+                    row[:] = value, start + i
+    out = []
+    for rows in tracked:
+        top = rows[0]
+        for row in rows[1:]:
+            if _beats(row[0], top[0]):
+                top = row
+        out.append((top[0], top[1]))
+    return out
+
+
+def _worst_points(env: Mapping[str, EnvValue], maxima, sizes) -> List[tuple]:
+    """Fold ``_sweep_max`` results, ``sizes[k]`` at a time, into (worst, point).
+
+    Within a group the first value above all before it, and above 0.0,
+    wins; a group that never exceeds 0.0 reads (0.0, None).
+    """
+    out = []
+    it = iter(maxima)
+    for size in sizes:
+        worst, worst_pt = 0.0, None
+        for value, idx in itertools.islice(it, size):
+            if value > worst:
+                worst, worst_pt = value, sample_at(env, idx)
+        out.append((worst, worst_pt))
+    return out
+
+
 # (class, *key) -> the one live node with that key.  The table holds its keys,
 # and so the children of live nodes, strongly, and its nodes weakly: an entry
 # goes when the last outside reference to its node does.  It takes no lock;
@@ -53,7 +129,7 @@ _NODES: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary
 def _intern(key: tuple, fields: tuple) -> "Expr":
     """The live node with ``key``, built from ``fields`` on a miss.
 
-    ``key[0]`` is the node's class, whose ``__slots__`` ``fields`` fill in
+    ``key[0]`` is the node's class, whose ``_fields`` ``fields`` fill in
     order.  Child nodes enter ``key`` as themselves: they are interned
     already, so their default (identity) equality is structural equality.
     """
@@ -61,7 +137,7 @@ def _intern(key: tuple, fields: tuple) -> "Expr":
     if node is None:
         cls = key[0]
         node = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
+        for name, value in zip(cls._fields, fields):
             object.__setattr__(node, name, value)
         _NODES[key] = node
     return node
@@ -69,6 +145,7 @@ def _intern(key: tuple, fields: tuple) -> "Expr":
 
 class Expr:
     __slots__ = ("__weakref__",)
+    _fields: Tuple[str, ...] = ()  # the slots _intern fills, in order
     kind = "?"
 
     def __new__(cls, *fields):
@@ -157,7 +234,7 @@ class Expr:
 
 
 class Const(Expr):
-    __slots__ = ("value",)
+    __slots__ = _fields = ("value",)
     kind = "const"
 
     def __new__(cls, value: Number):
@@ -180,7 +257,7 @@ class Const(Expr):
 
 
 class Var(Expr):
-    __slots__ = ("name",)
+    __slots__ = _fields = ("name",)
     kind = "var"
 
     def diff(self, v):
@@ -200,7 +277,7 @@ class Var(Expr):
 
 
 class _NAry(Expr):
-    __slots__ = ("args",)
+    __slots__ = _fields = ("args",)
 
     def __new__(cls, args: Iterable[Expr]):
         args = tuple(args)
@@ -211,6 +288,7 @@ class _NAry(Expr):
 
 
 class Add(_NAry):
+    __slots__ = ()
     kind = "add"
 
     def diff(self, v):
@@ -227,6 +305,7 @@ class Add(_NAry):
 
 
 class Mul(_NAry):
+    __slots__ = ()
     kind = "mul"
 
     def diff(self, v):
@@ -249,7 +328,7 @@ class Mul(_NAry):
 
 
 class Quot(Expr):
-    __slots__ = ("num", "den")
+    __slots__ = _fields = ("num", "den")
     kind = "quot"
 
     def children(self):
@@ -277,7 +356,7 @@ class Quot(Expr):
 class Pow(Expr):
     """Power with a fixed real exponent; principal branch on complex bases."""
 
-    __slots__ = ("base", "exponent")
+    __slots__ = _fields = ("base", "exponent")
     kind = "pow"
 
     def __new__(cls, base: Expr, exponent: float):
@@ -309,7 +388,7 @@ class Pow(Expr):
 
 
 class _Unary(Expr):
-    __slots__ = ("arg",)
+    __slots__ = _fields = ("arg",)
 
     def children(self):
         return (self.arg,)
@@ -319,6 +398,7 @@ class _Unary(Expr):
 
 
 class Sin(_Unary):
+    __slots__ = ()
     kind = "sin"
 
     def diff(self, v):
@@ -329,6 +409,7 @@ class Sin(_Unary):
 
 
 class Cos(_Unary):
+    __slots__ = ()
     kind = "cos"
 
     def diff(self, v):
@@ -339,6 +420,7 @@ class Cos(_Unary):
 
 
 class Tan(_Unary):
+    __slots__ = ()
     kind = "tan"
 
     def diff(self, v):
@@ -354,6 +436,7 @@ class Tan(_Unary):
 
 
 class Cot(_Unary):
+    __slots__ = ()
     kind = "cot"
 
     def diff(self, v):
@@ -371,6 +454,7 @@ class Cot(_Unary):
 class Arccot(_Unary):
     """Principal branch, values in (0, pi) for real arguments."""
 
+    __slots__ = ()
     kind = "arccot"
 
     def diff(self, v):
@@ -382,6 +466,7 @@ class Arccot(_Unary):
 
 
 class ExpNode(_Unary):
+    __slots__ = ()
     kind = "exp"
 
     def diff(self, v):
@@ -392,6 +477,7 @@ class ExpNode(_Unary):
 
 
 class AbsNode(_Unary):
+    __slots__ = ()
     kind = "abs"
 
     def diff(self, v):

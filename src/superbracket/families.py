@@ -86,12 +86,6 @@ def cross_jacobian_residual(spec: AlgebraSpec, pt, swapped: bool = False) -> com
     return complex(_cross_residual_expr(spec, swapped).eval(env))
 
 
-def _max_abs(e: Expr, env: dict, memo: dict):
-    vals = np.abs(np.atleast_1d(np.asarray(e.eval(env, memo))))
-    idx = int(np.argmax(vals))
-    return float(vals[idx]), ex.sample_at(env, idx)
-
-
 def product_constraint_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
     """Constraints on the product d_LR d_RL.
 
@@ -106,7 +100,6 @@ def product_constraint_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport
         report.vacuous = True
         return report
     env = spec.sample_env(s)
-    memo: dict = {}
     HL, HR = spec.H["L"], spec.H["R"]
     PhiL, PhiR = spec.Phi["L"], spec.Phi["R"]
     dLR, dRL = spec.dLR, spec.dRL
@@ -116,43 +109,40 @@ def product_constraint_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport
     flow_R = convective_diff(prod, "pR", dRL)
     ev_L = add(mul(HL, HR, flow_R),
                neg(mul(add(mul(HL, PhiR), neg(mul(HR, PhiL, dRL))), prod, one_minus)))
-    res, pt = _max_abs(ev_L, env, memo)
-    report.add("product-evolution-L", res, pt)
-
     flow_L = convective_diff(prod, "pL", dLR)
     ev_R = add(mul(HR, HL, flow_L),
                neg(mul(add(mul(HR, PhiL), neg(mul(HL, PhiR, dLR))), prod, one_minus)))
-    res, pt = _max_abs(ev_R, env, memo)
-    report.add("product-evolution-R", res, pt)
-
-    compat = mul(
-        add(mul(HL, PhiR, one_minus), neg(mul(HR, PhiL, add(dRL, neg(dLR))))),
-        prod, one_minus,
-    )
-    res, pt = _max_abs(compat, env, memo)
-    report.add("product-compatibility", res, pt)
-
-    compat_swapped = mul(
-        add(mul(HR, PhiL, one_minus), neg(mul(HL, PhiR, add(dLR, neg(dRL))))),
-        prod, one_minus,
-    )
-    res, pt = _max_abs(compat_swapped, env, memo)
-    report.add("product-compatibility-swapped", res, pt)
+    line1 = add(mul(HL, PhiR, one_minus), neg(mul(HR, PhiL, add(dRL, neg(dLR)))))
+    line2 = add(mul(HR, PhiL, one_minus), neg(mul(HL, PhiR, add(dLR, neg(dRL)))))
+    compat = mul(line1, prod, one_minus)
+    compat_swapped = mul(line2, prod, one_minus)
+    named = (("product-evolution-L", ev_L), ("product-evolution-R", ev_R),
+             ("product-compatibility", compat), ("product-compatibility-swapped", compat_swapped))
 
     # (c) trichotomy: on samples where the prefactor is macroscopically
-    # nonzero, the two branch lines must not vanish simultaneously.
-    factor_vals = np.abs(np.atleast_1d(np.asarray(mul(prod, one_minus).eval(env, memo))))
-    active = factor_vals > 1e-6
-    if np.any(active):
-        line1 = add(mul(HL, PhiR, one_minus), neg(mul(HR, PhiL, add(dRL, neg(dLR)))))
-        line2 = add(mul(HR, PhiL, one_minus), neg(mul(HL, PhiR, add(dLR, neg(dRL)))))
-        v1 = np.abs(np.atleast_1d(np.asarray(line1.eval(env, memo))))
-        v2 = np.abs(np.atleast_1d(np.asarray(line2.eval(env, memo))))
-        both_vanish = active & (v1 <= s.tolerance) & (v2 <= s.tolerance)
-        bad = float(np.count_nonzero(both_vanish))
-        point = ex.sample_at(env, int(np.argmax(both_vanish))) if bad else None
-        cond = report.add("product-trichotomy", bad, point)
-        cond.note = "branch lines vanished together at some sample" if bad else \
+    # nonzero, the two branch lines must not vanish simultaneously.  The
+    # counts add up over the blocks; the first such sample is tracked as the
+    # maximum of the 0/1 indicator.
+    active = vanish = 0
+
+    def arrays(block: dict, memo: dict):
+        nonlocal active, vanish
+        for _, e in named:
+            yield e.eval(block, memo)
+        on = np.abs(np.atleast_1d(np.asarray(mul(prod, one_minus).eval(block, memo)))) > 1e-6
+        both = on & (np.abs(line1.eval(block, memo)) <= s.tolerance) \
+            & (np.abs(line2.eval(block, memo)) <= s.tolerance)
+        active += int(np.count_nonzero(on))
+        vanish += int(np.count_nonzero(both))
+        yield both.astype(float)
+
+    maxima = ex._sweep_max(env, arrays)
+    for (name, _), (res, idx) in zip(named, maxima):
+        report.add(name, res, ex.sample_at(env, idx))
+    if active:
+        point = ex.sample_at(env, maxima[-1][1]) if vanish else None
+        cond = report.add("product-trichotomy", float(vanish), point)
+        cond.note = "branch lines vanished together at some sample" if vanish else \
             "branch lines stay nonzero where the prefactor does"
     return report
 
@@ -164,10 +154,10 @@ def cross_jacobian_report(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
         report.vacuous = True
         return report
     env = spec.sample_env(s)
-    memo: dict = {}
-    for name, swapped in (("cross-jacobian", False), ("cross-jacobian-swapped", True)):
-        res, pt = _max_abs(_cross_residual_expr(spec, swapped), env, memo)
-        report.add(name, res, pt)
+    exprs = [_cross_residual_expr(spec, swapped) for swapped in (False, True)]
+    maxima = ex._sweep_max(env, lambda block, memo: (e.eval(block, memo) for e in exprs))
+    for name, (res, idx) in zip(("cross-jacobian", "cross-jacobian-swapped"), maxima):
+        report.add(name, res, ex.sample_at(env, idx))
     return report
 
 

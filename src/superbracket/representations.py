@@ -61,6 +61,7 @@ from .diffops import (
     op_bracket,
     op_scale,
     op_sub,
+    ops_max_abs,
     scalar_op,
     zero_op,
 )
@@ -257,10 +258,9 @@ def verify_relations(rep: Representation, spec: AlgebraSpec, s: Sampler) -> Cons
         report.vacuous = True
         report.note = "no samples"
         return report
-    env = rep.ctx.sample_env(s)
-    memo: dict = {}
     gens = [g for g in Gen if rep.representable(g)]
     skipped = 0
+    names, ops = [], []
     for a, b in itertools.combinations(gens, 2):
         row = spec.row(a, b)
         if any(g in OUTER for g in row.terms):
@@ -271,9 +271,10 @@ def verify_relations(rep: Representation, spec: AlgebraSpec, s: Sampler) -> Cons
         except GradeError:
             skipped += 1
             continue
-        rhs = rep.image_of_lincomb(row)
-        res, pt = op_sub(lhs, rhs).max_abs(env, memo)
-        report.add(f"[{a.label},{b.label}]", res, pt)
+        names.append(f"[{a.label},{b.label}]")
+        ops.append(op_sub(lhs, rep.image_of_lincomb(row)))
+    for name, (res, pt) in zip(names, ops_max_abs(ops, rep.ctx.sample_env(s))):
+        report.add(name, res, pt)
     if skipped:
         report.note = f"{skipped} rows skipped (no two-dimensional image)"
     return report
@@ -291,16 +292,12 @@ def boost_commutator_zero(rep: Representation, s: Sampler) -> ConsistencyReport:
         report.vacuous = True
         return report
     env = rep.ctx.sample_env(s)
-    memo: dict = {}
     comm = op_bracket(rep.images[Gen.J_L], rep.images[Gen.J_R])
-    res_a = np.abs(mat_eval(comm.A, env, memo))
-    report.add("[J_L,J_R] multiplicative part", float(np.max(res_a)), None)
-    for v in rep.ctx.variables:
-        m = comm.b_or_zero(v)
-        vals = np.abs(mat_eval(m, env, memo))
-        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        pt = ex.sample_at(env, idx[-1])
-        cond = report.add(f"[J_L,J_R] d/d{v} coefficient", float(vals[idx]), pt)
+    mats = [comm.A, *(comm.b_or_zero(v) for v in rep.ctx.variables)]
+    maxima = ex._sweep_max(env, lambda block, memo: (mat_eval(m, block, memo) for m in mats))
+    report.add("[J_L,J_R] multiplicative part", maxima[0][0], None)
+    for v, m, (value, idx) in zip(rep.ctx.variables, mats[1:], maxima[1:]):
+        cond = report.add(f"[J_L,J_R] d/d{v} coefficient", value, ex.sample_at(env, idx))
         cond.note = f"coefficient expression: {m[0][0]!r}"
     return report
 
@@ -324,18 +321,8 @@ def ode_solution_check(kappa: float, gamma_exp: float, s: Sampler) -> Consistenc
     f, df = ratio_momentum_map(kappa, gamma_exp)
     pl = var("pL")
     env = {"pL": s.momenta() + 0j}
-    memo: dict = {}
-
-    f_vals = np.asarray(f.eval(env, memo))
-    if np.any((f_vals.real <= 0) | (f_vals.real >= 2 * math.pi)):
-        raise DomainError("arccot momentum map left the branch (0, 2 pi)")
-
     rhs = mul(const(gamma_exp),
               quot(ex.sin(mul(const(0.5), f)), ex.sin(mul(const(0.5), pl))))
-    residual = np.abs(np.asarray(df.eval(env, memo)) - np.asarray(rhs.eval(env, memo)))
-    idx = int(np.argmax(residual))
-    report.add("momentum-map-ode", float(residual[idx]), ex.sample_at(env, idx))
-
     g = gamma_exp
     denom = add(
         mul(const(kappa**2), ex.pow_(ex.cos(mul(const(0.25), pl)), 2 * g)),
@@ -346,9 +333,17 @@ def ode_solution_check(kappa: float, gamma_exp: float, s: Sampler) -> Consistenc
         denom,
     )
     lhs = ex.sin(mul(const(0.5), f))
-    residual = np.abs(np.asarray(lhs.eval(env, memo)) - np.asarray(closed.eval(env, memo)))
-    idx = int(np.argmax(residual))
-    report.add("pulled-back-energy-closed-form", float(residual[idx]), ex.sample_at(env, idx))
+
+    def arrays(block: dict, memo: dict):
+        f_vals = np.asarray(f.eval(block, memo))
+        if np.any((f_vals.real <= 0) | (f_vals.real >= 2 * math.pi)):
+            raise DomainError("arccot momentum map left the branch (0, 2 pi)")
+        yield np.asarray(df.eval(block, memo)) - np.asarray(rhs.eval(block, memo))
+        yield np.asarray(lhs.eval(block, memo)) - np.asarray(closed.eval(block, memo))
+
+    (ode, ode_idx), (energy, energy_idx) = ex._sweep_max(env, arrays)
+    report.add("momentum-map-ode", ode, ex.sample_at(env, ode_idx))
+    report.add("pulled-back-energy-closed-form", energy, ex.sample_at(env, energy_idx))
     return report
 
 

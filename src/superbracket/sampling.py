@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .expressions import Expr, sample_at
+from .expressions import Expr, _sweep_max, sample_at
 
 # Points the sampler must stay away from: zeros of sin(p/2) and the poles of
 # cot/tan that the expression grammar can produce on (-4*pi, 4*pi).
@@ -160,10 +160,7 @@ def is_zero(e: Expr, s: Sampler, constraint=None) -> ZeroReport:
     if s.count == 0:
         return ZeroReport(True, 0.0, None, s.seed, 0, s.tolerance, note="no samples")
     env = _env_for(e, s, constraint)
-    values = np.atleast_1d(np.asarray(e.eval(env)))
-    residuals = np.abs(values)
-    worst = int(np.argmax(residuals))
-    max_res = float(residuals[worst])
+    [(max_res, worst)] = _sweep_max(env, lambda block, memo: [e.eval(block, memo)])
     return ZeroReport(
         passed=max_res <= s.tolerance,
         max_residual=max_res,
@@ -182,6 +179,8 @@ def constancy(e: Expr, s: Sampler, constraint=None, var_tol: float = 1e-18):
     """
     if s.count == 0:
         return True, 0j
+    # Whole-array, not blocked like is_zero: the mean and variance are sums
+    # over all samples, and a blocked sum would round differently.
     env = _env_for(e, s, constraint)
     values = np.atleast_1d(np.asarray(e.eval(env)))
     mean = complex(np.mean(values))

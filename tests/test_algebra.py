@@ -36,11 +36,11 @@ ALL_FAMILIES = [
 
 def lincomb_residual(spec, lc, count=25, seed=11):
     """Max modulus of a LinComb with the central values substituted."""
-    from superbracket.algebra import _residual_max
+    from superbracket.algebra import _residual_arrays
 
     env = spec.sample_env(Sampler(seed=seed, count=count))
-    value, _ = _residual_max(spec, lc, env, {})
-    return value
+    maxima = ex._sweep_max(env, lambda block, memo: _residual_arrays(spec, lc, block, memo))
+    return max((value for value, _ in maxima), default=0.0)
 
 
 def test_bracket_table_examples():

@@ -184,6 +184,17 @@ def test_nodes_are_immutable():
         ZOO[0].arg = P
 
 
+def test_no_node_carries_a_dict():
+    nodes = [*ZOO, P, const(2), ex.absval(P), mul(P, P)]
+    kinds = {type(e) for e in nodes}
+
+    def subclasses(cls):
+        return {cls}.union(*(subclasses(c) for c in cls.__subclasses__()))
+
+    assert kinds == {c for c in subclasses(ex.Expr) if not c.__name__.startswith("_")} - {ex.Expr}
+    assert not any(hasattr(e, "__dict__") for e in nodes)
+
+
 def test_intern_table_forgets_dead_nodes():
     gc.collect()
     before = len(ex._NODES)
