@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import expressions as ex
-from .algebra import AlgebraSpec, DMinusOne, DPlusOne, DZero, Gen, LinComb, OUTER
+from .algebra import AlgebraSpec, DMinusOne, DPlusOne, DZero, FamilyTag, Gen, LinComb, OUTER
 from .diffops import (
     DiffOperator,
     mat_eval,
@@ -31,6 +31,7 @@ from .diffops import (
     op_scale,
     op_sub,
     ops_max_abs,
+    zero_op,
 )
 from .errors import IncompatibleCentrals, InvalidParams, UnsupportedFamily
 from .expressions import Expr, add, const, mul, neg, quot, var
@@ -64,7 +65,6 @@ class IdentifiedData:
     """Single-variable view of a constrained representation (momentum p)."""
 
     matrices: Dict[Gen, tuple]        # multiplicative 2x2 matrices in p
-    parities: Dict[Gen, int]
     scalars: Dict[Gen, Expr]          # value expressions of the centrals
     boost_coeff: Dict[Gen, Expr]      # J_A = boost_coeff[A] * d/dp
     subst: dict
@@ -78,7 +78,6 @@ def identify_momentum(rep: Representation) -> IdentifiedData:
     f, _ = spec.constraint
     subst = {"pL": P, "pR": f.substitute({"pL": P})}
     matrices: Dict[Gen, tuple] = {}
-    parities: Dict[Gen, int] = {}
     scalars: Dict[Gen, Expr] = {}
     boost: Dict[Gen, Expr] = {}
     for g, op in rep.images.items():
@@ -86,10 +85,9 @@ def identify_momentum(rep: Representation) -> IdentifiedData:
             boost[g] = op.B["pL"][0][0].substitute(subst)
             continue
         matrices[g] = tuple(tuple(e.substitute(subst) for e in row) for row in op.A)
-        parities[g] = op.parity
         if g in CENTRAL_GENS:
             scalars[g] = matrices[g][0][0]
-    return IdentifiedData(matrices, parities, scalars, boost, subst)
+    return IdentifiedData(matrices, scalars, boost, subst)
 
 
 def scalar_lift(e: Expr) -> Expr:
@@ -110,30 +108,18 @@ class CoproductMap:
     def __getitem__(self, g: Gen) -> DiffOperator:
         return self.ops[g]
 
-    def __contains__(self, g: Gen) -> bool:
-        return g in self.ops
-
-    def lift(self, e: Expr) -> Expr:
-        return scalar_lift(e)
-
     def of_lincomb(self, lc: LinComb) -> DiffOperator:
         """Delta of a coefficient-weighted combination, via the scalar lift."""
         out = None
         for g, c in lc.terms.items():
             c_ident = c.substitute(self.data.subst)
-            term = op_scale(self.lift(c_ident), self.ops[g])
+            term = op_scale(scalar_lift(c_ident), self.ops[g])
             out = term if out is None else op_add(out, term)
         if not ex.is_const(lc.scalar, 0):
             s_ident = lc.scalar.substitute(self.data.subst)
-            term = tensor_scalar(self.lift(s_ident))
+            term = tensor_scalar(scalar_lift(s_ident))
             out = term if out is None else op_add(out, term)
-        return out if out is not None else _zero4()
-
-
-def _zero4() -> DiffOperator:
-    from .diffops import zero_op
-
-    return zero_op(TWO_SITE, 4)
+        return out if out is not None else zero_op(TWO_SITE, 4)
 
 
 def _braided_fermion(matrix, parity, orientation: int) -> DiffOperator:
@@ -151,29 +137,36 @@ def _sub(matrix, site: int):
     return tuple(tuple(e.substitute({"p": v}) for e in row) for row in matrix)
 
 
+def _require_identified_momenta(family: FamilyTag) -> None:
+    """Coproducts exist for the identified-momentum families only.
+
+    The independent-momentum family is only compatible once its central
+    extension is dropped, and even then the two-dimensional representation
+    cannot realise vanishing P and K.
+    """
+    if isinstance(family, DZero):
+        raise IncompatibleCentrals(
+            "the independent-momentum family needs P = K = 0 for a braided "
+            "coproduct, which no two-dimensional representation realises"
+        )
+    if not isinstance(family, (DPlusOne, DMinusOne)):
+        raise UnsupportedFamily(f"no coproduct construction for {family!r}")
+
+
 def build_coproduct(
     spec: AlgebraSpec,
     braiding: str,
     rep: Representation,
     convention: Tuple[int, int] = (1, 1),
-    include_boost: bool = True,
 ) -> CoproductMap:
     """Coproducts of all representable generators for one braiding choice.
 
-    Braided coproducts exist for the identified-momentum families; the
-    independent-momentum family is only compatible once its central
-    extension is dropped, and even then the two-dimensional representation
-    cannot realise vanishing P and K, so it is rejected here.
+    J_L and J_R get theirs where ``build_boost_coproduct`` materialises one;
+    otherwise the map records why in ``boost_skipped``.
     """
     if braiding not in ("braided", "unbraided"):
         raise InvalidParams(f"unknown braiding {braiding!r}")
-    if isinstance(spec.family, DZero):
-        raise IncompatibleCentrals(
-            "the independent-momentum family needs P = K = 0 for a braided "
-            "coproduct, which no two-dimensional representation realises"
-        )
-    if not isinstance(spec.family, (DPlusOne, DMinusOne)):
-        raise UnsupportedFamily(f"no coproduct construction for {spec.family!r}")
+    _require_identified_momenta(spec.family)
     if braiding == "unbraided" and isinstance(spec.family, DMinusOne):
         raise UnsupportedFamily("the unbraided construction identifies p_L = p_R")
 
@@ -205,15 +198,13 @@ def build_coproduct(
             ops[g] = tensor_scalar(scalar_lift(value))
 
     boost_skipped = ""
-    if include_boost:
-        try:
-            dj = build_boost_coproduct(spec, braiding, rep, convention=convention, data=data)
-        except (UnsupportedFamily, InvalidParams) as err:
-            boost_skipped = str(err)
-        else:
-            h_L, h_R = rep.params["h_L"], rep.params["h_R"]
-            ops[Gen.J_L] = dj
-            ops[Gen.J_R] = op_scale(const(h_R / h_L), dj)
+    try:
+        dj = build_boost_coproduct(spec, braiding, rep, convention=convention, data=data)
+    except InvalidParams as err:
+        boost_skipped = str(err)
+    else:
+        ops[Gen.J_L] = dj
+        ops[Gen.J_R] = op_scale(const(rep.spec.params.h_R / rep.spec.params.h_L), dj)
 
     return CoproductMap(
         braiding=braiding, spec=spec, rep=rep, data=data, ops=ops, convention=convention,
@@ -257,14 +248,6 @@ class UnbraidedCoefficients:
         return mul(phase, ex.cot(spread), bracket)
 
     @property
-    def F_plus(self) -> Expr:
-        return self.F(+1)
-
-    @property
-    def F_minus(self) -> Expr:
-        return self.F(-1)
-
-    @property
     def G(self) -> Expr:
         return mul(
             const(-1j * self.h / 16.0),
@@ -295,7 +278,6 @@ def build_boost_coproduct(
     braiding: str,
     rep: Representation,
     convention: Tuple[int, int] = (1, 1),
-    coefficients: Optional[UnbraidedCoefficients] = None,
     data: Optional[IdentifiedData] = None,
 ) -> DiffOperator:
     """Two-site boost coproduct evaluated on the short representation.
@@ -304,15 +286,7 @@ def build_boost_coproduct(
     symbolic engine; on the short representation those tails reduce to the
     fermion bilinears built here.
     """
-    if not isinstance(spec.family, (DPlusOne, DMinusOne, DZero)):
-        raise UnsupportedFamily(
-            f"no boost coproduct is defined for {spec.family!r}"
-        )
-    if isinstance(spec.family, DZero):
-        raise IncompatibleCentrals(
-            "the two-dimensional representation cannot set P = K = 0; "
-            "use the symbolic tails for the independent-momentum family"
-        )
+    _require_identified_momenta(spec.family)
     if isinstance(spec.family, DMinusOne):
         raise InvalidParams(
             "the numeric boost coproduct is materialised for d = +1; the "
@@ -343,11 +317,11 @@ def build_boost_coproduct(
         return op_add(delta0, tail)
 
     # Unbraided: A J (x) 1 + B 1 (x) J + F+ S (x) Q + F- Q (x) S + G (B (x) 1 - 1 (x) B).
-    co = coefficients or UnbraidedCoefficients(h=rep.params["h_L"] + rep.params["h_R"])
+    co = UnbraidedCoefficients(h=rep.spec.params.h_L + rep.spec.params.h_R)
     j1 = tensor_boost_term(mul(co.A, site_scalar(j_coeff, 1)), 1)
     j2 = tensor_boost_term(mul(co.B, site_scalar(j_coeff, 2)), 2)
-    fplus = tensor_mult(_sub(s, 1), _sub(q, 2), 1, 1, coeff=co.F_plus)
-    fminus = tensor_mult(_sub(q, 1), _sub(s, 2), 1, 1, coeff=co.F_minus)
+    fplus = tensor_mult(_sub(s, 1), _sub(q, 2), 1, 1, coeff=co.F(+1))
+    fminus = tensor_mult(_sub(q, 1), _sub(s, 2), 1, 1, coeff=co.F(-1))
     hyper = ((ex.const(-1j), ex.ZERO), (ex.ZERO, ex.const(1j)))
     eye = mat_eye(2)
     g_term = op_add(
@@ -361,7 +335,7 @@ def build_boost_coproduct(
 # Checks
 # --------------------------------------------------------------------------
 
-def _rows_for_hom_check(spec: AlgebraSpec, ops, include_boost_rows: bool):
+def _rows_for_hom_check(spec: AlgebraSpec, ops, boost_rows: bool):
     for (a, b), row in spec.table.items():
         if a in OUTER or b in OUTER:
             continue
@@ -369,7 +343,7 @@ def _rows_for_hom_check(spec: AlgebraSpec, ops, include_boost_rows: bool):
             continue
         if a not in ops or b not in ops:
             continue
-        if not include_boost_rows and (a in (Gen.J_L, Gen.J_R) or b in (Gen.J_L, Gen.J_R)):
+        if not boost_rows and (a in (Gen.J_L, Gen.J_R) or b in (Gen.J_L, Gen.J_R)):
             continue
         yield (a, b), row
 
@@ -379,30 +353,27 @@ def homomorphism_check(
     spec: AlgebraSpec,
     rep: Representation,
     s: Sampler,
-    convention_search: bool = True,
-    include_boost_rows: Optional[bool] = None,
 ) -> ConsistencyReport:
     """[Delta x, Delta y] = Delta z for every table row [x,y] = z.
 
     Boost rows are asserted for the braided map, whose tail is constructed to
     close the homomorphism; the unbraided boost coefficients come from the
     quasi-cocommutativity construction and are not claimed to be a
-    homomorphism here, so those rows default to excluded.  A map built
-    without boost coproducts cannot have its boost rows checked; the note
-    then says so and why.
+    homomorphism here, so those rows are excluded.  A map built without
+    boost coproducts cannot have its boost rows checked; the note then says
+    so and why.
 
     If a boost-tail-dependent row fails under the map's sign convention, the
     discrete convention switches are retried and the (unique) passing
     convention is recorded in the report.
     """
-    if include_boost_rows is None:
-        include_boost_rows = delta.braiding == "braided"
-    report = _hom_check_once(delta, spec, s, include_boost_rows)
+    boost_rows = delta.braiding == "braided"
+    report = _hom_check_once(delta, spec, s, boost_rows)
     report.note = f"convention {delta.convention}"
-    if include_boost_rows and delta.boost_skipped:
+    if boost_rows and delta.boost_skipped:
         report.note += f"; J_L and J_R rows not checked ({delta.boost_skipped})"
     tail_failures = [c for c in report.failures() if "J_" in c.name]
-    if tail_failures and convention_search:
+    if tail_failures:
         passing = []
         for orientation in (1, -1):
             for tail_sign in (1, -1):
@@ -410,7 +381,7 @@ def homomorphism_check(
                 if conv == delta.convention:
                     continue
                 candidate = build_coproduct(spec, delta.braiding, rep, convention=conv)
-                attempt = _hom_check_once(candidate, spec, s, include_boost_rows)
+                attempt = _hom_check_once(candidate, spec, s, boost_rows)
                 if attempt.passed:
                     passing.append((conv, attempt))
         if len(passing) == 1:
@@ -422,14 +393,14 @@ def homomorphism_check(
 
 
 def _hom_check_once(
-    delta: CoproductMap, spec: AlgebraSpec, s: Sampler, include_boost_rows: bool = True
+    delta: CoproductMap, spec: AlgebraSpec, s: Sampler, boost_rows: bool
 ) -> ConsistencyReport:
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
         report.vacuous = True
         return report
     names, ops = [], []
-    for (a, b), row in _rows_for_hom_check(spec, delta.ops, include_boost_rows):
+    for (a, b), row in _rows_for_hom_check(spec, delta.ops, boost_rows):
         names.append(f"Delta[{a.label},{b.label}]")
         ops.append(op_sub(op_bracket(delta[a], delta[b]), delta.of_lincomb(row)))
     # implied-zero pairs among the fermions (absent rows must stay absent)

@@ -103,22 +103,18 @@ def mat_eval(m: Matrix, env: dict, memo: Optional[dict] = None) -> np.ndarray:
 class TwoVarContext:
     """Two independent momenta; derivative symbols are partials."""
 
-    vars: Tuple[str, str] = ("pL", "pR")
-
-    @property
-    def variables(self) -> Tuple[str, ...]:
-        return self.vars
+    variables: Tuple[str, str] = ("pL", "pR")
 
     def d_coeff(self, e: Expr, v: str) -> Expr:
         return diff(e, v)
 
     def sample_env(self, s: Sampler) -> dict:
-        a, b = s.two_site()
-        return {self.vars[0]: a + 0j, self.vars[1]: b + 0j}
+        a, b = s.pairs()
+        return {self.variables[0]: a + 0j, self.variables[1]: b + 0j}
 
     def probe_env(self) -> dict:
-        return {self.vars[0]: np.array([0.83, 1.91, 2.47]) + 0j,
-                self.vars[1]: np.array([1.13, 0.59, 2.93]) + 0j}
+        return {self.variables[0]: np.array([0.83, 1.91, 2.47]) + 0j,
+                self.variables[1]: np.array([1.13, 0.59, 2.93]) + 0j}
 
 
 @dataclass(frozen=True)
@@ -177,10 +173,6 @@ class DiffOperator:
         for v in self.B:
             if v not in self.ctx.variables:
                 raise DimensionMismatch(f"symbol {v!r} not in context {self.ctx.variables}")
-
-    @property
-    def is_multiplicative(self) -> bool:
-        return not self.B
 
     def b_or_zero(self, v: str) -> Matrix:
         return self.B.get(v, mat_zero(self.n))

@@ -51,6 +51,13 @@ def sample_at(env: Mapping[str, EnvValue], idx: int) -> dict:
     return point
 
 
+def _refuse_pole(x: EnvValue, env: Mapping[str, EnvValue], what: str, node: "Expr"):
+    """Raise PoleError ("<what> in <node>") at the first sample where ``x`` is ~0."""
+    bad = np.abs(x) < _POLE_EPS
+    if np.any(bad):
+        raise PoleError(f"{what} in {node!r}", point=sample_at(env, int(np.argmax(bad))))
+
+
 def _beats(v: float, w: float) -> bool:
     """Whether ``v`` displaces ``w`` as np.argmax would: the first NaN, else the first maximum."""
     return v > w or (v != v and w == w)
@@ -341,12 +348,7 @@ class Quot(Expr):
     def _eval(self, env, memo):
         n = self.num.eval(env, memo)
         d = self.den.eval(env, memo)
-        bad = np.abs(d) < _POLE_EPS
-        if np.any(bad):
-            raise PoleError(
-                f"division by ~0 in {self.den!r}",
-                point=sample_at(env, int(np.argmax(bad))),
-            )
+        _refuse_pole(d, env, "division by ~0", self.den)
         return n / d
 
     def _repr(self):
@@ -374,12 +376,7 @@ class Pow(Expr):
         b = self.base.eval(env, memo)
         r = self.exponent
         if r < 0:
-            bad = np.abs(b) < _POLE_EPS
-            if np.any(bad):
-                raise PoleError(
-                    f"negative power of ~0 in {self.base!r}",
-                    point=sample_at(env, int(np.argmax(bad))),
-                )
+            _refuse_pole(b, env, "negative power of ~0", self.base)
         return np.power(np.asarray(b, dtype=np.complex128), r) if isinstance(b, np.ndarray) \
             else complex(b) ** r
 
@@ -429,9 +426,7 @@ class Tan(_Unary):
     def _eval(self, env, memo):
         a = self.arg.eval(env, memo)
         c = np.cos(a)
-        bad = np.abs(c) < _POLE_EPS
-        if np.any(bad):
-            raise PoleError(f"tan pole in {self!r}", point=sample_at(env, int(np.argmax(bad))))
+        _refuse_pole(c, env, "tan pole", self)
         return np.sin(a) / c
 
 
@@ -445,9 +440,7 @@ class Cot(_Unary):
     def _eval(self, env, memo):
         a = self.arg.eval(env, memo)
         s = np.sin(a)
-        bad = np.abs(s) < _POLE_EPS
-        if np.any(bad):
-            raise PoleError(f"cot pole in {self!r}", point=sample_at(env, int(np.argmax(bad))))
+        _refuse_pole(s, env, "cot pole", self)
         return np.cos(a) / s
 
 
@@ -660,16 +653,16 @@ def diff(e: Expr, v: str) -> Expr:
     return e.diff(v)
 
 
-def convective_diff(e: Expr, v: str, jac: Expr, other: str | None = None) -> Expr:
+def convective_diff(e: Expr, v: str, jac: Expr) -> Expr:
     """Total derivative d e / d v = de/dv + jac * de/dw along a momentum constraint.
 
-    ``jac`` is the Jacobian of the other momentum ``w`` with respect to ``v``.
+    ``v`` is "pL" or "pR", ``w`` the other one, and ``jac`` the Jacobian of
+    ``w`` with respect to ``v``.
     """
-    if other is None:
-        if v == "pL":
-            other = "pR"
-        elif v == "pR":
-            other = "pL"
-        else:
-            raise ValueError(f"cannot infer the conjugate momentum of {v!r}")
+    if v == "pL":
+        other = "pR"
+    elif v == "pR":
+        other = "pL"
+    else:
+        raise ValueError(f"cannot infer the conjugate momentum of {v!r}")
     return add(diff(e, v), mul(jac, diff(e, other)))

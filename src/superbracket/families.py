@@ -20,7 +20,7 @@ Condition names used in reports and rejections:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -232,9 +232,7 @@ def classify_family(
         return matches[0]
 
     # No family matched: cite the violated condition.
-    candidate = spec.replace_table(spec.table)
-    candidate.dLR, candidate.dRL = dLR, dRL
-    candidate.constraint = None
+    candidate = replace(spec, dLR=dLR, dRL=dRL, constraint=None)
     probe = product_constraint_check(candidate, s)
     compat = [c for c in probe.conditions if c.name.startswith("product-compatibility")]
     worst = max(compat, key=lambda c: c.max_residual)

@@ -16,7 +16,7 @@ vanishing brackets of the abstract algebra are unavoidably violated in two
 dimensions; that is the shortening obstruction, and verify_relations reports
 exactly those rows.
 
-Full supercharges carry sqrt(alpha_A H_A) prefactors so that
+Full supercharges carry sqrt(H_A) prefactors so that
 {Q_A, S_A} = H_A; the boost is J_A = i H_A d/dp_A with the convective
 derivative of the family's momentum constraint.
 """
@@ -25,8 +25,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .diffops import (
     mat_scale,
     mat_zero,
     multiplication_op,
+    op_add,
     op_bracket,
     op_scale,
     op_sub,
@@ -88,31 +89,28 @@ def hatted_matrices(eta: complex) -> Dict[str, Matrix]:
 
 @dataclass
 class Representation:
+    """Two-dimensional images, basis (boson, fermion), of the generators of ``spec``.
+
+    The couplings and dispersion are those of ``spec.params``; ``eta`` is
+    the shortening parameter of the hatted supercharges.
+    """
+
     family: FamilyTag
-    params: dict
     ctx: object
     images: Dict[Gen, DiffOperator]
     hatted: Dict[str, Matrix]
-    basis: Tuple[str, ...] = ("boson", "fermion")
-    spec: Optional[AlgebraSpec] = None
-
-    @property
-    def n(self) -> int:
-        return 2
-
-    def image(self, g: Gen) -> Optional[DiffOperator]:
-        return self.images.get(g)
+    eta: complex
+    spec: AlgebraSpec
 
     def image_of_lincomb(self, lc: LinComb) -> DiffOperator:
-        out = zero_op(self.ctx, self.n)
-        from .diffops import op_add
+        out = zero_op(self.ctx, 2)
         for g, c in lc.terms.items():
             img = self.images.get(g)
             if img is None:
                 raise InvalidParams(f"{g.label} has no image in this representation")
             out = op_add(out, op_scale(c, img))
         if not ex.is_const(lc.scalar, 0):
-            out = op_add(out, scalar_op(self.ctx, lc.scalar, self.n))
+            out = op_add(out, scalar_op(self.ctx, lc.scalar, 2))
         return out
 
     def representable(self, g: Gen) -> bool:
@@ -142,8 +140,6 @@ def build_representation(
     family: FamilyTag,
     params: AlgebraParams | None = None,
     eta: complex = 1.0,
-    alpha: complex = 1.0,
-    beta: complex = 1.0,
     convective: bool = True,
     spec: AlgebraSpec | None = None,
 ) -> Representation:
@@ -151,18 +147,15 @@ def build_representation(
 
     Supported families: identified momenta (d = +1, d = -1), the arccot
     constant-ratio family (kappa lives in AlgebraParams), and independent
-    momenta (d_zero).  eta is the shortening parameter; alpha, beta
-    normalise the supercharge prefactors; the central normalisation gamma is
-    fixed to 1 by rescaling.
+    momenta (d_zero).  eta is the shortening parameter; the supercharge and
+    central normalisations are fixed to 1 by rescaling.  ``spec``, when
+    given, must be the algebra of ``family`` and ``params``.
     """
     if eta == 0:
         raise InvalidParams("eta must be nonzero")
-    if alpha == 0 or beta == 0:
-        raise InvalidParams("alpha and beta must be nonzero")
     if not isinstance(family, (DPlusOne, DMinusOne, Ratio, DZero)):
         raise InvalidParams(f"no representation builder for family {family!r}")
 
-    params = params or AlgebraParams()
     spec = spec or build_algebra(family, params)
 
     pl, pr = var("pL"), var("pR")
@@ -183,15 +176,10 @@ def build_representation(
     hats = hatted_matrices(complex(eta))
     H_L, H_R = spec.H["L"], spec.H["R"]
 
-    pref = {
-        "Q_L": ex.sqrt(mul(const(alpha), H_L)),
-        "S_L": ex.sqrt(quot(H_L, const(alpha))),
-        "Q_R": ex.sqrt(mul(const(beta), H_R)),
-        "S_R": ex.sqrt(quot(H_R, const(beta))),
-    }
     images: Dict[Gen, DiffOperator] = {}
-    for name, gen in (("Q_L", Gen.Q_L), ("S_L", Gen.S_L), ("Q_R", Gen.Q_R), ("S_R", Gen.S_R)):
-        images[gen] = multiplication_op(ctx, mat_scale(pref[name], hats[name]), parity=1)
+    for name, gen, H in (("Q_L", Gen.Q_L, H_L), ("S_L", Gen.S_L, H_L),
+                         ("Q_R", Gen.Q_R, H_R), ("S_R", Gen.S_R, H_R)):
+        images[gen] = multiplication_op(ctx, mat_scale(ex.sqrt(H), hats[name]), parity=1)
 
     images[Gen.H_L] = scalar_op(ctx, H_L, 2)
     images[Gen.H_R] = scalar_op(ctx, H_R, 2)
@@ -215,19 +203,7 @@ def build_representation(
 
     _check_image_invariants(images)
 
-    return Representation(
-        family=family,
-        params={
-            "h_L": params.h_L, "h_R": params.h_R, "alpha": alpha, "beta": beta,
-            "gamma_norm": 1.0, "eta": eta, "kappa": params.kappa,
-            "zeta": getattr(family, "zeta", None), "dispersion": params.dispersion,
-            "mass": params.mass, "convective": convective,
-        },
-        ctx=ctx,
-        images=images,
-        hatted=hats,
-        spec=spec,
-    )
+    return Representation(family=family, ctx=ctx, images=images, hatted=hats, eta=eta, spec=spec)
 
 
 def transformed_representation(base: Representation, to: FamilyTag) -> Representation:
@@ -236,10 +212,7 @@ def transformed_representation(base: Representation, to: FamilyTag) -> Represent
     images = dict(base.images)
     images[Gen.J_L] = new_L
     images[Gen.J_R] = new_R
-    return Representation(
-        family=to, params=dict(base.params), ctx=base.ctx,
-        images=images, hatted=base.hatted, spec=base.spec,
-    )
+    return replace(base, family=to, images=images)
 
 
 # --------------------------------------------------------------------------
@@ -359,7 +332,7 @@ def shortening_identities(
     roundoff on 2x2 matrices.
     """
     report = ConsistencyReport(seed=s.seed, tolerance=max(s.tolerance, 1e-13))
-    eta = complex(rep.params["eta"])
+    eta = complex(rep.eta)
     env: dict = {"pL": np.array([1.0 + 0j]), "pR": np.array([1.0 + 0j])}
 
     def value(m: Matrix) -> np.ndarray:
@@ -380,7 +353,7 @@ def shortening_identities(
 
 def boost_identification_residual(rep: Representation, s: Sampler) -> float:
     """Max residual of h_R J_L = h_L J_R, where the family demands it."""
-    h_L, h_R = rep.params["h_L"], rep.params["h_R"]
+    h_L, h_R = rep.spec.params.h_L, rep.spec.params.h_R
     lhs = op_scale(const(h_R), rep.images[Gen.J_L])
     rhs = op_scale(const(h_L), rep.images[Gen.J_R])
     env = rep.ctx.sample_env(s)

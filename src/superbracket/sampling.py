@@ -12,6 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .errors import InvalidParams
 from .expressions import Expr, _sweep_max, sample_at
 
 # Points the sampler must stay away from: zeros of sin(p/2) and the poles of
@@ -80,7 +81,7 @@ class Sampler:
             have += batch.size
         arr = np.concatenate(out) if out else np.empty(0)
         if arr.size < n:
-            raise ValueError("sampling domain is too thin around the singular loci")
+            raise InvalidParams("sampling domain is too thin around the singular loci")
         return arr[:n]
 
     def momenta(self, n: Optional[int] = None) -> np.ndarray:
@@ -89,6 +90,9 @@ class Sampler:
 
     def pairs(self, constraint: Optional[Tuple[Expr, Expr]] = None):
         """Sample (p_L, p_R) arrays; with a constraint, p_R = f(p_L).
+
+        Without one the two arrays are independent draws, which also serve
+        as the (p1, p2) site momenta of two-site operators.
 
         Constrained draws are rejected until the induced p_R also clears the
         singular loci, so downstream evaluations never sit on a pole.
@@ -110,15 +114,10 @@ class Sampler:
             collected_r.append(pr.real[ok])
             have += int(np.count_nonzero(ok))
         if have < self.count:
-            raise ValueError("constraint pushes too many samples onto singular loci")
+            raise InvalidParams("constraint pushes too many samples onto singular loci")
         pl = np.concatenate(collected_l)[: self.count]
         pr = np.concatenate(collected_r)[: self.count]
         return pl, pr
-
-    def two_site(self):
-        """Independent (p1, p2) site-momentum arrays."""
-        rng = np.random.default_rng(self.seed)
-        return self._draw(rng, self.count), self._draw(rng, self.count)
 
     def replace(self, **kw) -> "Sampler":
         data = {
@@ -171,18 +170,18 @@ def is_zero(e: Expr, s: Sampler, constraint=None) -> ZeroReport:
     )
 
 
-def constancy(e: Expr, s: Sampler, constraint=None, var_tol: float = 1e-18):
-    """Test whether an expression is constant over samples.
+def constancy(e: Expr, s: Sampler):
+    """Test whether an expression is constant over unconstrained samples.
 
     Returns (is_constant, mean_value); constancy means the variance of the
-    sampled values does not exceed ``var_tol``.
+    sampled values does not exceed 1e-18.
     """
     if s.count == 0:
         return True, 0j
     # Whole-array, not blocked like is_zero: the mean and variance are sums
     # over all samples, and a blocked sum would round differently.
-    env = _env_for(e, s, constraint)
+    env = _env_for(e, s)
     values = np.atleast_1d(np.asarray(e.eval(env)))
     mean = complex(np.mean(values))
     variance = float(np.mean(np.abs(values - mean) ** 2))
-    return variance <= var_tol, mean
+    return variance <= 1e-18, mean

@@ -3,8 +3,8 @@
 Grammar (flat, line-diagnosable, no expression sublanguage):
 
     suite "name" {
-      family = d_zero | d_plus_one | d_minus_one
-             | ratio(zeta=<num>) | left_separable(zeta=<num>) | right_separable(zeta=<num>);
+      family = d_zero | d_plus_one | d_minus_one | ratio(zeta=<num>[, kappa=<num>])
+             | left_separable(zeta=<num>) | right_separable(zeta=<num>);
       dispersion = magnon(hL=<num>, hR=<num>) | relativistic(m=<num>)
                  | massive_magnon(hL=<num>, hR=<num>, m=<num>);
       braiding = braided | unbraided;
@@ -17,6 +17,7 @@ Grammar (flat, line-diagnosable, no expression sublanguage):
 
 Comments start with '#'.  Unknown keys are errors, not warnings, and every
 explicitly set parameter must be consumed by at least one enabled check.
+``seed`` and ``points`` are non-negative integers.
 """
 from __future__ import annotations
 
@@ -414,8 +415,9 @@ def _parse_sampling(p: _Parser) -> SamplingConfig:
         p.expect_punct("=")
         if key.text == "seed" or key.text == "points":
             value, tok = p.expect_number()
-            if value != int(value):
-                raise TypeMismatchError(f"{key.text} must be an integer", tok.line, tok.col)
+            if not (value >= 0 and value.is_integer()):
+                raise TypeMismatchError(f"{key.text} must be a non-negative integer",
+                                        tok.line, tok.col)
             values[key.text] = int(value)
         elif key.text == "tol":
             value, tok = p.expect_number()
@@ -445,7 +447,7 @@ def _validate_family_args(family: str, args, tok: Optional[Token]):
     if family in ("ratio", "left_separable", "right_separable"):
         if "zeta" not in keys:
             raise UnknownKeyError(f"{family} requires zeta", line, col)
-        extra = keys - {"zeta", "kappa"}
+        extra = keys - ({"zeta", "kappa"} if family == "ratio" else {"zeta"})
         if extra:
             raise UnknownKeyError(f"unknown {family} parameter {sorted(extra)[0]!r}", line, col)
         zeta = dict(args)["zeta"]

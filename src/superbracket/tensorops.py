@@ -21,6 +21,7 @@ from .diffops import (
     Matrix,
     TwoVarContext,
     first_order_op,
+    mat_eye,
     mat_scale,
     mat_zero,
     multiplication_op,
@@ -81,20 +82,14 @@ def site_scalar(e: Expr, site: int) -> Expr:
 
 def tensor_boost_term(h_coeff: Expr, site: int) -> DiffOperator:
     """h_coeff(p1,p2) * D_site as an identity-matrix-valued derivative term."""
-    b = mat_scale(h_coeff, _eye4())
+    b = mat_scale(h_coeff, mat_eye(4))
     v = "p1" if site == 1 else "p2"
     return first_order_op(TWO_SITE, mat_zero(4), {v: b}, parity=0)
 
 
-def _eye4() -> Matrix:
-    from .diffops import mat_eye
-
-    return mat_eye(4)
-
-
 def tensor_scalar(e: Expr) -> DiffOperator:
     """A pure two-site scalar as a multiplication operator."""
-    return multiplication_op(TWO_SITE, mat_scale(e, _eye4()), parity=0)
+    return multiplication_op(TWO_SITE, mat_scale(e, mat_eye(4)), parity=0)
 
 
 _FLIP = np.array(

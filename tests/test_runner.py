@@ -69,6 +69,16 @@ def test_errors_are_captured_not_raised():
     assert by_check["coproduct_hom"].status == "fail"
     assert "IncompatibleCentrals" in by_check["coproduct_hom"].note
     assert suite_failed(records)
+    # a domain that the singular-locus margins cover whole fails the sampled
+    # checks, not the run
+    cfg = parse_suite(
+        'suite "x" { family = d_zero; checks = [ jacobi, tail_cancellation ]; '
+        'sampling { domain=[3.1, 3.18] } }'
+    )
+    by_check = {r.check: r for r in run_suite(cfg)}
+    assert by_check["jacobi"].status == "fail"
+    assert by_check["jacobi"].note.startswith("InvalidParams: sampling domain is too thin")
+    assert by_check["tail_cancellation"].status == "pass"
 
 
 def test_json_reports_are_byte_identical_for_fixed_seed():

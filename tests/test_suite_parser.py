@@ -79,6 +79,11 @@ def test_type_mismatches():
         parse_suite('suite "x" { family = d_zero; checks=[jacobi]; sampling { domain=[2, 1] } }')
     with pytest.raises(TypeMismatchError):
         parse_suite('suite "x" { family = d_zero; braiding = sideways; checks=[jacobi]; }')
+    for bad in ("seed=-1", "points=-5"):
+        text = 'suite "x" { family = d_zero; checks=[jacobi]; sampling { ' + bad + ' } }'
+        with pytest.raises(TypeMismatchError) as err:
+            parse_suite(text)
+        assert (err.value.line, err.value.col) == (1, text.index("-") + 1)
 
 
 def test_unconsumed_parameters_are_errors():
@@ -86,8 +91,14 @@ def test_unconsumed_parameters_are_errors():
         parse_suite('suite "x" { family = d_zero; eta = 2; checks = [ jacobi ]; }')
     with pytest.raises(UnknownKeyError):
         parse_suite('suite "x" { family = d_zero; braiding = braided; checks = [ jacobi ]; }')
+    # kappa parameterises the ratio family's momentum map and nothing else
+    for family in ("left_separable", "right_separable"):
+        with pytest.raises(UnknownKeyError) as err:
+            parse_suite(f'suite "x" {{ family = {family}(zeta=2, kappa=5); checks = [ jacobi ]; }}')
+        assert "kappa" in str(err.value)
     # consumed is fine
     parse_suite('suite "x" { family = d_plus_one; eta = 2; checks = [ relations ]; }')
+    parse_suite('suite "x" { family = ratio(zeta=2, kappa=5); checks = [ jacobi ]; }')
 
 
 def test_syntax_errors_have_spans():
