@@ -4,8 +4,9 @@
     superbracket list-checks
     superbracket explain <check>
 
-Exit codes: 0 all pass, 1 any non-expected failure, 2 parse error,
-3 internal error.  SUPERBRACKET_SEED overrides the suite file's seed.
+Exit codes: 0 all pass, 1 any non-expected failure, 2 parse error or a seed
+that is not a non-negative integer, 3 internal error.  SUPERBRACKET_SEED
+overrides the suite file's seed.
 """
 from __future__ import annotations
 
@@ -18,6 +19,17 @@ from .runner import CHECK_DESCRIPTIONS, emit_report, run_suite, suite_failed
 from .suite import KNOWN_CHECKS, SuiteParseError, parse_suite
 
 
+def _seed(text: str) -> int:
+    """A seed as ``--seed`` and SUPERBRACKET_SEED take it: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative; a seed is a non-negative integer")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superbracket",
@@ -28,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a check-suite file")
     run.add_argument("suite", type=Path, help="path to the suite file")
     run.add_argument("--format", choices=("json", "text"), default="json")
-    run.add_argument("--seed", type=int, default=None, help="override the suite seed")
+    run.add_argument("--seed", type=_seed, default=None, help="override the suite seed")
     run.add_argument("--out", type=Path, default=None, help="write the report to a file")
     run.add_argument("--timing", action="store_true",
                      help="include wall-clock timing in JSON output (breaks byte-stability)")
@@ -68,9 +80,9 @@ def main(argv=None) -> int:
     env_seed = os.environ.get("SUPERBRACKET_SEED")
     if seed is None and env_seed is not None:
         try:
-            seed = int(env_seed)
-        except ValueError:
-            print(f"error: SUPERBRACKET_SEED={env_seed!r} is not an integer", file=sys.stderr)
+            seed = _seed(env_seed)
+        except argparse.ArgumentTypeError as err:
+            print(f"error: SUPERBRACKET_SEED: {err}", file=sys.stderr)
             return 2
 
     try:

@@ -17,7 +17,12 @@ Sampled checks sweep their samples in blocks of ``_BLOCK_POINTS`` (4096),
 with one memo per block shared by every tree the check evaluates, and keep
 only a running maximum per tracked array (``_sweep_max``).  Peak memory
 therefore does not grow with the sample count, and the first global maximum
-is still the one ``np.argmax`` over all samples would pick.
+is still the one ``np.argmax`` over all samples would pick.  A sweep's block
+memos write array node values into buffers drawn from one pool, which take
+them back when the block ends, so after the first block node evaluation
+allocates nothing; an array that ``eval`` returns under such a memo is valid
+only until the next block starts.  ``eval`` without a memo, or with a plain
+dict, allocates a new array for every node value.
 
 Variables are plain strings; the algebra layers use "pL"/"pR" for the two
 momenta, "p" for an identified momentum and "p1"/"p2" for two-site momenta.
@@ -25,6 +30,7 @@ momenta, "p" for an identified momentum and "p1"/"p2" for two-site momenta.
 from __future__ import annotations
 
 import itertools
+import operator
 import weakref
 from math import copysign
 from typing import Callable, FrozenSet, Iterable, List, Mapping, Tuple, Union
@@ -63,6 +69,38 @@ def _beats(v: float, w: float) -> bool:
     return v > w or (v != v and w == w)
 
 
+class _BlockMemo(dict):
+    """The memo of one block of a sweep, whose array node values go into pooled buffers.
+
+    ``pool`` holds the sweep's free buffers, each ``width`` samples wide; a
+    block of ``m`` samples uses their first ``m``.  ``taken`` lists the
+    buffers this block drew, for ``_sweep_max`` to return when it ends.
+    """
+
+    __slots__ = ("pool", "width", "shape", "taken")
+
+    def __init__(self, pool: list, width: int, m: int):
+        super().__init__()
+        self.pool, self.width, self.shape, self.taken = pool, width, (m,), []
+
+
+def _out(memo: dict, *operands) -> np.ndarray | None:
+    """Where to write a node value computed from ``operands``: a pooled buffer, or None.
+
+    There is a buffer only under a ``_BlockMemo``, and only when some operand
+    is an array and every array operand has the block's shape; with None the
+    ufunc allocates its result.
+    """
+    if type(memo) is not _BlockMemo:
+        return None
+    shapes = [x.shape for x in operands if isinstance(x, np.ndarray)]
+    if not shapes or any(shape != memo.shape for shape in shapes):
+        return None
+    buf = memo.pool.pop() if memo.pool else np.empty(memo.width, np.complex128)
+    memo.taken.append(buf)
+    return buf[:memo.shape[0]]
+
+
 def _sweep_max(
     env: Mapping[str, EnvValue],
     evaluate: Callable[[dict, dict], Iterable],
@@ -77,13 +115,21 @@ def _sweep_max(
     are never all alive at once, and for each one the result is the value
     and flat sample index (for ``sample_at(env, idx)``) that ``np.argmax``
     over the whole array would give.
+
+    The memos draw the buffers of their array node values from one pool per
+    sweep, ``min(n, _BLOCK_POINTS)`` samples wide, and return them when their
+    block ends: an array that ``eval`` returns under a memo is valid only
+    until the next block starts, and ``evaluate`` must not keep one longer.
     """
     n = max((np.size(v) for v in env.values()), default=1)
+    width = min(n, _BLOCK_POINTS)
+    pool: list = []
     tracked: list = []  # per array yielded: one [value, index] per row
     for start in range(0, max(n, 1), _BLOCK_POINTS):
         block = {name: v[start:start + _BLOCK_POINTS] if np.ndim(v) == 1 and v.size == n else v
                  for name, v in env.items()}
-        for t, arr in enumerate(evaluate(block, {})):
+        memo = _BlockMemo(pool, width, min(width, n - start))
+        for t, arr in enumerate(evaluate(block, memo)):
             a = np.abs(np.asarray(arr))
             if a.ndim <= 1:
                 i = int(a.argmax())
@@ -98,6 +144,7 @@ def _sweep_max(
             for row, (value, i) in zip(tracked[t], found):
                 if _beats(value, row[0]):
                     row[:] = value, start + i
+        pool.extend(memo.taken)
     out = []
     for rows in tracked:
         top = rows[0]
@@ -293,19 +340,27 @@ class _NAry(Expr):
     def children(self):
         return self.args
 
+    def _eval(self, env, memo):
+        # Folded left to right: scalar steps in Python arithmetic, array steps
+        # by the ufunc, into one buffer when ``_out`` gives one.
+        vals = [a.eval(env, memo) for a in self.args]
+        out = _out(memo, *vals)
+        total = vals[0]
+        for v in vals[1:]:
+            if isinstance(total, np.ndarray) or isinstance(v, np.ndarray):
+                total = self._ufunc(total, v, out=out)
+            else:
+                total = self._op(total, v)
+        return total
+
 
 class Add(_NAry):
     __slots__ = ()
     kind = "add"
+    _op, _ufunc = operator.add, np.add
 
     def diff(self, v):
         return add(*(a.diff(v) for a in self.args))
-
-    def _eval(self, env, memo):
-        total = self.args[0].eval(env, memo)
-        for a in self.args[1:]:
-            total = total + a.eval(env, memo)
-        return total
 
     def _repr(self):
         return "(" + " + ".join(a._repr() for a in self.args) + ")"
@@ -314,6 +369,7 @@ class Add(_NAry):
 class Mul(_NAry):
     __slots__ = ()
     kind = "mul"
+    _op, _ufunc = operator.mul, np.multiply
 
     def diff(self, v):
         terms = []
@@ -323,12 +379,6 @@ class Mul(_NAry):
                 continue
             terms.append(mul(*self.args[:i], da, *self.args[i + 1:]))
         return add(*terms)
-
-    def _eval(self, env, memo):
-        total = self.args[0].eval(env, memo)
-        for a in self.args[1:]:
-            total = total * a.eval(env, memo)
-        return total
 
     def _repr(self):
         return "(" + "*".join(a._repr() for a in self.args) + ")"
@@ -349,7 +399,8 @@ class Quot(Expr):
         n = self.num.eval(env, memo)
         d = self.den.eval(env, memo)
         _refuse_pole(d, env, "division by ~0", self.den)
-        return n / d
+        out = _out(memo, n, d)
+        return n / d if out is None else np.divide(n, d, out=out)
 
     def _repr(self):
         return f"({self.num._repr()}/{self.den._repr()})"
@@ -377,8 +428,9 @@ class Pow(Expr):
         r = self.exponent
         if r < 0:
             _refuse_pole(b, env, "negative power of ~0", self.base)
-        return np.power(np.asarray(b, dtype=np.complex128), r) if isinstance(b, np.ndarray) \
-            else complex(b) ** r
+        if isinstance(b, np.ndarray):
+            return np.power(np.asarray(b, dtype=np.complex128), r, out=_out(memo, b))
+        return complex(b) ** r
 
     def _repr(self):
         return f"({self.base._repr()}^{self.exponent})"
@@ -402,7 +454,8 @@ class Sin(_Unary):
         return mul(Cos(self.arg), self.arg.diff(v))
 
     def _eval(self, env, memo):
-        return np.sin(self.arg.eval(env, memo))
+        a = self.arg.eval(env, memo)
+        return np.sin(a, out=_out(memo, a))
 
 
 class Cos(_Unary):
@@ -413,7 +466,8 @@ class Cos(_Unary):
         return mul(Const(-1), Sin(self.arg), self.arg.diff(v))
 
     def _eval(self, env, memo):
-        return np.cos(self.arg.eval(env, memo))
+        a = self.arg.eval(env, memo)
+        return np.cos(a, out=_out(memo, a))
 
 
 class Tan(_Unary):
@@ -427,7 +481,8 @@ class Tan(_Unary):
         a = self.arg.eval(env, memo)
         c = np.cos(a)
         _refuse_pole(c, env, "tan pole", self)
-        return np.sin(a) / c
+        out = _out(memo, a)
+        return np.sin(a) / c if out is None else np.divide(np.sin(a, out=out), c, out=out)
 
 
 class Cot(_Unary):
@@ -441,7 +496,8 @@ class Cot(_Unary):
         a = self.arg.eval(env, memo)
         s = np.sin(a)
         _refuse_pole(s, env, "cot pole", self)
-        return np.cos(a) / s
+        out = _out(memo, a)
+        return np.cos(a) / s if out is None else np.divide(np.cos(a, out=out), s, out=out)
 
 
 class Arccot(_Unary):
@@ -455,7 +511,10 @@ class Arccot(_Unary):
 
     def _eval(self, env, memo):
         a = self.arg.eval(env, memo)
-        return np.pi / 2 - np.arctan(a)
+        out = _out(memo, a)
+        if out is None:
+            return np.pi / 2 - np.arctan(a)
+        return np.subtract(np.pi / 2, np.arctan(a, out=out), out=out)
 
 
 class ExpNode(_Unary):
@@ -466,7 +525,8 @@ class ExpNode(_Unary):
         return mul(ExpNode(self.arg), self.arg.diff(v))
 
     def _eval(self, env, memo):
-        return np.exp(self.arg.eval(env, memo))
+        a = self.arg.eval(env, memo)
+        return np.exp(a, out=_out(memo, a))
 
 
 class AbsNode(_Unary):
@@ -486,7 +546,8 @@ class AbsNode(_Unary):
         bad = im > _IMAG_EPS * scale
         if np.any(bad):
             raise DomainError(f"abs() of a non-real value in {self!r}")
-        return np.abs(a) + 0j
+        out = _out(memo, a)
+        return np.abs(a) + 0j if out is None else np.add(np.abs(a), 0j, out=out)
 
 
 ZERO = Const(0)

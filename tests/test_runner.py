@@ -216,6 +216,17 @@ def test_cli_exit_codes(tmp_path):
     )
     assert proc.returncode == 1
 
+    # A negative seed is a usage error from either source, as in a suite file.
+    for seed, args, env in (("-1", ["--seed", "-1"], cli_env()),
+                            ("-5", [], cli_env(SUPERBRACKET_SEED="-5"))):
+        proc = subprocess.run(
+            [sys.executable, "-m", "superbracket.cli", "run", str(bundled_path("d_zero")), *args],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert f"'{seed}' is negative".encode() in proc.stderr
+
 
 def test_cli_env_seed(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,5 +1,6 @@
 """Blocked sampled sweeps: the same verdicts, points and errors as whole-array
-evaluation, in memory that does not grow with the sample count."""
+evaluation, in memory that does not grow with the sample count, with node
+buffers reused from block to block."""
 import tracemalloc
 
 import numpy as np
@@ -124,15 +125,66 @@ def test_pole_error_names_the_sample_in_a_later_block():
     assert info.value.point == ex.sample_at(env, bad)
 
 
+def test_every_node_kind_sweeps_as_whole_env_evaluation():
+    # Const first in Add and Mul, a scalar-valued node among array ones, and
+    # every array-producing kind: each writes into a pooled buffer, and the
+    # short last block into prefix views of them.
+    a = ex.Add((const(2.0), const(0.5j), PL, ex.Sin(const(0.3))))
+    b = ex.Mul((const(-1.5), PR, ex.Cos(PL)))
+    trees = [
+        a,
+        b,
+        quot(ex.tan(PR), ex.cot(PL)),
+        ex.Pow(a, -2.0),
+        ex.Pow(b, 0.5),
+        ex.exp(ex.mul(const(0.5), PR)),
+        ex.absval(add(PL, ex.neg(PR))),
+        ex.arccot(PL),
+    ]
+    trees.append(ex.Add((const(1.0), *trees[2:], ex.Mul((const(2.0), *trees[:2])))))
+    kinds = {type(node) for t in trees for node in walk(t)}
+    assert kinds == {ex.Const, ex.Var, ex.Add, ex.Mul, ex.Quot, ex.Pow, ex.Sin, ex.Cos, ex.Tan,
+                     ex.Cot, ex.Arccot, ex.ExpNode, ex.AbsNode}
+    env = hand_env()
+    maxima = ex._sweep_max(env, lambda block, memo: (t.eval(block, memo) for t in trees))
+    for t, (value, idx) in zip(trees, maxima):
+        whole = np.abs(t.eval(env))
+        assert whole.shape == (N,)
+        assert (value, idx) == (float(whole.max()), int(np.argmax(whole))), t
+
+
+def walk(e):
+    yield e
+    for c in e.children():
+        yield from walk(c)
+
+
+def test_node_buffers_are_reused_across_blocks():
+    resource = pytest.importorskip("resource")
+    spec = build_algebra(Ratio(2.0))
+    faults = []
+    for count in (B, 16 * B):
+        s = Sampler(seed=7, count=count)
+        jacobi_check(spec, s)  # grows the heap once for this sample count
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert jacobi_check(spec, s).passed
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    # Freed and re-faulted node arrays would cost faults in proportion to blocks.
+    assert faults[1] < 3 * faults[0], faults
+
+
 def test_jacobi_peak_memory_does_not_grow_with_sample_count():
     spec = build_algebra(Ratio(2.0))
     jacobi_check(spec, Sampler(seed=7, count=100))  # imports and first-call set-up
     peaks = []
-    for count in (B, 8 * B):
+    for count in (100, B, 8 * B):
         tracemalloc.start()
         try:
             assert jacobi_check(spec, Sampler(seed=7, count=count)).passed
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] < 2 * peaks[0], [p / 2**20 for p in peaks]
+    mb = [p / 2**20 for p in peaks]
+    assert peaks[2] < 2 * peaks[1], mb
+    # Node buffers are as wide as the sweep's first block, not _BLOCK_POINTS.
+    assert peaks[0] < peaks[1] / 4, mb
