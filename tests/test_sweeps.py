@@ -125,6 +125,12 @@ def test_pole_error_names_the_sample_in_a_later_block():
     assert info.value.point == ex.sample_at(env, bad)
 
 
+def walk(e):
+    yield e
+    for c in e.children():
+        yield from walk(c)
+
+
 def test_every_node_kind_sweeps_as_whole_env_evaluation():
     # Const first in Add and Mul, a scalar-valued node among array ones, and
     # every array-producing kind: each writes into a pooled buffer, and the
@@ -151,12 +157,6 @@ def test_every_node_kind_sweeps_as_whole_env_evaluation():
         whole = np.abs(t.eval(env))
         assert whole.shape == (N,)
         assert (value, idx) == (float(whole.max()), int(np.argmax(whole))), t
-
-
-def walk(e):
-    yield e
-    for c in e.children():
-        yield from walk(c)
 
 
 def test_node_buffers_are_reused_across_blocks():
