@@ -18,11 +18,14 @@ with one memo per block shared by every tree the check evaluates, and keep
 only a running maximum per tracked array (``_sweep_max``).  Peak memory
 therefore does not grow with the sample count, and the first global maximum
 is still the one ``np.argmax`` over all samples would pick.  A sweep's block
-memos write array node values into buffers drawn from one pool, which take
-them back when the block ends, so after the first block node evaluation
-allocates nothing; an array that ``eval`` returns under such a memo is valid
-only until the next block starts.  ``eval`` without a memo, or with a plain
-dict, allocates a new array for every node value.
+memos write each array node value, the value the memo stores, into a buffer
+drawn from one pool, which takes them back when the block ends, so after the
+first block no node value is allocated.  Short-lived arrays inside a node (the
+pole checks of ``Quot``, ``Pow``, ``Tan`` and ``Cot``, and ``AbsNode``'s
+``np.abs`` and realness test) are still allocated and freed at once.  An array
+that ``eval`` returns under such a memo is valid only until the next block
+starts.  ``eval`` without a memo, or with a plain dict, allocates a new array
+for every node value.
 
 Variables are plain strings; the algebra layers use "pL"/"pR" for the two
 momenta, "p" for an identified momentum and "p1"/"p2" for two-site momenta.
@@ -399,8 +402,9 @@ class Quot(Expr):
         n = self.num.eval(env, memo)
         d = self.den.eval(env, memo)
         _refuse_pole(d, env, "division by ~0", self.den)
-        out = _out(memo, n, d)
-        return n / d if out is None else np.divide(n, d, out=out)
+        if isinstance(n, np.ndarray) or isinstance(d, np.ndarray):
+            return np.divide(n, d, out=_out(memo, n, d))
+        return n / d
 
     def _repr(self):
         return f"({self.num._repr()}/{self.den._repr()})"
@@ -482,7 +486,7 @@ class Tan(_Unary):
         c = np.cos(a)
         _refuse_pole(c, env, "tan pole", self)
         out = _out(memo, a)
-        return np.sin(a) / c if out is None else np.divide(np.sin(a, out=out), c, out=out)
+        return np.divide(np.sin(a, out=out), c, out=out)
 
 
 class Cot(_Unary):
@@ -497,7 +501,7 @@ class Cot(_Unary):
         s = np.sin(a)
         _refuse_pole(s, env, "cot pole", self)
         out = _out(memo, a)
-        return np.cos(a) / s if out is None else np.divide(np.cos(a, out=out), s, out=out)
+        return np.divide(np.cos(a, out=out), s, out=out)
 
 
 class Arccot(_Unary):
@@ -512,8 +516,6 @@ class Arccot(_Unary):
     def _eval(self, env, memo):
         a = self.arg.eval(env, memo)
         out = _out(memo, a)
-        if out is None:
-            return np.pi / 2 - np.arctan(a)
         return np.subtract(np.pi / 2, np.arctan(a, out=out), out=out)
 
 
@@ -546,8 +548,7 @@ class AbsNode(_Unary):
         bad = im > _IMAG_EPS * scale
         if np.any(bad):
             raise DomainError(f"abs() of a non-real value in {self!r}")
-        out = _out(memo, a)
-        return np.abs(a) + 0j if out is None else np.add(np.abs(a), 0j, out=out)
+        return np.add(np.abs(a), 0j, out=_out(memo, a))
 
 
 ZERO = Const(0)
