@@ -434,9 +434,9 @@ def jacobi_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
         triples, ex._worst_points(env, maxima, [_residual_count(lc) for _, lc in triples])
     ):
         residuals[labels] = value
-        if value > global_max:
+        if ex._beats(value, global_max):
             global_max, global_worst = value, point
-        if value > s.tolerance and reported < _MAX_REPORTED_FAILURES:
+        if not value <= s.tolerance and reported < _MAX_REPORTED_FAILURES:
             report.add(f"jacobi({','.join(labels)})", value, point)
             reported += 1
     summary = report.add("jacobi-all-triples", global_max, global_worst)

@@ -16,9 +16,20 @@ context:
 
 Odd operators are purely multiplicative (no differential part) with
 block-off-diagonal matrices in the (boson, fermion) basis.
+
+Entries that are the interned ``ex.ZERO`` are structurally zero, and only
+the other, live, entries cost work: ``mat_mul`` leaves out every product with
+a ``ZERO`` factor, ``mat_add`` every ``ZERO`` addend, and ``mats_max_abs``
+evaluates the live entries alone.  The test is ``is ex.ZERO``, not equality,
+so a signed zero such as ``Const(-0.0)`` is live.  Leaving these terms out
+changes no entry and no maximum: ``add`` folds a ``ZERO`` addend to nothing,
+``mul`` folds a ``ZERO`` factor to ``ZERO`` (unless the other factor carries
+an infinite or NaN constant, where it reads NaN), and a ``ZERO`` entry's
+modulus of 0.0 never displaces a maximum.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -53,7 +64,8 @@ def mat_eye(n: int) -> Matrix:
 def mat_add(*ms: Matrix) -> Matrix:
     n = len(ms[0])
     return tuple(
-        tuple(add(*(m[i][j] for m in ms)) for j in range(n)) for i in range(n)
+        tuple(add(*(m[i][j] for m in ms if m[i][j] is not ex.ZERO)) for j in range(n))
+        for i in range(n)
     )
 
 
@@ -65,7 +77,11 @@ def mat_scale(f, m: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     return tuple(
-        tuple(add(*(mul(a[i][k], b[k][j]) for k in range(n))) for j in range(n))
+        tuple(
+            add(*(mul(a[i][k], b[k][j]) for k in range(n)
+                  if a[i][k] is not ex.ZERO and b[k][j] is not ex.ZERO))
+            for j in range(n)
+        )
         for i in range(n)
     )
 
@@ -188,21 +204,45 @@ class DiffOperator:
         return f"DiffOperator(n={self.n}, parity={self.parity}, " + ", ".join(parts) + ")"
 
 
+def mats_max_abs(mats, env: dict) -> list:
+    """Max modulus of each of ``mats`` at the env samples, and its flat sample index.
+
+    One blocked sweep (``ex._sweep_max``) with one memo per block evaluates
+    only the live (not ``ex.ZERO``) entries, in flat (i, j) order.  Within a
+    matrix the first maximum in flat (i, j, sample) order wins, as
+    ``np.argmax`` over its dense ``mat_eval`` would pick; a matrix with no
+    live entry reads (0.0, 0).
+    """
+    live = [[e for row in m for e in row if e is not ex.ZERO] for m in mats]
+
+    def arrays(block: dict, memo: dict):
+        for entries in live:
+            for e in entries:
+                yield e.eval(block, memo)
+
+    maxima = iter(ex._sweep_max(env, arrays))
+    out = []
+    for entries in live:
+        top = (0.0, 0)
+        for found in itertools.islice(maxima, len(entries)):
+            if ex._beats(found[0], top[0]):
+                top = found
+        out.append(top)
+    return out
+
+
 def ops_max_abs(ops, env: dict) -> list:
     """``op.max_abs(env)`` for each of ``ops``, from one blocked sweep with a shared memo.
 
-    Within a coefficient matrix the first maximum in flat (i, j, sample)
-    order wins; across the matrices of an operator, the first above all
-    before it and above 0.0, else (0.0, None).
+    Only the live entries of the coefficient matrices are evaluated
+    (``mats_max_abs``).  Within a coefficient matrix the first maximum in
+    flat (i, j, sample) order wins; across the matrices of an operator, the
+    first NaN, else the first above all before it and above 0.0, else
+    (0.0, None).
     """
     mats = [[op.A, *op.B.values()] for op in ops]
-
-    def arrays(block: dict, memo: dict):
-        for ms in mats:
-            for m in ms:
-                yield mat_eval(m, block, memo)
-
-    return ex._worst_points(env, ex._sweep_max(env, arrays), [len(ms) for ms in mats])
+    maxima = mats_max_abs([m for ms in mats for m in ms], env)
+    return ex._worst_points(env, maxima, [len(ms) for ms in mats])
 
 
 def multiplication_op(ctx, matrix: Matrix, parity: int = 0) -> DiffOperator:

@@ -161,15 +161,16 @@ def _sweep_max(
 def _worst_points(env: Mapping[str, EnvValue], maxima, sizes) -> List[tuple]:
     """Fold ``_sweep_max`` results, ``sizes[k]`` at a time, into (worst, point).
 
-    Within a group the first value above all before it, and above 0.0,
-    wins; a group that never exceeds 0.0 reads (0.0, None).
+    Within a group the first NaN wins, else the first value above all
+    before it and above 0.0; a group that never exceeds 0.0 reads
+    (0.0, None).
     """
     out = []
     it = iter(maxima)
     for size in sizes:
         worst, worst_pt = 0.0, None
         for value, idx in itertools.islice(it, size):
-            if value > worst:
+            if _beats(value, worst):
                 worst, worst_pt = value, sample_at(env, idx)
         out.append((worst, worst_pt))
     return out

@@ -4,6 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .expressions import _beats
+
 
 @dataclass
 class ConditionResult:
@@ -33,11 +35,17 @@ class ConsistencyReport:
 
     @property
     def max_residual(self) -> float:
-        return max((c.max_residual for c in self.conditions), default=0.0)
+        worst = self.worst
+        return worst.max_residual if worst else 0.0
 
     @property
     def worst(self) -> Optional[ConditionResult]:
-        return max(self.conditions, key=lambda c: c.max_residual, default=None)
+        """The first condition with a NaN residual, else the first with the largest."""
+        top = None
+        for c in self.conditions:
+            if top is None or _beats(c.max_residual, top.max_residual):
+                top = c
+        return top
 
     def failures(self) -> list[ConditionResult]:
         return [c for c in self.conditions if not c.passed]

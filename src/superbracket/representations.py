@@ -57,6 +57,7 @@ from .diffops import (
     mat_eye,
     mat_scale,
     mat_zero,
+    mats_max_abs,
     multiplication_op,
     op_add,
     op_bracket,
@@ -267,7 +268,7 @@ def boost_commutator_zero(rep: Representation, s: Sampler) -> ConsistencyReport:
     env = rep.ctx.sample_env(s)
     comm = op_bracket(rep.images[Gen.J_L], rep.images[Gen.J_R])
     mats = [comm.A, *(comm.b_or_zero(v) for v in rep.ctx.variables)]
-    maxima = ex._sweep_max(env, lambda block, memo: (mat_eval(m, block, memo) for m in mats))
+    maxima = mats_max_abs(mats, env)
     report.add("[J_L,J_R] multiplicative part", maxima[0][0], None)
     for v, m, (value, idx) in zip(rep.ctx.variables, mats[1:], maxima[1:]):
         cond = report.add(f"[J_L,J_R] d/d{v} coefficient", value, ex.sample_at(env, idx))

@@ -17,7 +17,8 @@ from .expressions import Expr, _sweep_max, sample_at
 
 # Points the sampler must stay away from: zeros of sin(p/2) and the poles of
 # cot/tan that the expression grammar can produce on (-4*pi, 4*pi).
-_SINGULAR_LOCI = tuple(k * math.pi for k in range(-8, 9))
+_K_MAX = 8
+_SINGULAR_LOCI = tuple(k * math.pi for k in range(-_K_MAX, _K_MAX + 1))
 _MARGIN = 0.05
 
 
@@ -26,10 +27,20 @@ def registered_singular_loci() -> Tuple[float, ...]:
 
 
 def _clear_of_loci(arr: np.ndarray) -> np.ndarray:
-    ok = np.ones(arr.shape, dtype=bool)
-    for locus in _SINGULAR_LOCI:
-        ok &= np.abs(arr - locus) >= _MARGIN
-    return ok
+    """Whether each sample lies at least ``_MARGIN`` from every singular locus.
+
+    The loci are pi apart and the margin is far below pi/2, so only the
+    nearest locus can be within the margin, and each sample is compared with
+    that one alone.  Its index k is clipped to the table's range, and
+    ``k * math.pi`` is the very float ``_SINGULAR_LOCI`` holds.  One array
+    serves every step, so no more sample-sized temporaries are alive at once
+    than a locus-by-locus loop keeps.
+    """
+    dist = np.rint(arr / math.pi)
+    np.clip(dist, -_K_MAX, _K_MAX, out=dist)
+    dist *= math.pi
+    np.subtract(arr, dist, out=dist)
+    return np.abs(dist, out=dist) >= _MARGIN
 
 
 @dataclass(frozen=True)

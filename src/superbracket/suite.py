@@ -17,7 +17,8 @@ Grammar (flat, line-diagnosable, no expression sublanguage):
 
 Comments start with '#'.  Unknown keys are errors, not warnings, and every
 explicitly set parameter must be consumed by at least one enabled check.
-``seed`` and ``points`` are non-negative integers.
+``seed`` and ``points`` are non-negative integers, and ``points`` is at most
+``MAX_POINTS``.
 """
 from __future__ import annotations
 
@@ -164,6 +165,11 @@ FAMILY_NAMES = (
 DISPERSION_NAMES = ("magnon", "relativistic", "massive_magnon")
 
 DEFAULT_DOMAIN = (0.1, math.pi - 0.1)
+
+# The most samples a suite may ask for.  Each sampled momentum array then
+# holds at most 160 MB of complex128; without a bound, a count numpy cannot
+# allocate would only fail once the run starts.
+MAX_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -417,6 +423,9 @@ def _parse_sampling(p: _Parser) -> SamplingConfig:
             value, tok = p.expect_number()
             if not (value >= 0 and value.is_integer()):
                 raise TypeMismatchError(f"{key.text} must be a non-negative integer",
+                                        tok.line, tok.col)
+            if key.text == "points" and value > MAX_POINTS:
+                raise TypeMismatchError(f"points must be at most {MAX_POINTS}",
                                         tok.line, tok.col)
             values[key.text] = int(value)
         elif key.text == "tol":

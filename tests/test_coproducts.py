@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from superbracket import diffops, representations
 from superbracket import expressions as ex
 from superbracket.algebra import (
     DMinusOne,
@@ -15,6 +17,7 @@ from superbracket.algebra import (
 from superbracket.coproducts import (
     CENTRAL_GENS,
     UnbraidedCoefficients,
+    _rows_for_hom_check,
     build_boost_coproduct,
     build_coproduct,
     cocommutativity_check,
@@ -224,3 +227,44 @@ def test_short_rep_reduction_and_negative_control(short_rep):
     assert report.passed and report.max_residual <= 1e-12
     negative = short_rep_reduction_check(short_rep.spec, short_rep, S, with_t_terms=False)
     assert not negative.passed and negative.max_residual > 1e-2
+
+
+def dense_mat_add(*ms):
+    n = len(ms[0])
+    return tuple(tuple(add(*(m[i][j] for m in ms)) for j in range(n)) for i in range(n))
+
+
+def dense_mat_mul(a, b):
+    n = len(a)
+    return tuple(tuple(add(*(mul(a[i][k], b[k][j]) for k in range(n))) for j in range(n))
+                 for i in range(n))
+
+
+def hom_operators(family, braiding):
+    """Every bracket and residual operator the homomorphism check builds, freshly."""
+    rep = build_representation(family)
+    delta = build_coproduct(rep.spec, braiding, rep)
+    ops = []
+    for (a, b), row in _rows_for_hom_check(rep.spec, delta.ops, braiding == "braided"):
+        bracket = op_bracket(delta[a], delta[b])
+        ops += [bracket, op_sub(bracket, delta.of_lincomb(row))]
+    for a, b in itertools.combinations((Gen.Q_L, Gen.S_L, Gen.Q_R, Gen.S_R), 2):
+        if (a, b) not in rep.spec.table and (b, a) not in rep.spec.table:
+            ops.append(op_bracket(delta[a], delta[b]))  # a vanishing row
+    return ops
+
+
+@pytest.mark.parametrize("family, braiding", [
+    (DPlusOne(), "braided"), (DPlusOne(), "unbraided"), (DMinusOne(), "braided"),
+], ids=["d_plus_one-braided", "d_plus_one-unbraided", "d_minus_one-braided"])
+def test_live_entry_products_build_the_dense_entries(monkeypatch, family, braiding):
+    live = hom_operators(family, braiding)
+    monkeypatch.setattr(diffops, "mat_add", dense_mat_add)
+    monkeypatch.setattr(diffops, "mat_mul", dense_mat_mul)
+    monkeypatch.setattr(representations, "mat_add", dense_mat_add)
+    dense = hom_operators(family, braiding)
+    assert len(live) == len(dense)
+    for x, y in zip(live, dense):
+        assert x.parity == y.parity and list(x.B) == list(y.B)
+        for m, n in zip((x.A, *x.B.values()), (y.A, *y.B.values())):
+            assert all(e is f for row_m, row_n in zip(m, n) for e, f in zip(row_m, row_n))

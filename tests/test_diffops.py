@@ -3,21 +3,27 @@ import pytest
 
 from superbracket import expressions as ex
 from superbracket.diffops import (
+    DiffOperator,
     OneVarContext,
     SecondOrderResult,
     TwoVarContext,
     first_order_op,
     identity_op,
     mat,
+    mat_eval,
     mat_eye,
+    mat_mul,
     mat_scale,
     mat_zero,
+    mats_max_abs,
     multiplication_op,
     op_bracket,
     op_product,
     op_scale,
     op_sub,
+    ops_max_abs,
     scalar_op,
+    zero_op,
 )
 from superbracket.errors import DimensionMismatch, GradeError
 from superbracket.expressions import const, mul, var
@@ -147,3 +153,45 @@ def test_one_var_context_convective_rule():
     crippled = OneVarContext(constraint=f, jac_dep=const(-1.0), jac_inv=const(-1.0),
                              convective=False)
     assert complex(crippled.d_coeff(e, "pL").eval_at(pL=0.8, pR=-0.8)) == 0
+
+
+def dense_max_abs(op, env):
+    """``op.max_abs(env)`` from whole-env dense ``mat_eval`` arrays and np.argmax."""
+    worst, worst_pt = 0.0, None
+    for m in (op.A, *op.B.values()):
+        vals = np.abs(mat_eval(m, env))
+        i, j, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        value = float(vals[i, j, k])
+        if value > worst or (value != value and worst == worst):
+            worst, worst_pt = value, ex.sample_at(env, k)
+    return worst, worst_pt
+
+
+def test_ops_max_abs_of_live_entries_equals_dense_argmax():
+    b = ex._BLOCK_POINTS
+    rng = np.random.default_rng(11)
+    env = {"pL": rng.uniform(0.2, 0.9, 2 * b + 17) + 0j,
+           "pR": rng.uniform(0.2, 0.9, 2 * b + 17) + 0j}
+    env["pL"][2 * b + 5] = 3.0  # entry (0, 0) in the short last block
+    env["pR"][7] = 3.0          # entry (1, 0) in block 0: a tie, lost in flat order
+    tie = multiplication_op(CTX, mat([[PL, ex.ZERO], [PR, ex.ZERO]]))
+    last_b = DiffOperator(CTX, 2, 0, mat_zero(2), {"pL": mat_zero(2),
+                                                   "pR": mat([[ex.ZERO, ex.ZERO],
+                                                              [ex.ZERO, mul(PL, PR)]])})
+    ops = [zero_op(CTX, 2), last_b, tie, first_order_op(CTX, mat_zero(2), {"pR": tie.A})]
+    got = ops_max_abs(ops, env)
+    assert got == [dense_max_abs(op, env) for op in ops]
+    assert got[0] == (0.0, None)
+    assert got[2] == (3.0, ex.sample_at(env, 2 * b + 5))
+    # one matrix at a time: no live entry reads (0.0, 0), as dense argmax does
+    assert mats_max_abs([mat_zero(2), tie.A], env) == [(0.0, 0), (3.0, 2 * b + 5)]
+
+
+def test_signed_zero_entries_are_live():
+    # Const(-0.0) is not the interned ZERO: its product with an infinite
+    # coefficient is NaN, as the dense sum of products gives, not left out.
+    signed = mat([[const(-0.0)]])
+    infinite = mat([[mul(const(np.inf), PL)]])
+    for a, b in ((signed, infinite), (infinite, signed)):
+        [[e]] = mat_mul(a, b)
+        assert e is not ex.ZERO and np.isnan(e.eval_at(pL=0.5))

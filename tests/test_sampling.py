@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from superbracket import expressions as ex
+from superbracket import sampling as sm
 from superbracket.expressions import add, const, mul, var
 from superbracket.sampling import (
     MomentumPoint,
@@ -77,3 +78,24 @@ def test_constancy():
     assert ok and val == pytest.approx(3.5)
     ok, _ = constancy(ex.sin(P), Sampler(count=20))
     assert not ok
+
+
+def test_nearest_locus_test_equals_the_loop_over_all_loci():
+    def every_locus(arr):
+        ok = np.ones(arr.shape, dtype=bool)
+        for locus in registered_singular_loci():
+            ok &= np.abs(arr - locus) >= sm._MARGIN
+        return ok
+
+    rng = np.random.default_rng(0)
+    edges = np.array([locus + d for locus in registered_singular_loci()
+                      for d in (-0.05, 0.05, np.nextafter(0.05, 0), np.nextafter(-0.05, 0), 0.0)])
+    outside = np.concatenate([rng.uniform(8.5 * math.pi, 40, 500),
+                              rng.uniform(-40, -8.5 * math.pi, 500),
+                              [9 * math.pi, -9 * math.pi + 0.01, 1e300, np.inf, -np.inf, np.nan]])
+    for arr in (rng.uniform(-30, 30, 10**5), edges, outside):
+        assert np.array_equal(sm._clear_of_loci(arr), every_locus(arr))
+    # the nearest locus is computed as k * pi: bit for bit the table's float
+    ks = np.arange(-sm._K_MAX, sm._K_MAX + 1, dtype=float)
+    assert [x.hex() for x in ks * math.pi] == [x.hex() for x in registered_singular_loci()]
+    assert not sm._clear_of_loci(edges).all() and sm._clear_of_loci(edges).any()

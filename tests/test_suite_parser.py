@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superbracket.cli import main
 from superbracket.suite import (
+    MAX_POINTS,
     CheckInvocation,
     CheckSuiteConfig,
     SamplingConfig,
@@ -84,6 +86,22 @@ def test_type_mismatches():
         with pytest.raises(TypeMismatchError) as err:
             parse_suite(text)
         assert (err.value.line, err.value.col) == (1, text.index("-") + 1)
+
+
+def test_points_are_bounded(tmp_path, capsys):
+    def suite(points):
+        return 'suite "x" { family = d_zero; checks=[jacobi]; sampling { points=' + points + ' } }'
+
+    assert parse_suite(suite(str(MAX_POINTS))).sampling.points == MAX_POINTS
+    for bad in ("1e20", str(MAX_POINTS + 1)):
+        with pytest.raises(TypeMismatchError) as err:
+            parse_suite(suite(bad))
+        assert (err.value.line, err.value.col) == (1, suite(bad).index(bad) + 1)
+    # the CLI stops at the parse: exit 2, with the span
+    path = tmp_path / "big.suite"
+    path.write_text(suite("1e20"))
+    assert main(["run", str(path)]) == 2
+    assert "line 1, col" in capsys.readouterr().err
 
 
 def test_unconsumed_parameters_are_errors():

@@ -1,12 +1,14 @@
 """Blocked sampled sweeps: the same verdicts, points and errors as whole-array
 evaluation, in memory that does not grow with the sample count, with node
 buffers reused from block to block."""
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from superbracket import expressions as ex
+from superbracket import runner
 from superbracket.algebra import (
     VALUE_CARRIERS,
     DPlusOne,
@@ -20,8 +22,10 @@ from superbracket.algebra import (
 )
 from superbracket.diffops import TwoVarContext, first_order_op, mat, mat_eval, multiplication_op
 from superbracket.errors import PoleError
-from superbracket.expressions import add, const, quot, var
+from superbracket.expressions import add, const, mul, quot, var
+from superbracket.reports import ConsistencyReport
 from superbracket.sampling import Sampler
+from superbracket.suite import parse_suite
 
 B = ex._BLOCK_POINTS
 N = 3 * B + 17  # three whole blocks and a short one
@@ -188,3 +192,38 @@ def test_jacobi_peak_memory_does_not_grow_with_sample_count():
     assert peaks[2] < 2 * peaks[1], mb
     # Node buffers are as wide as the sweep's first block, not _BLOCK_POINTS.
     assert peaks[0] < peaks[1] / 4, mb
+
+
+def emitted_record(monkeypatch, report):
+    """The JSON record a suite run emits for a ``jacobi`` check that yields ``report``."""
+    monkeypatch.setitem(runner.CHECKS, "jacobi",
+                        lambda ctx, inv: iter([runner._Verdict("jacobi", report, N)]))
+    cfg = parse_suite('suite "nan" { family = d_zero; checks = [ jacobi ]; }')
+    [record] = json.loads(runner.emit_report(runner.run_suite(cfg)))["records"]
+    return record
+
+
+def test_nan_operator_entry_fails_and_reads_null(monkeypatch):
+    env = hand_env()
+    op = multiplication_op(CTX, mat([[mul(const(np.nan), PL)]]))
+    value, point = op.max_abs(env)
+    assert np.isnan(value) and point == ex.sample_at(env, 0)
+    report = ConsistencyReport()
+    report.add("nan entry", 0.5, None)
+    report.add("nan operator", value, point)
+    report.add("larger after the NaN", 2.0, None)
+    assert not report.passed
+    assert np.isnan(report.max_residual) and report.worst.name == "nan operator"
+    record = emitted_record(monkeypatch, report)
+    assert (record["status"], record["max_residual"]) == ("fail", None)
+
+
+def test_nan_table_coefficient_fails_jacobi_and_reads_null(monkeypatch):
+    spec = mutate_row(build_algebra(DPlusOne()), (Gen.Q_L, Gen.S_L), np.nan)
+    report = jacobi_check(spec, Sampler(seed=7, count=N))
+    *failing, summary = report.conditions
+    assert failing and all(np.isnan(c.max_residual) and not c.passed for c in failing)
+    assert np.isnan(summary.max_residual) and not summary.passed
+    assert summary.worst_point == failing[0].worst_point is not None
+    record = emitted_record(monkeypatch, report)
+    assert (record["status"], record["max_residual"]) == ("fail", None)
