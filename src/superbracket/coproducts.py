@@ -444,10 +444,29 @@ def cocommutativity_check(
 # charge-counting action T: [T, Q] = Q, [T, S] = S)
 # --------------------------------------------------------------------------
 
+# The residual algebra runs on slices this many samples wide of each block,
+# so each of its (4, 4, width) complex temporaries takes 64 KB, not the 1 MB
+# of a whole block.
+_SLICE_POINTS = 256
+
+
 def _ad_t_mask(site: int) -> np.ndarray:
-    idx = np.arange(4)
-    site_index = idx // 2 if site == 1 else idx % 2
-    return (site_index[:, None] != site_index[None, :]).astype(np.complex128)
+    """1 where the row and column of a two-site 4x4 matrix differ on ``site``, else 0.
+
+    Index 2a + b holds site 1 in state a and site 2 in state b.  Slice
+    assignment builds it at import without integer ufuncs, whose first use
+    would add their code pages to every process's resident memory.
+    """
+    mask = np.zeros((4, 4, 1), dtype=np.complex128)
+    if site == 1:
+        mask[:2, 2:] = mask[2:, :2] = 1
+    else:
+        mask[0::2, 1::2] = mask[1::2, 0::2] = 1
+    return mask
+
+
+_AD_T_MASKS = (_ad_t_mask(1), _ad_t_mask(2))
+_EYE4 = np.eye(4, dtype=np.complex128)[:, :, None]
 
 
 class _TOperator:
@@ -456,6 +475,9 @@ class _TOperator:
     T is even and commutes with momentum functions; moving it through a
     matrix M costs ad_T(M), which acts as the identity on the site's
     off-diagonal (fermion-mixing) part and annihilates its scalar part.
+    Each part is a (4, 4, k) array over k samples; the short reduction
+    builds these on one slice of a block's samples at a time, and every
+    operation acts on each sample alone.
     """
 
     __slots__ = ("base", "t1", "t2")
@@ -481,8 +503,7 @@ class _TOperator:
         ):
             raise InvalidParams("products of two T-carrying operators are not needed")
         base = mm(self.base, other.base)
-        m1 = _ad_t_mask(1)[:, :, None]
-        m2 = _ad_t_mask(2)[:, :, None]
+        m1, m2 = _AD_T_MASKS
         if self.t1 is not None:
             base = madd(base, mm(self.t1, other.base * m1))
         if self.t2 is not None:
@@ -504,6 +525,19 @@ class _TOperator:
         )
 
 
+def _mat_slice(live, sl: slice, w: int) -> np.ndarray:
+    """The (4, 4, w) complex matrix of a block's live entries on the samples ``sl``.
+
+    ``live`` lists (i, j, value) for the entries that are not ``ex.ZERO``,
+    each value an array over the block's samples or a scalar; the other
+    entries read 0.
+    """
+    out = np.zeros((4, 4, w), dtype=np.complex128)
+    for i, j, v in live:
+        out[i, j] = v if np.size(v) == 1 else v[sl]
+    return out
+
+
 def short_rep_reduction_check(
     spec: AlgebraSpec,
     rep: Representation,
@@ -516,6 +550,13 @@ def short_rep_reduction_check(
     [T,S] = S on the short representation; here its action is modelled by the
     site masks of the _TOperator algebra.  With ``with_t_terms=False`` the
     two sides differ by the energy-proportional terms (negative control).
+
+    Each sweep block evaluates the matrix entries once, under the block's
+    memo, then assembles the matrices and runs the _TOperator algebra on
+    slices of ``_SLICE_POINTS`` samples, reducing every residual part to its
+    max modulus over the matrix entries, one value per sample.  Slicing
+    changes no value: every operation, einsum included, acts on each sample
+    alone, a max is exact, and a NaN passes through it.
     """
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
@@ -527,44 +568,47 @@ def short_rep_reduction_check(
     qs_m = graded_kron(_sub(q, 1), _sub(sm, 2), 1)
     h_l1, h_l2 = (site_scalar(data.scalars[Gen.H_L], site) for site in (1, 2))
     phase1, phase2 = (site_scalar(_phase(1), site) for site in (1, 2))
-    eye4 = np.eye(4, dtype=np.complex128)[:, :, None]
     gens = ((Gen.Q_L, "Q"), (Gen.S_L, "S"))
     deltas = [delta_fermion_mats(data.matrices[g]) for g, _ in gens]
 
-    # Each generator yields its residual's three parts (0.0 for an absent one).
+    # Each generator yields a (3, m) array: the max modulus of its residual's
+    # three parts at each sample (0.0 for an absent part).
     def residual_parts(env: dict, memo: dict):
-        sq = mat_eval(sq_m, env, memo)
-        qs = mat_eval(qs_m, env, memo)
-        h1 = np.atleast_1d(np.asarray(h_l1.eval(env, memo)))
-        h2 = np.atleast_1d(np.asarray(h_l2.eval(env, memo)))
-        e_p1 = np.atleast_1d(np.asarray(phase1.eval(env, memo)))
-        e_p2 = np.atleast_1d(np.asarray(phase2.eval(env, memo)))
-        alpha = -(e_p1 * e_p2)
-        beta = 1.0 / (e_p1 * e_p2)
+        def entries(mat):
+            return [(i, j, e.eval(env, memo)) for i, row in enumerate(mat)
+                    for j, e in enumerate(row) if e is not ex.ZERO]
+
+        m = max(np.size(v) for v in env.values())
+        sq_v, qs_v = entries(sq_m), entries(qs_m)
+        dx_v = [(entries(t1), entries(t2)) for t1, t2 in deltas]
         if with_t_terms:
-            tail = _TOperator(
-                2 * (sq + qs),
-                t1=-(beta * h2) * eye4,
-                t2=-(alpha * h1) * eye4,
+            h1, h2, e_p1, e_p2 = (
+                np.broadcast_to(e.eval(env, memo), (m,))
+                for e in (h_l1, h_l2, phase1, phase2)
             )
-        else:
-            tail = _TOperator(2 * (sq + qs))
-        reference = _TOperator(sq + qs)
-        for t1, t2 in deltas:
-            # the braided coproduct of the fermion image (no T content)
-            dx = _TOperator(mat_eval(t1, env, memo) + mat_eval(t2, env, memo))
-            lhs = (tail @ dx) - (dx @ tail)
-            rhs = (reference @ dx) - (dx @ reference)
-            res = lhs - rhs
-            for m in (res.base, res.t1, res.t2):
-                yield 0.0 if m is None else m
+            alpha = -(e_p1 * e_p2)
+            beta = 1.0 / (e_p1 * e_p2)
+            c1, c2 = -(beta * h2), -(alpha * h1)
+        tops = [np.zeros((3, m)) for _ in deltas]
+        for lo in range(0, m, _SLICE_POINTS):
+            sl = slice(lo, lo + _SLICE_POINTS)
+            w = min(_SLICE_POINTS, m - lo)
+            reference = _TOperator(_mat_slice(sq_v, sl, w) + _mat_slice(qs_v, sl, w))
+            if with_t_terms:
+                tail = _TOperator(2 * reference.base, t1=c1[sl] * _EYE4, t2=c2[sl] * _EYE4)
+            else:
+                tail = _TOperator(2 * reference.base)
+            for top, (v1, v2) in zip(tops, dx_v):
+                # the braided coproduct of the fermion image (no T content)
+                dx = _TOperator(_mat_slice(v1, sl, w) + _mat_slice(v2, sl, w))
+                res = ((tail @ dx) - (dx @ tail)) - ((reference @ dx) - (dx @ reference))
+                for p, part in enumerate((res.base, res.t1, res.t2)):
+                    if part is not None:
+                        np.max(np.abs(part), axis=(0, 1), out=top[p, sl])
+        yield from tops
 
     maxima = ex._sweep_max(TWO_SITE.sample_env(s), residual_parts)
-    for k, (_, name) in enumerate(gens):
-        worst = 0.0
-        for value, _ in maxima[3 * k:3 * k + 3]:
-            if ex._beats(value, worst):
-                worst = value
+    for (_, name), (worst, _) in zip(gens, maxima):
         report.add(f"short-reduction[{name}]", worst, None)
     return report
 

@@ -223,6 +223,7 @@ class SymbolicEngine:
     def __init__(self, table: SymTable, step_budget: int = 20000):
         self.table = table
         self.step_budget = step_budget
+        self._normal_forms: Dict[Word, list] = {}  # word -> normal_order_word(word)
 
     def row(self, a: Gen, b: Gen) -> Dict[Optional[Gen], complex]:
         hit = self.table.get((a, b))
@@ -235,7 +236,17 @@ class SymbolicEngine:
         return {}
 
     def normal_order_word(self, w: Word):
-        """Yield (complex factor, normal-ordered word) pairs equal to w."""
+        """(complex factor, normal-ordered word) pairs whose sum equals w.
+
+        The table is fixed, so each word is rewritten once per engine and
+        its pairs are shared; callers must not change the returned list.
+        """
+        hit = self._normal_forms.get(w)
+        if hit is None:
+            hit = self._normal_forms[w] = self._rewrite(w)
+        return hit
+
+    def _rewrite(self, w: Word):
         budget = [self.step_budget]
         out: Dict[Word, complex] = {}
 
@@ -279,7 +290,7 @@ class SymbolicEngine:
         return [(c, word) for word, c in out.items() if c != 0]
 
     def product(self, e1: SymbolicElement, e2: SymbolicElement) -> SymbolicElement:
-        out = SymbolicElement()
+        out: Dict[Tuple[Word, Word], PhaseCoef] = {}
         for (w1, w2), c1 in e1.terms.items():
             p_w2 = _word_parity(w2)
             for (v1, v2), c2 in e2.terms.items():
@@ -289,8 +300,14 @@ class SymbolicEngine:
                 site2 = self.normal_order_word(w2 + v2)
                 for f1, nw1 in site1:
                     for f2, nw2 in site2:
-                        out = out + SymbolicElement.of(coef.scaled(f1 * f2), nw1, nw2)
-        return out
+                        term = coef.scaled(f1 * f2)
+                        key = (nw1, nw2)
+                        total = (out[key] + term) if key in out else term
+                        if total.is_zero:
+                            out.pop(key, None)
+                        else:
+                            out[key] = total
+        return SymbolicElement(out)
 
     def bracket(self, e1: SymbolicElement, e2: SymbolicElement) -> SymbolicElement:
         """Supercommutator e1 e2 - (-1)^{|e1||e2|} e2 e1."""

@@ -1,10 +1,11 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from superbracket import diffops, representations
+from superbracket import coproducts, diffops, representations
 from superbracket import expressions as ex
 from superbracket.algebra import (
     DMinusOne,
@@ -17,19 +18,25 @@ from superbracket.algebra import (
 from superbracket.coproducts import (
     CENTRAL_GENS,
     UnbraidedCoefficients,
+    _TOperator,
+    _phase,
     _rows_for_hom_check,
+    _short_rep_bilinears,
+    _sub,
     build_boost_coproduct,
     build_coproduct,
     cocommutativity_check,
+    delta_fermion_mats,
     homomorphism_check,
+    identify_momentum,
     short_rep_reduction_check,
 )
-from superbracket.diffops import op_bracket, op_sub
+from superbracket.diffops import mat_eval, op_bracket, op_sub
 from superbracket.errors import IncompatibleCentrals, InvalidParams, UnsupportedFamily
 from superbracket.expressions import add, const, mul, var
 from superbracket.representations import build_representation
 from superbracket.sampling import Sampler, is_zero
-from superbracket.tensorops import P1, P2, TWO_SITE, tensor_scalar
+from superbracket.tensorops import P1, P2, TWO_SITE, graded_kron, site_scalar, tensor_scalar
 
 S = Sampler(count=100)
 
@@ -227,6 +234,67 @@ def test_short_rep_reduction_and_negative_control(short_rep):
     assert report.passed and report.max_residual <= 1e-12
     negative = short_rep_reduction_check(short_rep.spec, short_rep, S, with_t_terms=False)
     assert not negative.passed and negative.max_residual > 1e-2
+
+
+def whole_env_short_reduction(rep, env, with_t_terms):
+    """The short-reduction residual per generator from whole-env (4, 4, N) matrices."""
+    data = identify_momentum(rep)
+    q, sm = _short_rep_bilinears(data)
+    sq = mat_eval(graded_kron(_sub(sm, 1), _sub(q, 2), 1), env)
+    qs = mat_eval(graded_kron(_sub(q, 1), _sub(sm, 2), 1), env)
+    h1, h2 = (np.asarray(site_scalar(data.scalars[Gen.H_L], k).eval(env)) for k in (1, 2))
+    e1, e2 = (np.asarray(site_scalar(_phase(1), k).eval(env)) for k in (1, 2))
+    alpha, beta = -(e1 * e2), 1.0 / (e1 * e2)
+    eye4 = np.eye(4, dtype=np.complex128)[:, :, None]
+    if with_t_terms:
+        tail = _TOperator(2 * (sq + qs), t1=-(beta * h2) * eye4, t2=-(alpha * h1) * eye4)
+    else:
+        tail = _TOperator(2 * (sq + qs))
+    reference = _TOperator(sq + qs)
+    out = []
+    for g in (Gen.Q_L, Gen.S_L):
+        t1, t2 = delta_fermion_mats(data.matrices[g])
+        dx = _TOperator(mat_eval(t1, env) + mat_eval(t2, env))
+        res = ((tail @ dx) - (dx @ tail)) - ((reference @ dx) - (dx @ reference))
+        parts = [np.max(np.abs(m)) for m in (res.base, res.t1, res.t2) if m is not None]
+        out.append(float(np.max(parts)))
+    return out
+
+
+@pytest.mark.parametrize("count", [2 * ex._BLOCK_POINTS + 17, 100])
+@pytest.mark.parametrize("with_t_terms", [True, False])
+def test_sliced_short_reduction_equals_whole_env_matrices(short_rep, count, with_t_terms):
+    s = Sampler(seed=11, count=count)
+    report = short_rep_reduction_check(short_rep.spec, short_rep, s, with_t_terms=with_t_terms)
+    got = [c.max_residual for c in report.conditions]
+    want = whole_env_short_reduction(short_rep, TWO_SITE.sample_env(s), with_t_terms)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert report.passed is with_t_terms
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_sample_fails_the_short_reduction(monkeypatch, short_rep):
+    count = 2 * ex._BLOCK_POINTS + 17
+    env = TWO_SITE.sample_env(Sampler(seed=11, count=count))
+    env["p1"][ex._BLOCK_POINTS + 5] = np.nan  # one sample of the second block
+    monkeypatch.setattr(coproducts, "TWO_SITE", SimpleNamespace(sample_env=lambda s: env))
+    report = short_rep_reduction_check(short_rep.spec, short_rep, Sampler(seed=11, count=count))
+    assert not report.passed and np.isnan(report.max_residual)
+    assert all(np.isnan(c.max_residual) for c in report.conditions)
+
+
+def test_nan_matrix_entry_fails_the_short_reduction(monkeypatch, short_rep):
+    real = coproducts.delta_fermion_mats
+
+    def with_nan_entry(matrix):
+        t1, t2 = real(matrix)
+        rows = [list(row) for row in t1]
+        rows[0][3] = mul(const(np.nan), P1)  # a ZERO entry: NaN in one entry only
+        return tuple(map(tuple, rows)), t2
+
+    monkeypatch.setattr(coproducts, "delta_fermion_mats", with_nan_entry)
+    report = short_rep_reduction_check(short_rep.spec, short_rep, S)
+    assert not report.passed and np.isnan(report.max_residual)
 
 
 def dense_mat_add(*ms):

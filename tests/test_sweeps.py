@@ -20,10 +20,12 @@ from superbracket.algebra import (
     jacobi_triples,
     mutate_row,
 )
+from superbracket.coproducts import short_rep_reduction_check
 from superbracket.diffops import TwoVarContext, first_order_op, mat, mat_eval, multiplication_op
 from superbracket.errors import PoleError
 from superbracket.expressions import add, const, mul, quot, var
 from superbracket.reports import ConsistencyReport
+from superbracket.representations import build_representation
 from superbracket.sampling import Sampler
 from superbracket.suite import parse_suite
 
@@ -192,6 +194,23 @@ def test_jacobi_peak_memory_does_not_grow_with_sample_count():
     assert peaks[2] < 2 * peaks[1], mb
     # Node buffers are as wide as the sweep's first block, not _BLOCK_POINTS.
     assert peaks[0] < peaks[1] / 4, mb
+
+
+def test_short_reduction_peak_memory_does_not_grow_with_sample_count():
+    rep = build_representation(DPlusOne())
+    short_rep_reduction_check(rep.spec, rep, Sampler(seed=7, count=100))  # first-call set-up
+    peaks = []
+    for count in (B, 8 * B):
+        tracemalloc.start()
+        try:
+            assert short_rep_reduction_check(rep.spec, rep, Sampler(seed=7, count=count)).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    mb = [p / 2**20 for p in peaks]
+    # Whole-block (4, 4, B) complex matrices, 1 MB each, would peak near 23 MB.
+    assert peaks[0] < 12 * 2**20, mb
+    assert peaks[1] < 2 * peaks[0], mb
 
 
 def emitted_record(monkeypatch, report):

@@ -11,6 +11,7 @@ from superbracket.representations import build_representation
 from superbracket.sampling import Sampler
 from superbracket.symbolic import (
     PhaseCoef,
+    SymbolicElement,
     SymbolicEngine,
     boost_coproduct_symbolic,
     convention_self_test,
@@ -60,6 +61,57 @@ def test_normal_form_divergence_budget():
     tiny = SymbolicEngine(table, step_budget=1)
     with pytest.raises(NormalFormDivergence):
         tiny.normal_order_word((Gen.S_R, Gen.Q_R, Gen.S_L, Gen.Q_L))
+
+
+def folded_product(engine, e1, e2):
+    """e1 e2 as a fold of one-term elements, each word normal-ordered by a fresh engine."""
+    def normal_form(word):
+        return SymbolicEngine(engine.table, engine.step_budget).normal_order_word(word)
+
+    def parity(word):
+        return sum(g.parity for g in word) % 2
+
+    out = SymbolicElement()
+    for (w1, w2), c1 in e1.terms.items():
+        for (v1, v2), c2 in e2.terms.items():
+            coef = (c1 * c2).scaled(-1.0 if (parity(w2) and parity(v1)) else 1.0)
+            for f1, nw1 in normal_form(w1 + v1):
+                for f2, nw2 in normal_form(w2 + v2):
+                    out = out + SymbolicElement.of(coef.scaled(f1 * f2), nw1, nw2)
+    return out
+
+
+def test_product_equals_the_folded_product_on_every_identity(monkeypatch):
+    calls = []
+    product = SymbolicEngine.product
+
+    def checked(self, e1, e2):
+        got = product(self, e1, e2)
+        want = folded_product(self, e1, e2)
+        assert [(k, v.terms) for k, v in got.terms.items()] == \
+            [(k, v.terms) for k, v in want.terms.items()]
+        assert repr(got) == repr(want)
+        calls.append(len(got.terms))
+        return got
+
+    monkeypatch.setattr(SymbolicEngine, "product", checked)
+    for family in (DPlusOne(), DMinusOne(), DZero()):
+        for braiding in ("braided", "unbraided"):
+            assert tail_cancellation_check(build_algebra(family), braiding).passed
+    assert short_rep_reduction_symbolic(build_algebra(DPlusOne())).passed
+    assert len(calls) > 100 and any(calls)
+
+
+def test_memoised_normal_forms_keep_the_step_budget():
+    table = symbolic_table(build_algebra(DPlusOne()))
+    tiny = SymbolicEngine(table, step_budget=5)
+    x = SymbolicElement.of(PhaseCoef.number(1.0), (Gen.S_R, Gen.Q_R), ())
+    y = SymbolicElement.of(PhaseCoef.number(1.0), (Gen.S_L, Gen.Q_L), ())
+    for _ in range(2):  # a diverging word is not remembered
+        with pytest.raises(NormalFormDivergence):
+            tiny.product(x, y)
+    wide = SymbolicEngine(table)
+    assert wide.normal_order_word((Gen.Q_R, Gen.Q_L)) is wide.normal_order_word((Gen.Q_R, Gen.Q_L))
 
 
 def test_convention_self_test_fixes_the_relative_sign(engine):
