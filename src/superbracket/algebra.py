@@ -337,22 +337,40 @@ def outer_action(spec: AlgebraSpec, t: Gen, x: Gen) -> LinComb:
     return spec.row(t, x)
 
 
-def _residual_arrays(spec: AlgebraSpec, lc: LinComb, env: dict, memo: dict):
+def _residual_roots(spec: AlgebraSpec, lc: LinComb) -> tuple:
+    """The expressions ``_residual_arrays`` combines, in the order it takes their values.
+
+    Each term's coefficient, followed by the generator's value for a value
+    carrier, then the scalar part unless it is zero.
+    """
+    roots = []
+    for g, c in lc.terms.items():
+        roots.append(c)
+        if g in VALUE_CARRIERS:
+            roots.append(spec.values[g])
+    if not ex.is_const(lc.scalar, 0):
+        roots.append(lc.scalar)
+    return tuple(roots)
+
+
+def _residual_arrays(lc: LinComb, vals):
     """The arrays whose max modulus is the residual of ``lc`` (see module docstring).
 
-    Each coefficient of a generator that carries no value comes first, in
-    term order, then the value carriers' terms summed with the scalar part.
+    ``vals`` are the values of ``_residual_roots``.  Each coefficient of a
+    generator that carries no value comes first, in term order, then the
+    value carriers' terms summed with the scalar part.
     """
+    vals = iter(vals)
     combined = None
-    for g, c in lc.terms.items():
-        cval = c.eval(env, memo)
+    for g in lc.terms:
+        cval = next(vals)
         if g in VALUE_CARRIERS:
-            term = np.asarray(cval) * np.asarray(spec.values[g].eval(env, memo))
+            term = np.asarray(cval) * np.asarray(next(vals))
             combined = term if combined is None else combined + term
         else:
             yield cval
     if not ex.is_const(lc.scalar, 0):
-        sval = np.asarray(lc.scalar.eval(env, memo))
+        sval = np.asarray(next(vals))
         combined = sval if combined is None else combined + sval
     if combined is not None:
         yield combined
@@ -415,17 +433,18 @@ def jacobi_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
         if not lc.structurally_zero:
             triples.append(((x.label, y.label, z.label), lc))
 
-    # Block-major: one block memo serves every triple.
-    def arrays(block: dict, memo: dict):
+    # One tape for every triple, a group per triple.
+    def arrays(block: dict, values):
         for labels, lc in triples:
             try:
-                yield from _residual_arrays(spec, lc, block, memo)
+                vals = next(values)
             except PoleError as err:
                 raise PoleError(
                     f"pole while evaluating triple ({','.join(labels)}): {err}", point=err.point
                 ) from err
+            yield from _residual_arrays(lc, vals)
 
-    maxima = ex._sweep_max(env, arrays)
+    maxima = ex._sweep_max(env, [_residual_roots(spec, lc) for _, lc in triples], arrays)
     residuals: Dict[tuple, float] = {}
     global_max = 0.0
     global_worst = None

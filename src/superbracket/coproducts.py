@@ -551,10 +551,10 @@ def short_rep_reduction_check(
     site masks of the _TOperator algebra.  With ``with_t_terms=False`` the
     two sides differ by the energy-proportional terms (negative control).
 
-    Each sweep block evaluates the matrix entries once, under the block's
-    memo, then assembles the matrices and runs the _TOperator algebra on
-    slices of ``_SLICE_POINTS`` samples, reducing every residual part to its
-    max modulus over the matrix entries, one value per sample.  Slicing
+    Each sweep block evaluates the live matrix entries once, as one group of
+    the sweep's tape, then assembles the matrices and runs the _TOperator
+    algebra on slices of ``_SLICE_POINTS`` samples, reducing every residual
+    part to its max modulus over the matrix entries, one value per sample.  Slicing
     changes no value: every operation, einsum included, acts on each sample
     alone, a max is exact, and a NaN passes through it.
     """
@@ -571,21 +571,21 @@ def short_rep_reduction_check(
     gens = ((Gen.Q_L, "Q"), (Gen.S_L, "S"))
     deltas = [delta_fermion_mats(data.matrices[g]) for g, _ in gens]
 
+    live = [[(i, j, e) for i, row in enumerate(mat) for j, e in enumerate(row)
+             if e is not ex.ZERO]
+            for mat in (sq_m, qs_m, *(t for pair in deltas for t in pair))]
+    scalars = (h_l1, h_l2, phase1, phase2) if with_t_terms else ()
+    roots = tuple(e for entries in live for _, _, e in entries) + scalars
+
     # Each generator yields a (3, m) array: the max modulus of its residual's
     # three parts at each sample (0.0 for an absent part).
-    def residual_parts(env: dict, memo: dict):
-        def entries(mat):
-            return [(i, j, e.eval(env, memo)) for i, row in enumerate(mat)
-                    for j, e in enumerate(row) if e is not ex.ZERO]
-
+    def residual_parts(env: dict, values):
+        vals = iter(next(values))
         m = max(np.size(v) for v in env.values())
-        sq_v, qs_v = entries(sq_m), entries(qs_m)
-        dx_v = [(entries(t1), entries(t2)) for t1, t2 in deltas]
+        sq_v, qs_v, *dx_flat = [[(i, j, next(vals)) for i, j, _ in entries] for entries in live]
+        dx_v = list(zip(dx_flat[::2], dx_flat[1::2]))
         if with_t_terms:
-            h1, h2, e_p1, e_p2 = (
-                np.broadcast_to(e.eval(env, memo), (m,))
-                for e in (h_l1, h_l2, phase1, phase2)
-            )
+            h1, h2, e_p1, e_p2 = (np.broadcast_to(v, (m,)) for v in vals)
             alpha = -(e_p1 * e_p2)
             beta = 1.0 / (e_p1 * e_p2)
             c1, c2 = -(beta * h2), -(alpha * h1)
@@ -607,7 +607,7 @@ def short_rep_reduction_check(
                         np.max(np.abs(part), axis=(0, 1), out=top[p, sl])
         yield from tops
 
-    maxima = ex._sweep_max(TWO_SITE.sample_env(s), residual_parts)
+    maxima = ex._sweep_max(TWO_SITE.sample_env(s), [roots], residual_parts)
     for (_, name), (worst, _) in zip(gens, maxima):
         report.add(f"short-reduction[{name}]", worst, None)
     return report

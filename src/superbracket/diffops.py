@@ -207,20 +207,17 @@ class DiffOperator:
 def mats_max_abs(mats, env: dict) -> list:
     """Max modulus of each of ``mats`` at the env samples, and its flat sample index.
 
-    One blocked sweep (``ex._sweep_max``) with one memo per block evaluates
-    only the live (not ``ex.ZERO``) entries, in flat (i, j) order.  Within a
+    One blocked sweep (``ex._sweep_max``) evaluates only the live (not
+    ``ex.ZERO``) entries, in flat (i, j) order, one entry per group, so each
+    is reduced and its buffer freed before the next is computed.  Within a
     matrix the first maximum in flat (i, j, sample) order wins, as
     ``np.argmax`` over its dense ``mat_eval`` would pick; a matrix with no
     live entry reads (0.0, 0).
     """
     live = [[e for row in m for e in row if e is not ex.ZERO] for m in mats]
 
-    def arrays(block: dict, memo: dict):
-        for entries in live:
-            for e in entries:
-                yield e.eval(block, memo)
-
-    maxima = iter(ex._sweep_max(env, arrays))
+    maxima = iter(ex._sweep_max(env, [(e,) for entries in live for e in entries],
+                                ex._every_root))
     out = []
     for entries in live:
         top = (0.0, 0)
@@ -232,7 +229,7 @@ def mats_max_abs(mats, env: dict) -> list:
 
 
 def ops_max_abs(ops, env: dict) -> list:
-    """``op.max_abs(env)`` for each of ``ops``, from one blocked sweep with a shared memo.
+    """``op.max_abs(env)`` for each of ``ops``, from one blocked sweep.
 
     Only the live entries of the coefficient matrices are evaluated
     (``mats_max_abs``).  Within a coefficient matrix the first maximum in

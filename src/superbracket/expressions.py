@@ -13,30 +13,28 @@ equality: the identity-keyed memos of ``Expr.eval`` and ``substitute`` share
 work between equal subtrees, and differentiating a tree again returns the
 nodes of the first derivative, so no derivative cache is kept.
 
-Sampled checks sweep their samples in blocks of ``_BLOCK_POINTS`` (4096),
-with one memo per block shared by every tree the check evaluates, and keep
-only a running maximum per tracked array (``_sweep_max``).  Peak memory
-therefore does not grow with the sample count, and the first global maximum
-is still the one ``np.argmax`` over all samples would pick.  A sweep's block
-memos write each array node value, the value the memo stores, into a buffer
-drawn from one pool, which takes them back when the block ends, so after the
-first block no node value is allocated.  Short-lived arrays inside a node (the
-pole checks of ``Quot``, ``Pow``, ``Tan`` and ``Cot``, and ``AbsNode``'s
-``np.abs`` and realness test) are still allocated and freed at once.  An array
-that ``eval`` returns under such a memo is valid only until the next block
-starts.  ``eval`` without a memo, or with a plain dict, allocates a new array
-for every node value.
+Each node class has one evaluation kernel, ``_eval(vals, env, out)``, which
+``Expr.eval`` calls recursively under a memo, allocating every node value.
+Sampled checks state their root expressions in ordered groups, which
+``_sweep_max`` compiles once into a tape of the distinct nodes in
+``Expr.eval``'s post-order and runs over blocks of ``_BLOCK_POINTS`` (4096)
+samples, keeping a running maximum per array the check yields, so memory does
+not grow with the sample count.  Node values live in buffers from a free list
+kept for the whole sweep; a buffer returns after its node's last use, and a
+root value is valid only until the check's code for its group returns.
 
 Variables are plain strings; the algebra layers use "pL"/"pR" for the two
 momenta, "p" for an identified momentum and "p1"/"p2" for two-site momenta.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import weakref
 from math import copysign
-from typing import Callable, FrozenSet, Iterable, List, Mapping, Tuple, Union
+from typing import (Callable, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -72,58 +70,83 @@ def _beats(v: float, w: float) -> bool:
     return v > w or (v != v and w == w)
 
 
-class _BlockMemo(dict):
-    """The memo of one block of a sweep, whose array node values go into pooled buffers.
+def _compile(groups: Sequence[Sequence["Expr"]]) -> list:
+    """One op per distinct node under ``groups``, in ``Expr.eval``'s post-order, and one per group.
 
-    ``pool`` holds the sweep's free buffers, each ``width`` samples wide; a
-    block of ``m`` samples uses their first ``m``.  ``taken`` lists the
-    buffers this block drew, for ``_sweep_max`` to return when it ends.
-    """
+    Op ``t`` is (kernel, operand ops, ops last used at ``t``): a node's ``_eval`` and its
+    children, or, after the group's last new node, None and its roots."""
+    slot: dict = {}
+    ops: list = []
 
-    __slots__ = ("pool", "width", "shape", "taken")
+    def visit(node):
+        if node not in slot:
+            for child in node.children():
+                visit(child)
+            slot[node] = len(ops)
+            ops.append((node._eval, tuple(slot[c] for c in node.children())))
 
-    def __init__(self, pool: list, width: int, m: int):
-        super().__init__()
-        self.pool, self.width, self.shape, self.taken = pool, width, (m,), []
+    for roots in groups:
+        for root in roots:
+            visit(root)
+        ops.append((None, tuple(slot[r] for r in roots)))
+    last = {j: t for t, (_, operands) in enumerate(ops) for j in operands}
+    dies: list = [[] for _ in ops]
+    for j, t in last.items():
+        dies[t].append(j)
+    return [(kernel, operands, tuple(d)) for (kernel, operands), d in zip(ops, dies)]
 
 
-def _out(memo: dict, *operands) -> np.ndarray | None:
-    """Where to write a node value computed from ``operands``: a pooled buffer, or None.
+def _run(tape: list, block: Mapping[str, EnvValue], m: int, pool: list, width: int):
+    """Run ``tape`` on ``block`` of ``m`` samples, yielding each group's root values in turn.
 
-    There is a buffer only under a ``_BlockMemo``, and only when some operand
-    is an array and every array operand has the block's shape; with None the
-    ufunc allocates its result.
-    """
-    if type(memo) is not _BlockMemo:
-        return None
-    shapes = [x.shape for x in operands if isinstance(x, np.ndarray)]
-    if not shapes or any(shape != memo.shape for shape in shapes):
-        return None
-    buf = memo.pool.pop() if memo.pool else np.empty(memo.width, np.complex128)
-    memo.taken.append(buf)
-    return buf[:memo.shape[0]]
+    Array values of the block's shape go into ``width``-wide buffers from ``pool``."""
+    vals: list = [None] * len(tape)
+    held: dict = {}  # op -> the pooled buffer its value lives in
+    shape = (m,)
+    try:
+        for t, (kernel, operands, dead) in enumerate(tape):
+            xs = [vals[j] for j in operands]
+            if kernel is None:
+                yield tuple(xs)
+            else:
+                shapes = [x.shape for x in xs if isinstance(x, np.ndarray)]
+                out = None
+                if shapes and shapes.count(shape) == len(shapes):
+                    buf = held[t] = pool.pop() if pool else np.empty(width, np.complex128)
+                    out = buf[:m]
+                vals[t] = kernel(xs, block, out)
+            for j in dead:
+                if j in held:
+                    pool.append(held.pop(j))
+                vals[j] = None
+    finally:
+        pool.extend(held.values())
+
+
+def _every_root(block: Mapping[str, EnvValue], values: Iterator[tuple]) -> Iterator:
+    """The ``evaluate`` of a sweep that reduces every root value as it is."""
+    for group in values:
+        yield from group
 
 
 def _sweep_max(
     env: Mapping[str, EnvValue],
-    evaluate: Callable[[dict, dict], Iterable],
+    groups: Sequence[Sequence["Expr"]],
+    evaluate: Callable[[dict, Iterator[tuple]], Iterable],
 ) -> List[Tuple[float, int]]:
     """Max modulus of every array ``evaluate`` yields, and the sample index of that maximum.
 
-    ``evaluate(block_env, memo)`` is called once per block of ``_BLOCK_POINTS``
-    samples of ``env`` (scalar entries broadcast), with a fresh memo, and must
-    yield the same arrays in the same order each time.  An array's last axis
-    runs over the block's samples, or it is a scalar; leading axes are taken
-    in flat order.  Each array is reduced as it arrives, so a block's arrays
-    are never all alive at once, and for each one the result is the value
-    and flat sample index (for ``sample_at(env, idx)``) that ``np.argmax``
-    over the whole array would give.
-
-    The memos draw the buffers of their array node values from one pool per
-    sweep, ``min(n, _BLOCK_POINTS)`` samples wide, and return them when their
-    block ends: an array that ``eval`` returns under a memo is valid only
-    until the next block starts, and ``evaluate`` must not keep one longer.
+    ``groups`` are the sweep's root expressions, compiled once into a tape.
+    ``evaluate(block_env, values)`` is called once per block of
+    ``_BLOCK_POINTS`` samples of ``env`` (scalar entries broadcast); each
+    ``next(values)`` computes the next group's new nodes, raising what
+    ``Expr.eval`` would, and returns its root values, valid until the next
+    ``next``.  ``evaluate`` must yield the same arrays each time: last axis
+    over the block's samples (or scalars), leading axes in flat order.  Each
+    is reduced as it arrives to the value and flat sample index (for
+    ``sample_at(env, idx)``) that ``np.argmax`` over the whole array gives.
     """
+    tape = _compile(groups)
     n = max((np.size(v) for v in env.values()), default=1)
     width = min(n, _BLOCK_POINTS)
     pool: list = []
@@ -131,31 +154,28 @@ def _sweep_max(
     for start in range(0, max(n, 1), _BLOCK_POINTS):
         block = {name: v[start:start + _BLOCK_POINTS] if np.ndim(v) == 1 and v.size == n else v
                  for name, v in env.items()}
-        memo = _BlockMemo(pool, width, min(width, n - start))
-        for t, arr in enumerate(evaluate(block, memo)):
-            a = np.abs(np.asarray(arr))
-            if a.ndim <= 1:
-                i = int(a.argmax())
-                found = [(float(a.flat[i]), i)]
-            else:
-                a = a.reshape(-1, a.shape[-1])
-                cols = a.argmax(axis=1)
-                found = zip(a[np.arange(len(a)), cols].tolist(), cols.tolist())
-            if start == 0:
-                tracked.append([[value, i] for value, i in found])
-                continue
-            for row, (value, i) in zip(tracked[t], found):
-                if _beats(value, row[0]):
-                    row[:] = value, start + i
-        pool.extend(memo.taken)
-    out = []
-    for rows in tracked:
-        top = rows[0]
-        for row in rows[1:]:
-            if _beats(row[0], top[0]):
-                top = row
-        out.append((top[0], top[1]))
-    return out
+        values = _run(tape, block, min(width, n - start), pool, width)
+        try:
+            for t, arr in enumerate(evaluate(block, values)):
+                a = np.abs(np.asarray(arr))
+                if a.ndim <= 1:
+                    i = int(a.argmax())
+                    found = [(float(a.flat[i]), i)]
+                else:
+                    a = a.reshape(-1, a.shape[-1])
+                    cols = a.argmax(axis=1)
+                    found = zip(a[np.arange(len(a)), cols].tolist(), cols.tolist())
+                if start == 0:
+                    tracked.append([[value, i] for value, i in found])
+                    continue
+                for row, (value, i) in zip(tracked[t], found):
+                    if _beats(value, row[0]):
+                        row[:] = value, start + i
+        finally:
+            values.close()
+    # Across an array's rows, too, the first NaN wins, else the first maximum.
+    return [tuple(functools.reduce(lambda top, row: row if _beats(row[0], top[0]) else top, rows))
+            for rows in tracked]
 
 
 def _worst_points(env: Mapping[str, EnvValue], maxima, sizes) -> List[tuple]:
@@ -250,20 +270,19 @@ class Expr:
     def diff(self, v: str) -> "Expr":
         raise NotImplementedError
 
-    def _eval(self, env, memo):
+    def _eval(self, vals: list, env, out: np.ndarray | None) -> EnvValue:
+        # From the children's ``vals``; ``out`` has the shape of every array among them.
         raise NotImplementedError
 
     def eval(self, env: Mapping[str, EnvValue], memo: dict | None = None) -> EnvValue:
-        # The memo is keyed by the node object itself (identity hashing).
-        # Nodes are interned in a weak table, so equal subtrees are one key
-        # and each is evaluated once; keeping the key alive prevents id-reuse
-        # across temporaries.
+        # The memo is keyed by the interned node itself, so equal subtrees
+        # are evaluated once; holding the key prevents id-reuse.
         if memo is None:
             memo = {}
         hit = memo.get(self)
         if hit is not None:
             return hit
-        val = self._eval(env, memo)
+        val = self._eval([c.eval(env, memo) for c in self.children()], env, None)
         memo[self] = val
         return val
 
@@ -304,14 +323,12 @@ class Const(Expr):
     def diff(self, v):
         return ZERO
 
-    def _eval(self, env, memo):
+    def _eval(self, vals, env, out):
         return self.value
 
     def _repr(self):
         v = self.value
-        if v.imag == 0:
-            return repr(v.real)
-        return repr(v)
+        return repr(v.real) if v.imag == 0 else repr(v)
 
 
 class Var(Expr):
@@ -321,7 +338,7 @@ class Var(Expr):
     def diff(self, v):
         return ONE if v == self.name else ZERO
 
-    def _eval(self, env, memo):
+    def _eval(self, vals, env, out):
         try:
             val = env[self.name]
         except KeyError:
@@ -344,11 +361,9 @@ class _NAry(Expr):
     def children(self):
         return self.args
 
-    def _eval(self, env, memo):
+    def _eval(self, vals, env, out):
         # Folded left to right: scalar steps in Python arithmetic, array steps
-        # by the ufunc, into one buffer when ``_out`` gives one.
-        vals = [a.eval(env, memo) for a in self.args]
-        out = _out(memo, *vals)
+        # by the ufunc, into ``out`` when it is given.
         total = vals[0]
         for v in vals[1:]:
             if isinstance(total, np.ndarray) or isinstance(v, np.ndarray):
@@ -379,9 +394,8 @@ class Mul(_NAry):
         terms = []
         for i, a in enumerate(self.args):
             da = a.diff(v)
-            if isinstance(da, Const) and da.value == 0:
-                continue
-            terms.append(mul(*self.args[:i], da, *self.args[i + 1:]))
+            if not is_const(da, 0):
+                terms.append(mul(*self.args[:i], da, *self.args[i + 1:]))
         return add(*terms)
 
     def _repr(self):
@@ -399,12 +413,11 @@ class Quot(Expr):
         u, w = self.num, self.den
         return quot(add(mul(u.diff(v), w), neg(mul(u, w.diff(v)))), mul(w, w))
 
-    def _eval(self, env, memo):
-        n = self.num.eval(env, memo)
-        d = self.den.eval(env, memo)
+    def _eval(self, vals, env, out):
+        n, d = vals
         _refuse_pole(d, env, "division by ~0", self.den)
         if isinstance(n, np.ndarray) or isinstance(d, np.ndarray):
-            return np.divide(n, d, out=_out(memo, n, d))
+            return np.divide(n, d, out=out)
         return n / d
 
     def _repr(self):
@@ -428,13 +441,13 @@ class Pow(Expr):
         r = self.exponent
         return mul(Const(r), pow_(self.base, r - 1.0), self.base.diff(v))
 
-    def _eval(self, env, memo):
-        b = self.base.eval(env, memo)
+    def _eval(self, vals, env, out):
+        (b,) = vals
         r = self.exponent
         if r < 0:
             _refuse_pole(b, env, "negative power of ~0", self.base)
         if isinstance(b, np.ndarray):
-            return np.power(np.asarray(b, dtype=np.complex128), r, out=_out(memo, b))
+            return np.power(np.asarray(b, dtype=np.complex128), r, out=out)
         return complex(b) ** r
 
     def _repr(self):
@@ -447,6 +460,9 @@ class _Unary(Expr):
     def children(self):
         return (self.arg,)
 
+    def _eval(self, vals, env, out):
+        return self._ufunc(vals[0], out=out)
+
     def _repr(self):
         return f"{self.kind}({self.arg._repr()})"
 
@@ -454,55 +470,49 @@ class _Unary(Expr):
 class Sin(_Unary):
     __slots__ = ()
     kind = "sin"
+    _ufunc = np.sin
 
     def diff(self, v):
         return mul(Cos(self.arg), self.arg.diff(v))
-
-    def _eval(self, env, memo):
-        a = self.arg.eval(env, memo)
-        return np.sin(a, out=_out(memo, a))
 
 
 class Cos(_Unary):
     __slots__ = ()
     kind = "cos"
+    _ufunc = np.cos
 
     def diff(self, v):
         return mul(Const(-1), Sin(self.arg), self.arg.diff(v))
 
-    def _eval(self, env, memo):
-        a = self.arg.eval(env, memo)
-        return np.cos(a, out=_out(memo, a))
+
+class _TrigRatio(_Unary):
+    """``_num(arg) / _den(arg)``, refusing the poles where ``_den(arg)`` is ~0."""
+
+    __slots__ = ()
+
+    def _eval(self, vals, env, out):
+        (a,) = vals
+        d = self._den(a)
+        _refuse_pole(d, env, f"{self.kind} pole", self)
+        return np.divide(self._num(a, out=out), d, out=out)
 
 
-class Tan(_Unary):
+class Tan(_TrigRatio):
     __slots__ = ()
     kind = "tan"
+    _num, _den = np.sin, np.cos
 
     def diff(self, v):
         return quot(self.arg.diff(v), mul(Cos(self.arg), Cos(self.arg)))
 
-    def _eval(self, env, memo):
-        a = self.arg.eval(env, memo)
-        c = np.cos(a)
-        _refuse_pole(c, env, "tan pole", self)
-        out = _out(memo, a)
-        return np.divide(np.sin(a, out=out), c, out=out)
 
-
-class Cot(_Unary):
+class Cot(_TrigRatio):
     __slots__ = ()
     kind = "cot"
+    _num, _den = np.cos, np.sin
 
     def diff(self, v):
         return neg(quot(self.arg.diff(v), mul(Sin(self.arg), Sin(self.arg))))
-
-    def _eval(self, env, memo):
-        a = self.arg.eval(env, memo)
-        s = np.sin(a)
-        _refuse_pole(s, env, "cot pole", self)
-        out = _out(memo, a)
-        return np.divide(np.cos(a, out=out), s, out=out)
 
 
 class Arccot(_Unary):
@@ -514,22 +524,18 @@ class Arccot(_Unary):
     def diff(self, v):
         return neg(quot(self.arg.diff(v), add(ONE, mul(self.arg, self.arg))))
 
-    def _eval(self, env, memo):
-        a = self.arg.eval(env, memo)
-        out = _out(memo, a)
+    def _eval(self, vals, env, out):
+        (a,) = vals
         return np.subtract(np.pi / 2, np.arctan(a, out=out), out=out)
 
 
 class ExpNode(_Unary):
     __slots__ = ()
     kind = "exp"
+    _ufunc = np.exp
 
     def diff(self, v):
         return mul(ExpNode(self.arg), self.arg.diff(v))
-
-    def _eval(self, env, memo):
-        a = self.arg.eval(env, memo)
-        return np.exp(a, out=_out(memo, a))
 
 
 class AbsNode(_Unary):
@@ -542,14 +548,11 @@ class AbsNode(_Unary):
             "(restrict momenta so the argument has a fixed sign)"
         )
 
-    def _eval(self, env, memo):
-        a = self.arg.eval(env, memo)
-        im = np.abs(np.imag(np.atleast_1d(a)))
-        scale = np.maximum(np.abs(np.atleast_1d(a)), 1.0)
-        bad = im > _IMAG_EPS * scale
-        if np.any(bad):
+    def _eval(self, vals, env, out):
+        (a,) = vals
+        if np.any(np.abs(np.imag(a)) > _IMAG_EPS * np.maximum(np.abs(a), 1.0)):
             raise DomainError(f"abs() of a non-real value in {self!r}")
-        return np.add(np.abs(a), 0j, out=_out(memo, a))
+        return np.add(np.abs(a), 0j, out=out)
 
 
 ZERO = Const(0)
@@ -574,9 +577,7 @@ def var(name: str) -> Var:
 
 
 def is_const(e: Expr, value: Number | None = None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return True if value is None else e.value == complex(value)
+    return isinstance(e, Const) and (value is None or e.value == complex(value))
 
 
 def add(*args) -> Expr:
@@ -722,10 +723,7 @@ def convective_diff(e: Expr, v: str, jac: Expr) -> Expr:
     ``v`` is "pL" or "pR", ``w`` the other one, and ``jac`` the Jacobian of
     ``w`` with respect to ``v``.
     """
-    if v == "pL":
-        other = "pR"
-    elif v == "pR":
-        other = "pL"
-    else:
+    other = {"pL": "pR", "pR": "pL"}.get(v)
+    if other is None:
         raise ValueError(f"cannot infer the conjugate momentum of {v!r}")
     return add(diff(e, v), mul(jac, diff(e, other)))

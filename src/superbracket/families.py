@@ -125,18 +125,19 @@ def product_constraint_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport
     # maximum of the 0/1 indicator.
     active = vanish = 0
 
-    def arrays(block: dict, memo: dict):
+    def arrays(block: dict, values):
         nonlocal active, vanish
-        for _, e in named:
-            yield e.eval(block, memo)
-        on = np.abs(np.atleast_1d(np.asarray(mul(prod, one_minus).eval(block, memo)))) > 1e-6
-        both = on & (np.abs(line1.eval(block, memo)) <= s.tolerance) \
-            & (np.abs(line2.eval(block, memo)) <= s.tolerance)
+        for _ in named:
+            yield from next(values)
+        pre, l1, l2 = next(values)
+        on = np.abs(np.atleast_1d(np.asarray(pre))) > 1e-6
+        both = on & (np.abs(l1) <= s.tolerance) & (np.abs(l2) <= s.tolerance)
         active += int(np.count_nonzero(on))
         vanish += int(np.count_nonzero(both))
         yield both.astype(float)
 
-    maxima = ex._sweep_max(env, arrays)
+    groups = [(e,) for _, e in named] + [(mul(prod, one_minus), line1, line2)]
+    maxima = ex._sweep_max(env, groups, arrays)
     for (name, _), (res, idx) in zip(named, maxima):
         report.add(name, res, ex.sample_at(env, idx))
     if active:
@@ -155,7 +156,7 @@ def cross_jacobian_report(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
         return report
     env = spec.sample_env(s)
     exprs = [_cross_residual_expr(spec, swapped) for swapped in (False, True)]
-    maxima = ex._sweep_max(env, lambda block, memo: (e.eval(block, memo) for e in exprs))
+    maxima = ex._sweep_max(env, [(e,) for e in exprs], ex._every_root)
     for name, (res, idx) in zip(("cross-jacobian", "cross-jacobian-swapped"), maxima):
         report.add(name, res, ex.sample_at(env, idx))
     return report

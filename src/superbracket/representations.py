@@ -308,14 +308,16 @@ def ode_solution_check(kappa: float, gamma_exp: float, s: Sampler) -> Consistenc
     )
     lhs = ex.sin(mul(const(0.5), f))
 
-    def arrays(block: dict, memo: dict):
-        f_vals = np.asarray(f.eval(block, memo))
+    def arrays(block: dict, values):
+        (f_vals,) = next(values)
+        f_vals = np.asarray(f_vals)
         if np.any((f_vals.real <= 0) | (f_vals.real >= 2 * math.pi)):
             raise DomainError("arccot momentum map left the branch (0, 2 pi)")
-        yield np.asarray(df.eval(block, memo)) - np.asarray(rhs.eval(block, memo))
-        yield np.asarray(lhs.eval(block, memo)) - np.asarray(closed.eval(block, memo))
+        for a, b in values:
+            yield np.asarray(a) - np.asarray(b)
 
-    (ode, ode_idx), (energy, energy_idx) = ex._sweep_max(env, arrays)
+    (ode, ode_idx), (energy, energy_idx) = ex._sweep_max(
+        env, [(f,), (df, rhs), (lhs, closed)], arrays)
     report.add("momentum-map-ode", ode, ex.sample_at(env, ode_idx))
     report.add("pulled-back-energy-closed-form", energy, ex.sample_at(env, energy_idx))
     return report

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InvalidParams
-from .expressions import Expr, _sweep_max, sample_at
+from .expressions import Expr, _every_root, _sweep_max, sample_at
 
 # Points the sampler must stay away from: zeros of sin(p/2) and the poles of
 # cot/tan that the expression grammar can produce on (-4*pi, 4*pi).
@@ -170,7 +170,7 @@ def is_zero(e: Expr, s: Sampler, constraint=None) -> ZeroReport:
     if s.count == 0:
         return ZeroReport(True, 0.0, None, s.seed, 0, s.tolerance, note="no samples")
     env = _env_for(e, s, constraint)
-    [(max_res, worst)] = _sweep_max(env, lambda block, memo: [e.eval(block, memo)])
+    [(max_res, worst)] = _sweep_max(env, [(e,)], _every_root)
     return ZeroReport(
         passed=max_res <= s.tolerance,
         max_residual=max_res,

@@ -17,6 +17,7 @@ Grammar (flat, line-diagnosable, no expression sublanguage):
 
 Comments start with '#'.  Unknown keys are errors, not warnings, and every
 explicitly set parameter must be consumed by at least one enabled check.
+The ``ratio`` family takes only the ``magnon`` dispersion.
 ``seed`` and ``points`` are non-negative integers, and ``points`` is at most
 ``MAX_POINTS``.
 """
@@ -303,6 +304,7 @@ def parse_suite(text: str) -> CheckSuiteConfig:
     family_tok: Optional[Token] = None
     dispersion = "magnon"
     dispersion_args: Tuple[Tuple[str, float], ...] = (("hL", 1.0), ("hR", 1.0))
+    disp_tok: Optional[Token] = None
     braiding = "braided"
     eta = 1.0
     checks: list[CheckInvocation] = []
@@ -337,7 +339,7 @@ def parse_suite(text: str) -> CheckSuiteConfig:
             disp = p.expect_ident()
             if disp.text not in DISPERSION_NAMES:
                 raise UnknownKeyError(f"unknown dispersion {disp.text!r}", disp.line, disp.col)
-            dispersion = disp.text
+            dispersion, disp_tok = disp.text, disp
             dispersion_args = ()
             if p.peek().kind == "punct" and p.peek().text == "(":
                 dispersion_args = p.parse_kwargs()
@@ -365,6 +367,10 @@ def parse_suite(text: str) -> CheckSuiteConfig:
     if family is None:
         raise UnknownKeyError("a suite must declare its family", head.line, head.col)
     _validate_family_args(family, family_args, family_tok)
+    if family == "ratio" and dispersion != "magnon":
+        raise TypeMismatchError(
+            f"family ratio needs the magnon dispersion, not {dispersion}: its arccot "
+            "momentum map exists only for the magnon dispersion", disp_tok.line, disp_tok.col)
     _validate_consumption(explicit, checks, family_tok or head)
 
     return CheckSuiteConfig(

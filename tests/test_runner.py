@@ -205,6 +205,17 @@ def test_cli_exit_codes(tmp_path):
     assert proc.returncode == 2
     assert b"zeta" in proc.stderr
 
+    # ratio with a dispersion its momentum map does not exist for: exit 2 at the span
+    bad.write_text('suite "x" { family = ratio(zeta=2); dispersion = relativistic(m=0.7);\n'
+                   '  checks = [jacobi]; }')
+    proc = subprocess.run(
+        [sys.executable, "-m", "superbracket.cli", "run", str(bad)],
+        capture_output=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 2
+    assert b"line 1, col 50" in proc.stderr and b"magnon dispersion" in proc.stderr
+
     failing = tmp_path / "failing.suite"
     failing.write_text(
         'suite "f" { family = d_zero; braiding = braided; checks = [ coproduct_hom ]; }'

@@ -119,6 +119,19 @@ def test_unconsumed_parameters_are_errors():
     parse_suite('suite "x" { family = ratio(zeta=2, kappa=5); checks = [ jacobi ]; }')
 
 
+def test_ratio_rejects_non_magnon_dispersions():
+    # The arccot momentum map of the ratio family exists only for the magnon
+    # dispersion; any other is refused at its span, not failed check by check.
+    for disp in ("relativistic(m=0.7)", "massive_magnon(hL=1.5, hR=1.5, m=0.3)"):
+        text = f'suite "x" {{ family = ratio(zeta=2); dispersion = {disp}; checks = [ jacobi ]; }}'
+        with pytest.raises(TypeMismatchError) as err:
+            parse_suite(text)
+        assert (err.value.line, err.value.col) == (1, text.index(disp) + 1)
+        assert "arccot momentum map exists only for the magnon dispersion" in str(err.value)
+    parse_suite('suite "x" { family = ratio(zeta=2); dispersion = magnon(hL=2, hR=0.5); '
+                'checks = [ jacobi ]; }')
+
+
 def test_syntax_errors_have_spans():
     with pytest.raises(SuiteSyntaxError) as err:
         parse_suite('suite "x" {\n  family = = d_zero;\n}')

@@ -1,6 +1,6 @@
 """Blocked sampled sweeps: the same verdicts, points and errors as whole-array
 evaluation, in memory that does not grow with the sample count, with node
-buffers reused from block to block."""
+buffers freed at their last use and reused from block to block."""
 import json
 import tracemalloc
 
@@ -20,7 +20,11 @@ from superbracket.algebra import (
     jacobi_triples,
     mutate_row,
 )
-from superbracket.coproducts import short_rep_reduction_check
+from superbracket.coproducts import (
+    build_coproduct,
+    homomorphism_check,
+    short_rep_reduction_check,
+)
 from superbracket.diffops import TwoVarContext, first_order_op, mat, mat_eval, multiplication_op
 from superbracket.errors import PoleError
 from superbracket.expressions import add, const, mul, quot, var
@@ -97,10 +101,10 @@ def test_blocked_jacobi_equals_whole_env_evaluation(spec, fails):
 def test_first_maximum_wins_across_blocks():
     env = hand_env()
     env["pL"][B + 9] = env["pL"][2 * B + 3] = 5.0  # a tie between blocks 1 and 2
-    [(value, idx)] = ex._sweep_max(env, lambda block, memo: [PL.eval(block, memo)])
+    [(value, idx)] = ex._sweep_max(env, [(PL,)], ex._every_root)
     assert (value, idx) == (5.0, B + 9) == (5.0, int(np.argmax(np.abs(env["pL"]))))
     env["pL"][2 * B + 3] = np.nan  # np.argmax takes the first NaN over any maximum
-    [(value, idx)] = ex._sweep_max(env, lambda block, memo: [PL.eval(block, memo)])
+    [(value, idx)] = ex._sweep_max(env, [(PL,)], ex._every_root)
     assert np.isnan(value) and idx == 2 * B + 3 == int(np.argmax(np.abs(env["pL"])))
 
 
@@ -124,7 +128,7 @@ def test_pole_error_names_the_sample_in_a_later_block():
     env["pL"][bad] = 1.0
     den = add(PL, const(-1.0))
     with pytest.raises(PoleError) as info:
-        ex._sweep_max(env, lambda block, memo: [quot(const(1.0), den).eval(block, memo)])
+        ex._sweep_max(env, [(quot(const(1.0), den),)], ex._every_root)
     assert info.value.point == ex.sample_at(env, bad) == {"pL": 1.0 + 0j, "pR": env["pR"][bad]}
     with pytest.raises(PoleError) as info:
         multiplication_op(CTX, mat([[quot(PR, den)]])).max_abs(env)
@@ -158,25 +162,41 @@ def test_every_node_kind_sweeps_as_whole_env_evaluation():
     assert kinds == {ex.Const, ex.Var, ex.Add, ex.Mul, ex.Quot, ex.Pow, ex.Sin, ex.Cos, ex.Tan,
                      ex.Cot, ex.Arccot, ex.ExpNode, ex.AbsNode}
     env = hand_env()
-    maxima = ex._sweep_max(env, lambda block, memo: (t.eval(block, memo) for t in trees))
+    maxima = ex._sweep_max(env, [(t,) for t in trees], ex._every_root)
     for t, (value, idx) in zip(trees, maxima):
         whole = np.abs(t.eval(env))
         assert whole.shape == (N,)
         assert (value, idx) == (float(whole.max()), int(np.argmax(whole))), t
 
 
-def test_node_buffers_are_reused_across_blocks():
+def test_node_buffers_are_reused_across_blocks(monkeypatch):
     resource = pytest.importorskip("resource")
     spec = build_algebra(Ratio(2.0))
+    pools = []  # the sweep's free list as each block ends
+    run = ex._run
+
+    def spy(tape, block, m, pool, width):
+        try:
+            yield from run(tape, block, m, pool, width)
+        finally:
+            pools.append(list(pool))
+
+    monkeypatch.setattr(ex, "_run", spy)
     faults = []
     for count in (B, 16 * B):
         s = Sampler(seed=7, count=count)
         jacobi_check(spec, s)  # grows the heap once for this sample count
+        pools.clear()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         assert jacobi_check(spec, s).passed
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    # Freed and re-faulted node arrays would cost faults in proportion to blocks.
-    assert faults[1] < 3 * faults[0], faults
+    # Every block ends with the first block's buffers back in the free list,
+    # and no others: no block after the first allocates a node buffer ...
+    first = {id(buf) for buf in pools[0]}
+    assert len(pools) == 16 and first and all({id(buf) for buf in p} == first for p in pools)
+    # ... and faulting them in again in each of the 15 later blocks would cost
+    # 16 pages per buffer per block, more than the whole call takes.
+    assert faults[1] < 15 * 16 * len(first), (faults, len(first))
 
 
 def test_jacobi_peak_memory_does_not_grow_with_sample_count():
@@ -194,6 +214,42 @@ def test_jacobi_peak_memory_does_not_grow_with_sample_count():
     assert peaks[2] < 2 * peaks[1], mb
     # Node buffers are as wide as the sweep's first block, not _BLOCK_POINTS.
     assert peaks[0] < peaks[1] / 4, mb
+
+
+def test_homomorphism_check_holds_only_live_node_buffers():
+    rep = build_representation(DPlusOne())
+    delta = build_coproduct(rep.spec, "braided", rep)
+    homomorphism_check(delta, rep.spec, rep, Sampler(seed=7, count=100))  # first-call set-up
+    tracemalloc.start()
+    try:
+        assert homomorphism_check(delta, rep.spec, rep, Sampler(seed=7, count=10**4)).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Holding all 166 node buffers of a block until it ends peaked at 11.0 MB.
+    assert peak < 6 * 2**20, peak / 2**20
+
+
+def test_plain_memo_eval_equals_the_sweep_bit_for_bit():
+    # One-off callers share a plain dict memo over several roots; its arrays
+    # are the very ones the tape computes block by block.
+    spec = build_algebra(Ratio(2.0))
+    env = spec.sample_env(Sampler(seed=7, count=N))
+    exprs = [c for lc in spec.table.values() for c in lc.terms.values()] + list(spec.values.values())
+    roots = [e for e in dict.fromkeys(exprs) if not isinstance(e, ex.Const)]
+    assert len(roots) >= 12
+    swept = [[] for _ in roots]
+
+    def keep(block, values):
+        for acc, value in zip(swept, next(values)):
+            acc.append(np.array(value))  # a copy: the buffer is reused later
+        return ()
+
+    ex._sweep_max(env, [roots], keep)
+    memo: dict = {}
+    for root, blocks in zip(roots, swept):
+        whole = root.eval(env, memo)
+        assert np.array_equal(whole.view(np.float64), np.concatenate(blocks).view(np.float64)), root
 
 
 def test_short_reduction_peak_memory_does_not_grow_with_sample_count():
