@@ -70,7 +70,7 @@ from .representations import (
     verify_relations,
 )
 from .runner import ReportRecord, emit_report, run_suite
-from .sampling import MomentumPoint, Sampler, ZeroReport, is_zero
+from .sampling import MomentumPoint, Sampler, is_zero
 from .suite import CheckSuiteConfig, parse_suite, print_suite
 from .symbolic import (
     SymbolicElement,

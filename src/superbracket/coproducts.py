@@ -296,7 +296,6 @@ def build_boost_coproduct(
     data = data or identify_momentum(rep)
     orient, tail_sign = convention
     q, s = _short_rep_bilinears(data)
-    h_expr = data.scalars[Gen.H_L]
     j_coeff = data.boost_coeff[Gen.J_L]
 
     cos_half = ex.cos(mul(const(0.5), P))
@@ -398,7 +397,6 @@ def _hom_check_once(
 ) -> ConsistencyReport:
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
-        report.vacuous = True
         return report
     names, ops = [], []
     for (a, b), row in _rows_for_hom_check(spec, delta.ops, boost_rows):
@@ -428,7 +426,6 @@ def cocommutativity_check(
         raise InvalidParams(f"{g.label} is not central; pass expected_fail=True to probe it")
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
-        report.vacuous = True
         return report
     env = TWO_SITE.sample_env(s)
     op = delta[g]
@@ -560,7 +557,6 @@ def short_rep_reduction_check(
     """
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
-        report.vacuous = True
         return report
     data = identify_momentum(rep)
     q, sm = _short_rep_bilinears(data)

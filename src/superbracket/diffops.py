@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -94,10 +94,9 @@ def mat_is_zero(m: Matrix) -> bool:
     return all(ex.is_const(e, 0) for row in m for e in row)
 
 
-def mat_eval(m: Matrix, env: dict, memo: Optional[dict] = None) -> np.ndarray:
-    """Evaluate to an (n, n, npoints) complex array."""
-    if memo is None:
-        memo = {}
+def mat_eval(m: Matrix, env: dict) -> np.ndarray:
+    """Evaluate to an (n, n, npoints) complex array; the entries share one memo."""
+    memo: dict = {}
     n = len(m)
     npts = None
     for v in env.values():
@@ -137,33 +136,31 @@ class TwoVarContext:
 class OneVarContext:
     """One independent momentum; the symbol is the total derivative along it."""
 
-    constraint: Expr          # p_dep = f(p_ind)
-    jac_dep: Expr             # d p_dep / d p_ind
-    jac_inv: Expr             # d p_ind / d p_dep
-    ind: str = "pL"
-    dep: str = "pR"
+    constraint: Expr          # p_R = f(p_L)
+    jac_dep: Expr             # d p_R / d p_L
+    jac_inv: Expr             # d p_L / d p_R
     convective: bool = True
 
     @property
     def variables(self) -> Tuple[str, ...]:
-        return (self.ind,)
+        return ("pL",)
 
     def d_coeff(self, e: Expr, v: str) -> Expr:
-        if v != self.ind:
+        if v != "pL":
             raise DimensionMismatch(f"{v!r} is not the independent momentum")
-        out = diff(e, self.ind)
+        out = diff(e, "pL")
         if self.convective:
-            out = add(out, mul(self.jac_dep, diff(e, self.dep)))
+            out = add(out, mul(self.jac_dep, diff(e, "pR")))
         return out
 
     def sample_env(self, s: Sampler) -> dict:
         pl, pr = s.pairs((self.constraint, self.jac_dep))
-        return {self.ind: pl + 0j, self.dep: pr + 0j}
+        return {"pL": pl + 0j, "pR": pr + 0j}
 
     def probe_env(self) -> dict:
         pl = np.array([0.83, 1.91, 2.47]) + 0j
-        pr = np.asarray(self.constraint.eval({self.ind: pl}))
-        return {self.ind: pl, self.dep: pr}
+        pr = np.asarray(self.constraint.eval({"pL": pl}))
+        return {"pL": pl, "pR": pr}
 
 
 def _same_context(c1, c2) -> bool:
@@ -218,14 +215,7 @@ def mats_max_abs(mats, env: dict) -> list:
 
     maxima = iter(ex._sweep_max(env, [(e,) for entries in live for e in entries],
                                 ex._every_root))
-    out = []
-    for entries in live:
-        top = (0.0, 0)
-        for found in itertools.islice(maxima, len(entries)):
-            if ex._beats(found[0], top[0]):
-                top = found
-        out.append(top)
-    return out
+    return [ex._worst(itertools.islice(maxima, len(entries)), (0.0, 0)) for entries in live]
 
 
 def ops_max_abs(ops, env: dict) -> list:

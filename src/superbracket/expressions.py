@@ -28,7 +28,6 @@ momenta, "p" for an identified momentum and "p1"/"p2" for two-site momenta.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import weakref
@@ -68,6 +67,18 @@ def _refuse_pole(x: EnvValue, env: Mapping[str, EnvValue], what: str, node: "Exp
 def _beats(v: float, w: float) -> bool:
     """Whether ``v`` displaces ``w`` as np.argmax would: the first NaN, else the first maximum."""
     return v > w or (v != v and w == w)
+
+
+def _worst(found: Iterable[Sequence], top: Sequence):
+    """Fold ``found`` into ``top`` by ``_beats`` on each item's value, its item 0.
+
+    The result is the first NaN, else the first value above everything before
+    it, ``top`` included: the one rule for a check's worst point or condition.
+    """
+    for item in found:
+        if _beats(item[0], top[0]):
+            top = item
+    return top
 
 
 def _compile(groups: Sequence[Sequence["Expr"]]) -> list:
@@ -174,8 +185,7 @@ def _sweep_max(
         finally:
             values.close()
     # Across an array's rows, too, the first NaN wins, else the first maximum.
-    return [tuple(functools.reduce(lambda top, row: row if _beats(row[0], top[0]) else top, rows))
-            for rows in tracked]
+    return [tuple(_worst(rows, rows[0])) for rows in tracked]
 
 
 def _worst_points(env: Mapping[str, EnvValue], maxima, sizes) -> List[tuple]:
@@ -188,11 +198,8 @@ def _worst_points(env: Mapping[str, EnvValue], maxima, sizes) -> List[tuple]:
     out = []
     it = iter(maxima)
     for size in sizes:
-        worst, worst_pt = 0.0, None
-        for value, idx in itertools.islice(it, size):
-            if _beats(value, worst):
-                worst, worst_pt = value, sample_at(env, idx)
-        out.append((worst, worst_pt))
+        worst, idx = _worst(itertools.islice(it, size), (0.0, None))
+        out.append((worst, None if idx is None else sample_at(env, idx)))
     return out
 
 

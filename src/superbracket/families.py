@@ -37,7 +37,6 @@ from .algebra import (
     RightSeparable,
     _spec_for_jacobians,
     build_algebra,
-    inverse,
 )
 from .diffops import DiffOperator, op_add, op_scale
 from .errors import AmbiguousFamily, UnsupportedTransform
@@ -97,7 +96,6 @@ def product_constraint_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport
     """
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
-        report.vacuous = True
         return report
     env = spec.sample_env(s)
     HL, HR = spec.H["L"], spec.H["R"]
@@ -152,7 +150,6 @@ def cross_jacobian_report(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
     """Sampled residuals of the cross-Jacobian constraint and its swap."""
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
-        report.vacuous = True
         return report
     env = spec.sample_env(s)
     exprs = [_cross_residual_expr(spec, swapped) for swapped in (False, True)]
@@ -223,7 +220,7 @@ def classify_family(
             matches.append(DMinusOne())
         product_ok = is_zero(add(mul(dLR, dRL), const(-1)), s).passed
         if product_ok and not plus_one and not minus_one:
-            zeta = const_value(mul(HL, dLR, inverse(HR)))
+            zeta = const_value(mul(HL, dLR, quot(ex.ONE, HR)))
             if zeta is not None and abs(zeta) > s.tolerance:
                 matches.append(Ratio(_real_if_close(zeta)))
 
@@ -235,9 +232,9 @@ def classify_family(
     # No family matched: cite the violated condition.
     candidate = replace(spec, dLR=dLR, dRL=dRL, constraint=None)
     probe = product_constraint_check(candidate, s)
-    compat = [c for c in probe.conditions if c.name.startswith("product-compatibility")]
-    worst = max(compat, key=lambda c: c.max_residual)
-    if worst.max_residual > s.tolerance:
+    worst = ConsistencyReport(
+        [c for c in probe.conditions if c.name.startswith("product-compatibility")]).worst
+    if not worst.passed:
         return Rejection("product-compatibility", worst.max_residual, worst.worst_point)
     if not z_lr and not z_rl and product_ok:
         return Rejection("cross-energy-ratio-constancy", float("nan"))

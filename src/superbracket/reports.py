@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .expressions import _beats
+from .expressions import _worst
 
 
 @dataclass
@@ -22,12 +22,18 @@ class ConditionResult:
 
 @dataclass
 class ConsistencyReport:
+    """A check's conditions; ``passed``, ``vacuous`` and ``worst`` are the verdict rules."""
+
     conditions: list[ConditionResult] = field(default_factory=list)
     seed: int = 42
     tolerance: float = 1e-9
-    vacuous: bool = False
     note: str = ""
     extra: Optional[dict] = None
+
+    @property
+    def vacuous(self) -> bool:
+        """Whether the check evaluated no condition."""
+        return not self.conditions
 
     @property
     def passed(self) -> bool:
@@ -41,11 +47,8 @@ class ConsistencyReport:
     @property
     def worst(self) -> Optional[ConditionResult]:
         """The first condition with a NaN residual, else the first with the largest."""
-        top = None
-        for c in self.conditions:
-            if top is None or _beats(c.max_residual, top.max_residual):
-                top = c
-        return top
+        found = [(c.max_residual, c) for c in self.conditions]
+        return _worst(found, found[0])[1] if found else None
 
     def failures(self) -> list[ConditionResult]:
         return [c for c in self.conditions if not c.passed]

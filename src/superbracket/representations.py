@@ -229,7 +229,6 @@ def verify_relations(rep: Representation, spec: AlgebraSpec, s: Sampler) -> Cons
     """
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
-        report.vacuous = True
         report.note = "no samples"
         return report
     gens = [g for g in Gen if rep.representable(g)]
@@ -263,7 +262,6 @@ def boost_commutator_zero(rep: Representation, s: Sampler) -> ConsistencyReport:
     """
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
-        report.vacuous = True
         return report
     env = rep.ctx.sample_env(s)
     comm = op_bracket(rep.images[Gen.J_L], rep.images[Gen.J_R])
@@ -290,7 +288,6 @@ def ode_solution_check(kappa: float, gamma_exp: float, s: Sampler) -> Consistenc
         raise InvalidParams("gamma_exp must be nonzero")
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
-        report.vacuous = True
         return report
     f, df = ratio_momentum_map(kappa, gamma_exp)
     pl = var("pL")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .expressions import Expr, _every_root, _sweep_max, sample_at
+from .reports import ConsistencyReport
 
 # Points the sampler must stay away from: zeros of sin(p/2) and the poles of
 # cot/tan that the expression grammar can produce on (-4*pi, 4*pi).
@@ -141,21 +142,6 @@ class Sampler:
         return Sampler(**data)
 
 
-@dataclass
-class ZeroReport:
-    passed: bool
-    max_residual: float
-    worst_point: Optional[dict]
-    seed: int
-    count: int
-    tolerance: float
-    note: str = ""
-
-    @property
-    def vacuous(self) -> bool:
-        return self.count == 0
-
-
 def _env_for(e: Expr, s: Sampler, constraint=None) -> dict:
     names = sorted(e.variables())
     if set(names) <= {"pL", "pR"}:
@@ -165,20 +151,20 @@ def _env_for(e: Expr, s: Sampler, constraint=None) -> dict:
     return {name: s._draw(rng, s.count) + 0j for name in names}
 
 
-def is_zero(e: Expr, s: Sampler, constraint=None) -> ZeroReport:
-    """Statistically test whether an expression vanishes on the domain."""
+def is_zero(e: Expr, s: Sampler, constraint=None) -> ConsistencyReport:
+    """Statistically test whether an expression vanishes on the domain.
+
+    The report has one condition, "zero", at the sample of the maximum
+    modulus; with no samples it has none and reads vacuous.
+    """
+    report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
-        return ZeroReport(True, 0.0, None, s.seed, 0, s.tolerance, note="no samples")
+        report.note = "no samples"
+        return report
     env = _env_for(e, s, constraint)
     [(max_res, worst)] = _sweep_max(env, [(e,)], _every_root)
-    return ZeroReport(
-        passed=max_res <= s.tolerance,
-        max_residual=max_res,
-        worst_point=sample_at(env, worst),
-        seed=s.seed,
-        count=s.count,
-        tolerance=s.tolerance,
-    )
+    report.add("zero", max_res, sample_at(env, worst))
+    return report
 
 
 def constancy(e: Expr, s: Sampler):

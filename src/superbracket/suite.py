@@ -107,10 +107,7 @@ def tokenize(text: str) -> list[Token]:
             continue
         if ch.isdigit() or (ch in "+-." and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")):
             j = i
-            seen_e = False
             while j < n and (text[j].isdigit() or text[j] in ".+-eE"):
-                if text[j] in "eE":
-                    seen_e = True
                 if text[j] in "+-" and j != i and text[j - 1] not in "eE":
                     break
                 j += 1

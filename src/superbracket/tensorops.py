@@ -33,8 +33,6 @@ TWO_SITE = TwoVarContext(("p1", "p2"))
 
 P1, P2 = var("p1"), var("p2")
 
-_PARITY_OF_INDEX = (0, 1)  # basis (boson, fermion)
-
 
 def graded_kron(x: Matrix, y: Matrix, parity_y: int) -> Matrix:
     """Graded Kronecker product of 2x2 expression matrices (4x4 result)."""
@@ -47,7 +45,7 @@ def graded_kron(x: Matrix, y: Matrix, parity_y: int) -> Matrix:
             row = []
             for j1 in range(2):
                 for j2 in range(2):
-                    sign = -1.0 if (parity_y and _PARITY_OF_INDEX[j1]) else 1.0
+                    sign = -1.0 if (parity_y and j1) else 1.0  # basis index 1 is the fermion
                     row.append(mul(ex.const(sign), x[i1][j1], y[i2][j2]))
             rows.append(tuple(row))
     return tuple(rows)

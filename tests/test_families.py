@@ -104,6 +104,14 @@ def test_classify_rejections():
     assert r.max_residual > 1e-9
 
 
+def test_classify_rejects_a_nan_compatibility_residual():
+    # A NaN residual fails its condition, so it is cited like any other failure.
+    spec = build_algebra(DPlusOne())
+    r = classify_family(const(float("nan")), spec.dRL, spec, Sampler(count=20))
+    assert isinstance(r, Rejection) and r.condition == "product-compatibility"
+    assert np.isnan(r.max_residual)
+
+
 def test_classify_fuzz_constant_pairs():
     spec = build_algebra(DZero())
     rng = np.random.default_rng(12)

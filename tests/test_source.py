@@ -24,6 +24,42 @@ def unused_imports(source: str) -> list:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(fn):
+    """The nodes of ``fn``'s body, nested function, lambda and class bodies left out."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list:
+    """Names a function body stores but never reads, ``_``-prefixed names aside.
+
+    Reads in nested functions and lambdas count, so a local that only a
+    closure reads is used; a ``global`` or ``nonlocal`` name is not a local.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        stored, outer = {}, set()
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored[node.id] = min(node.lineno, stored.get(node.id, node.lineno))
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+        found += [f"{name} (line {line})" for name, line in stored.items()
+                  if name not in read and name not in outer and not name.startswith("_")]
+    return sorted(found)
+
+
 def test_detector_flags_only_unread_imports():
     source = (
         "from __future__ import annotations\n"
@@ -38,3 +74,25 @@ def test_detector_flags_only_unread_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detector_flags_only_unread_locals():
+    source = (
+        "def f(xs):\n"
+        "    total, seen, _skip = 0, 0, 1\n"
+        "    memo = {}\n"
+        "    def g(x):\n"
+        "        nonlocal total\n"
+        "        dead = x\n"
+        "        total += memo.setdefault(x, x)\n"
+        "    key = lambda x: -x\n"
+        "    for x in sorted(xs, key=key):\n"
+        "        g(x)\n"
+        "    return total\n"
+    )
+    assert unused_locals(source) == ["dead (line 6)", "seen (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []
