@@ -74,13 +74,13 @@ class Gen(enum.IntEnum):
         return _LABELS[self]
 
 
-_ODD = {Gen.Q_L, Gen.S_L, Gen.Q_R, Gen.S_R}
 OUTER = frozenset({Gen.B, Gen.t_l0, Gen.t_l3, Gen.t_lp, Gen.t_lm,
                    Gen.t_r0, Gen.t_r3, Gen.t_rp, Gen.t_rm})
 GL2 = frozenset(OUTER - {Gen.B})
 BOOSTS = frozenset({Gen.J_L, Gen.J_R})
 VALUE_CARRIERS = (Gen.H_L, Gen.H_R, Gen.p_L, Gen.p_R)
 FERMIONS = (Gen.Q_L, Gen.S_L, Gen.Q_R, Gen.S_R)
+_ODD = frozenset(FERMIONS)
 
 _LABELS = {
     Gen.H_L: "H_L", Gen.H_R: "H_R", Gen.P: "P", Gen.K: "K",

@@ -20,13 +20,17 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import expressions as ex
-from .algebra import AlgebraSpec, DMinusOne, DPlusOne, DZero, FamilyTag, Gen, LinComb, OUTER
+from .algebra import (AlgebraSpec, DMinusOne, DPlusOne, DZero, FamilyTag, FERMIONS, Gen,
+                      LinComb, OUTER)
 from .diffops import (
     DiffOperator,
     Matrix,
+    mat_add,
     mat_eval,
     mat_eye,
+    mat_mul,
     mat_scale,
+    mats_max_abs,
     op_add,
     op_bracket,
     op_scale,
@@ -180,7 +184,7 @@ def build_coproduct(
         # primitive (hence cocommutative) P and K.
         right_orientation = -1
 
-    for g in (Gen.Q_L, Gen.S_L, Gen.Q_R, Gen.S_R):
+    for g in FERMIONS:
         orientation = 1 if g in (Gen.Q_L, Gen.S_L) else right_orientation
         if braiding == "unbraided" and g in (Gen.S_L, Gen.S_R):
             orientation = -orientation
@@ -403,7 +407,7 @@ def _hom_check_once(
         names.append(f"Delta[{a.label},{b.label}]")
         ops.append(op_sub(op_bracket(delta[a], delta[b]), delta.of_lincomb(row)))
     # implied-zero pairs among the fermions (absent rows must stay absent)
-    for a, b in itertools.combinations((Gen.Q_L, Gen.S_L, Gen.Q_R, Gen.S_R), 2):
+    for a, b in itertools.combinations(FERMIONS, 2):
         if (a, b) in spec.table or (b, a) in spec.table:
             continue
         names.append(f"Delta[{a.label},{b.label}] (vanishing row)")
@@ -437,102 +441,23 @@ def cocommutativity_check(
 
 
 # --------------------------------------------------------------------------
-# Short-representation reduction (numeric side, with a masked model of the
-# charge-counting action T: [T, Q] = Q, [T, S] = S)
+# Short-representation reduction (numeric side)
 # --------------------------------------------------------------------------
 
-# The residual algebra runs on slices this many samples wide of each block,
-# so each of its (4, 4, width) complex temporaries takes 64 KB, not the 1 MB
-# of a whole block.
-_SLICE_POINTS = 256
+def _ad_t(m: Matrix, site: int) -> Matrix:
+    """[T, m] for the charge-counting T of ``site``: the entries whose row and column differ there.
 
-
-def _ad_t_mask(site: int) -> np.ndarray:
-    """1 where the row and column of a two-site 4x4 matrix differ on ``site``, else 0.
-
-    Index 2a + b holds site 1 in state a and site 2 in state b.  Slice
-    assignment builds it at import without integer ufuncs, whose first use
-    would add their code pages to every process's resident memory.
+    Index 2a + b holds site 1 in state a and site 2 in state b.  T acts as
+    the identity on the site's off-diagonal (fermion-mixing) part and
+    annihilates its scalar part; the other entries read ``ex.ZERO``.
     """
-    mask = np.zeros((4, 4, 1), dtype=np.complex128)
-    if site == 1:
-        mask[:2, 2:] = mask[2:, :2] = 1
-    else:
-        mask[0::2, 1::2] = mask[1::2, 0::2] = 1
-    return mask
+    bit = 2 if site == 1 else 1
+    return tuple(tuple(e if (i ^ j) & bit else ex.ZERO for j, e in enumerate(row))
+                 for i, row in enumerate(m))
 
 
-_AD_T_MASKS = (_ad_t_mask(1), _ad_t_mask(2))
-_EYE4 = np.eye(4, dtype=np.complex128)[:, :, None]
-
-
-class _TOperator:
-    """base + M1 * T_site1 + M2 * T_site2 with T normal-ordered to the right.
-
-    T is even and commutes with momentum functions; moving it through a
-    matrix M costs ad_T(M), which acts as the identity on the site's
-    off-diagonal (fermion-mixing) part and annihilates its scalar part.
-    Each part is a (4, 4, k) array over k samples; the short reduction
-    builds these on one slice of a block's samples at a time, and every
-    operation acts on each sample alone.
-    """
-
-    __slots__ = ("base", "t1", "t2")
-
-    def __init__(self, base, t1=None, t2=None):
-        self.base = base
-        self.t1 = t1
-        self.t2 = t2
-
-    def __matmul__(self, other: "_TOperator") -> "_TOperator":
-        def mm(a, b):
-            return None if a is None or b is None else np.einsum("ijk,jlk->ilk", a, b)
-
-        def madd(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return a + b
-
-        if (self.t1 is not None or self.t2 is not None) and (
-            other.t1 is not None or other.t2 is not None
-        ):
-            raise InvalidParams("products of two T-carrying operators are not needed")
-        base = mm(self.base, other.base)
-        m1, m2 = _AD_T_MASKS
-        if self.t1 is not None:
-            base = madd(base, mm(self.t1, other.base * m1))
-        if self.t2 is not None:
-            base = madd(base, mm(self.t2, other.base * m2))
-        t1 = madd(mm(self.base, other.t1), mm(self.t1, other.base))
-        t2 = madd(mm(self.base, other.t2), mm(self.t2, other.base))
-        return _TOperator(base, t1, t2)
-
-    def __sub__(self, other):
-        def msub(a, b):
-            if b is None:
-                return a
-            if a is None:
-                return -b
-            return a - b
-
-        return _TOperator(
-            msub(self.base, other.base), msub(self.t1, other.t1), msub(self.t2, other.t2)
-        )
-
-
-def _mat_slice(live, sl: slice, w: int) -> np.ndarray:
-    """The (4, 4, w) complex matrix of a block's live entries on the samples ``sl``.
-
-    ``live`` lists (i, j, value) for the entries that are not ``ex.ZERO``,
-    each value an array over the block's samples or a scalar; the other
-    entries read 0.
-    """
-    out = np.zeros((4, 4, w), dtype=np.complex128)
-    for i, j, v in live:
-        out[i, j] = v if np.size(v) == 1 else v[sl]
-    return out
+def _commutator(a: Matrix, b: Matrix) -> Matrix:
+    return mat_add(mat_mul(a, b), mat_scale(const(-1), mat_mul(b, a)))
 
 
 def short_rep_reduction_check(
@@ -544,66 +469,37 @@ def short_rep_reduction_check(
     """[2S(x)Q + 2Q(x)S - alpha H(x)T - beta T(x)H, Delta X] = [S(x)Q + Q(x)S, Delta X].
 
     T = sum of the four fermion-mixing outer generators acts by [T,Q] = Q,
-    [T,S] = S on the short representation; here its action is modelled by the
-    site masks of the _TOperator algebra.  With ``with_t_terms=False`` the
-    two sides differ by the energy-proportional terms (negative control).
-
-    Each sweep block evaluates the live matrix entries once, as one group of
-    the sweep's tape, then assembles the matrices and runs the _TOperator
-    algebra on slices of ``_SLICE_POINTS`` samples, reducing every residual
-    part to its max modulus over the matrix entries, one value per sample.  Slicing
-    changes no value: every operation, einsum included, acts on each sample
-    alone, a max is exact, and a NaN passes through it.
+    [T,S] = S on the short representation.  The tail's T-parts are scalar
+    multiples c1 T(x)1 and c2 1(x)T, and T commutes with momentum functions,
+    so [c T_site, Delta X] = c ad_T(Delta X) (``_ad_t``) and the T-carrying
+    part of the commutator, c Delta X - Delta X c, vanishes identically.  Each
+    residual is therefore one 4x4 expression matrix, swept as the
+    homomorphism rows are.  With ``with_t_terms=False`` the two sides differ
+    by the energy-proportional terms (negative control).
     """
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
         return report
     data = identify_momentum(rep)
     q, sm = _short_rep_bilinears(data)
-    sq_m = graded_kron(_sub(sm, 1), _sub(q, 2), 1)
-    qs_m = graded_kron(_sub(q, 1), _sub(sm, 2), 1)
-    h_l1, h_l2 = (site_scalar(data.scalars[Gen.H_L], site) for site in (1, 2))
-    phase1, phase2 = (site_scalar(_phase(1), site) for site in (1, 2))
+    reference = mat_add(graded_kron(_sub(sm, 1), _sub(q, 2), 1),
+                        graded_kron(_sub(q, 1), _sub(sm, 2), 1))
+    tail = mat_scale(const(2), reference)
+    h1, h2 = (site_scalar(data.scalars[Gen.H_L], site) for site in (1, 2))
+    phases = mul(site_scalar(_phase(1), 1), site_scalar(_phase(1), 2))
+    alpha, beta = neg(phases), quot(ex.ONE, phases)
     gens = ((Gen.Q_L, "Q"), (Gen.S_L, "S"))
-    deltas = [delta_fermion_mats(data.matrices[g]) for g, _ in gens]
-
-    live = [[(i, j, e) for i, row in enumerate(mat) for j, e in enumerate(row)
-             if e is not ex.ZERO]
-            for mat in (sq_m, qs_m, *(t for pair in deltas for t in pair))]
-    scalars = (h_l1, h_l2, phase1, phase2) if with_t_terms else ()
-    roots = tuple(e for entries in live for _, _, e in entries) + scalars
-
-    # Each generator yields a (3, m) array: the max modulus of its residual's
-    # three parts at each sample (0.0 for an absent part).
-    def residual_parts(env: dict, values):
-        vals = iter(next(values))
-        m = max(np.size(v) for v in env.values())
-        sq_v, qs_v, *dx_flat = [[(i, j, next(vals)) for i, j, _ in entries] for entries in live]
-        dx_v = list(zip(dx_flat[::2], dx_flat[1::2]))
+    residuals = []
+    for g, _ in gens:
+        # the braided coproduct of the fermion image (no T content)
+        dx = mat_add(*delta_fermion_mats(data.matrices[g]))
+        parts = [_commutator(tail, dx)]
         if with_t_terms:
-            h1, h2, e_p1, e_p2 = (np.broadcast_to(v, (m,)) for v in vals)
-            alpha = -(e_p1 * e_p2)
-            beta = 1.0 / (e_p1 * e_p2)
-            c1, c2 = -(beta * h2), -(alpha * h1)
-        tops = [np.zeros((3, m)) for _ in deltas]
-        for lo in range(0, m, _SLICE_POINTS):
-            sl = slice(lo, lo + _SLICE_POINTS)
-            w = min(_SLICE_POINTS, m - lo)
-            reference = _TOperator(_mat_slice(sq_v, sl, w) + _mat_slice(qs_v, sl, w))
-            if with_t_terms:
-                tail = _TOperator(2 * reference.base, t1=c1[sl] * _EYE4, t2=c2[sl] * _EYE4)
-            else:
-                tail = _TOperator(2 * reference.base)
-            for top, (v1, v2) in zip(tops, dx_v):
-                # the braided coproduct of the fermion image (no T content)
-                dx = _TOperator(_mat_slice(v1, sl, w) + _mat_slice(v2, sl, w))
-                res = ((tail @ dx) - (dx @ tail)) - ((reference @ dx) - (dx @ reference))
-                for p, part in enumerate((res.base, res.t1, res.t2)):
-                    if part is not None:
-                        np.max(np.abs(part), axis=(0, 1), out=top[p, sl])
-        yield from tops
-
-    maxima = ex._sweep_max(TWO_SITE.sample_env(s), [roots], residual_parts)
+            parts += [mat_scale(neg(mul(beta, h2)), _ad_t(dx, 1)),
+                      mat_scale(neg(mul(alpha, h1)), _ad_t(dx, 2))]
+        parts.append(mat_scale(const(-1), _commutator(reference, dx)))
+        residuals.append(mat_add(*parts))
+    maxima = mats_max_abs(residuals, TWO_SITE.sample_env(s))
     for (_, name), (worst, _) in zip(gens, maxima):
         report.add(f"short-reduction[{name}]", worst, None)
     return report

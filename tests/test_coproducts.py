@@ -18,7 +18,6 @@ from superbracket.algebra import (
 from superbracket.coproducts import (
     CENTRAL_GENS,
     UnbraidedCoefficients,
-    _TOperator,
     _phase,
     _rows_for_hom_check,
     _short_rep_bilinears,
@@ -236,40 +235,54 @@ def test_short_rep_reduction_and_negative_control(short_rep):
     assert not negative.passed and negative.max_residual > 1e-2
 
 
-def whole_env_short_reduction(rep, env, with_t_terms):
-    """The short-reduction residual per generator from whole-env (4, 4, N) matrices."""
+def dense_short_reduction(rep, env, with_t_terms):
+    """The short-reduction residual per generator, from dense (4, 4, N) numpy matrices.
+
+    [R, D] + c1 m1*D + c2 m2*D (or [R, D] alone without T terms), with
+    R = S(x)Q + Q(x)S, D the braided coproduct of the fermion image,
+    c1 = -beta h2, c2 = -alpha h1, and m_site the 0/1 mask of the entries
+    whose row and column differ on that site (index 2a + b).
+    """
     data = identify_momentum(rep)
     q, sm = _short_rep_bilinears(data)
-    sq = mat_eval(graded_kron(_sub(sm, 1), _sub(q, 2), 1), env)
-    qs = mat_eval(graded_kron(_sub(q, 1), _sub(sm, 2), 1), env)
-    h1, h2 = (np.asarray(site_scalar(data.scalars[Gen.H_L], k).eval(env)) for k in (1, 2))
-    e1, e2 = (np.asarray(site_scalar(_phase(1), k).eval(env)) for k in (1, 2))
+    r = (mat_eval(graded_kron(_sub(sm, 1), _sub(q, 2), 1), env)
+         + mat_eval(graded_kron(_sub(q, 1), _sub(sm, 2), 1), env))
+    h1, h2 = (site_scalar(data.scalars[Gen.H_L], k).eval(env) for k in (1, 2))
+    e1, e2 = (site_scalar(_phase(1), k).eval(env) for k in (1, 2))
     alpha, beta = -(e1 * e2), 1.0 / (e1 * e2)
-    eye4 = np.eye(4, dtype=np.complex128)[:, :, None]
-    if with_t_terms:
-        tail = _TOperator(2 * (sq + qs), t1=-(beta * h2) * eye4, t2=-(alpha * h1) * eye4)
-    else:
-        tail = _TOperator(2 * (sq + qs))
-    reference = _TOperator(sq + qs)
+    differ = np.arange(4)[:, None] ^ np.arange(4)[None, :]
+    m1, m2 = (((differ & bit) != 0)[:, :, None] for bit in (2, 1))
     out = []
     for g in (Gen.Q_L, Gen.S_L):
-        t1, t2 = delta_fermion_mats(data.matrices[g])
-        dx = _TOperator(mat_eval(t1, env) + mat_eval(t2, env))
-        res = ((tail @ dx) - (dx @ tail)) - ((reference @ dx) - (dx @ reference))
-        parts = [np.max(np.abs(m)) for m in (res.base, res.t1, res.t2) if m is not None]
-        out.append(float(np.max(parts)))
+        d = sum(mat_eval(t, env) for t in delta_fermion_mats(data.matrices[g]))
+        res = np.einsum("ijn,jkn->ikn", r, d) - np.einsum("ijn,jkn->ikn", d, r)
+        if with_t_terms:
+            res += -(beta * h2) * m1 * d - (alpha * h1) * m2 * d
+        out.append(float(np.max(np.abs(res))))
     return out
 
 
 @pytest.mark.parametrize("count", [2 * ex._BLOCK_POINTS + 17, 100])
 @pytest.mark.parametrize("with_t_terms", [True, False])
-def test_sliced_short_reduction_equals_whole_env_matrices(short_rep, count, with_t_terms):
+def test_short_reduction_matches_a_dense_numpy_model(short_rep, count, with_t_terms):
     s = Sampler(seed=11, count=count)
     report = short_rep_reduction_check(short_rep.spec, short_rep, s, with_t_terms=with_t_terms)
-    got = [c.max_residual for c in report.conditions]
-    want = whole_env_short_reduction(short_rep, TWO_SITE.sample_env(s), with_t_terms)
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+    want = dense_short_reduction(short_rep, TWO_SITE.sample_env(s), with_t_terms)
+    for cond, value in zip(report.conditions, want, strict=True):
+        assert abs(cond.max_residual - value) <= 1e-13, (cond.name, cond.max_residual, value)
     assert report.passed is with_t_terms
+
+
+@pytest.mark.parametrize("wrong", ["other-site", "identity"])
+def test_short_reduction_fails_a_wrong_model_of_t(monkeypatch, short_rep, wrong):
+    ad_t = coproducts._ad_t
+    mutants = {
+        "other-site": lambda m, site: ad_t(m, 3 - site),  # T counts the other site's charge
+        "identity": lambda m, site: m,  # [T, M] = M on every entry
+    }
+    monkeypatch.setattr(coproducts, "_ad_t", mutants[wrong])
+    report = short_rep_reduction_check(short_rep.spec, short_rep, S)
+    assert not report.passed and report.max_residual > 0.5
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -60,6 +60,41 @@ def unused_locals(source: str) -> list:
     return sorted(found)
 
 
+def _module_level_names(tree):
+    """(name, line) for each name a module's top-level statements define."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, n.lineno
+
+
+def unused_private_names(sources: dict) -> list:
+    """Module-level ``_``-prefixed names of ``sources`` (module -> text) that none of them reads.
+
+    A read is a loaded name, a loaded attribute of that name (``ex._sweep_max``)
+    or a from-import of it; dunder names are exempt.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    return sorted(f"{module}: {name} (line {line})"
+                  for module, tree in trees.items()
+                  for name, line in _module_level_names(tree)
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
 def test_detector_flags_only_unread_imports():
     source = (
         "from __future__ import annotations\n"
@@ -96,3 +131,29 @@ def test_detector_flags_only_unread_locals():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text()) == []
+
+
+def test_detector_flags_only_unread_private_names():
+    sources = {
+        "a": (
+            "__version__ = '1'\n"
+            "_TABLE = {}\n"
+            "_x, _y = 1, 2\n"
+            "_SLICE: int = 256\n"
+            "class _Helper: pass\n"
+            "def _by_attr(): return _TABLE\n"
+            "def _by_import(): return _y\n"
+            "def public(): return _Helper()\n"
+        ),
+        "b": (
+            "from .a import _by_import\n"
+            "from . import a\n"
+            "def f(): return a._by_attr() + _by_import()\n"
+        ),
+    }
+    assert unused_private_names(sources) == ["a: _SLICE (line 4)", "a: _x (line 3)"]
+
+
+def test_no_unused_private_names():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []
