@@ -62,10 +62,6 @@ class Gen(enum.IntEnum):
     J_R = 20
 
     @property
-    def odd(self) -> bool:
-        return self in _ODD
-
-    @property
     def parity(self) -> int:
         return 1 if self in _ODD else 0
 
@@ -93,9 +89,9 @@ _LABELS = {
 }
 
 
-def _reversal_sign(a: Gen, b: Gen) -> float:
-    """Sign s in bracket(b,a) = s * bracket(a,b)."""
-    return 1.0 if (a.parity and b.parity) else -1.0
+def koszul(p: int, q: int) -> float:
+    """The graded sign (-1)^{pq} of parities ``p`` and ``q``."""
+    return -1.0 if (p and q) else 1.0
 
 
 class LinComb:
@@ -261,14 +257,14 @@ class AlgebraSpec:
 
     def row(self, a: Gen, b: Gen) -> LinComb:
         """Table row [a, b]; reversed pairs pick up the Koszul sign."""
-        if a == b and not a.odd:
+        if a == b and not a.parity:
             return LinComb()
         hit = self.table.get((a, b))
         if hit is not None:
             return hit
         hit = self.table.get((b, a))
         if hit is not None:
-            return hit.scale(_reversal_sign(a, b))
+            return hit.scale(-koszul(a.parity, b.parity))
         return LinComb()
 
     def derive(self, boost: Gen, f: Expr) -> Expr:
@@ -310,7 +306,7 @@ def bracket(spec: AlgebraSpec, x: Element, y: Element) -> LinComb:
             if gy in BOOSTS:
                 d = spec.derive(gy, cx)
                 if not ex.is_const(d, 0):
-                    sign = 1.0 if (gx.parity and gy.parity) else -1.0
+                    sign = -koszul(gx.parity, gy.parity)
                     out = out + LinComb.of(gx, mul(const(sign), cy, d))
         if gx in BOOSTS and not ex.is_const(ly.scalar, 0):
             out = out + LinComb(scalar=mul(cx, spec.derive(gx, ly.scalar)))
@@ -328,50 +324,25 @@ def outer_action(spec: AlgebraSpec, t: Gen, x: Gen) -> LinComb:
     return spec.row(t, x)
 
 
-def _residual_roots(spec: AlgebraSpec, lc: LinComb) -> tuple:
-    """The expressions ``_residual_arrays`` combines, in the order it takes their values.
+def _residual_exprs(spec: AlgebraSpec, lc: LinComb) -> tuple:
+    """The expressions whose max modulus is the residual of ``lc`` (see module docstring).
 
-    Each term's coefficient, followed by the generator's value for a value
-    carrier, then the scalar part unless it is zero.
+    Each coefficient of a generator that carries no value comes first, in
+    term order, then one sum of the value carriers' terms, coefficient times
+    value, and the scalar part unless it is zero.  The sum is built from raw
+    ``Mul``/``Add`` nodes, which keep its operands and their order as given.
     """
-    roots = []
+    plain, carried = [], []
     for g, c in lc.terms.items():
-        roots.append(c)
         if g in VALUE_CARRIERS:
-            roots.append(spec.values[g])
-    if not ex.is_const(lc.scalar, 0):
-        roots.append(lc.scalar)
-    return tuple(roots)
-
-
-def _residual_arrays(lc: LinComb, vals):
-    """The arrays whose max modulus is the residual of ``lc`` (see module docstring).
-
-    ``vals`` are the values of ``_residual_roots``.  Each coefficient of a
-    generator that carries no value comes first, in term order, then the
-    value carriers' terms summed with the scalar part.
-    """
-    vals = iter(vals)
-    combined = None
-    for g in lc.terms:
-        cval = next(vals)
-        if g in VALUE_CARRIERS:
-            term = np.asarray(cval) * np.asarray(next(vals))
-            combined = term if combined is None else combined + term
+            carried.append(ex.Mul((c, spec.values[g])))
         else:
-            yield cval
+            plain.append(c)
     if not ex.is_const(lc.scalar, 0):
-        sval = np.asarray(next(vals))
-        combined = sval if combined is None else combined + sval
-    if combined is not None:
-        yield combined
-
-
-def _residual_count(lc: LinComb) -> int:
-    """How many arrays ``_residual_arrays`` yields for ``lc``."""
-    plain = sum(g not in VALUE_CARRIERS for g in lc.terms)
-    combined = plain < len(lc.terms) or not ex.is_const(lc.scalar, 0)
-    return plain + int(combined)
+        carried.append(lc.scalar)
+    if carried:
+        plain.append(carried[0] if len(carried) == 1 else ex.Add(carried))
+    return tuple(plain)
 
 
 def jacobi_triples():
@@ -414,28 +385,27 @@ def jacobi_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
 
     triples = []
     for (x, y, z) in jacobi_triples():
-        s1 = -1.0 if (x.parity and z.parity) else 1.0
-        s2 = -1.0 if (y.parity and x.parity) else 1.0
-        s3 = -1.0 if (z.parity and y.parity) else 1.0
-        lc = bracket(spec, x, br(y, z)).scale(s1)
-        lc = lc + bracket(spec, y, br(z, x)).scale(s2)
-        lc = lc + bracket(spec, z, br(x, y)).scale(s3)
+        lc = bracket(spec, x, br(y, z)).scale(koszul(x.parity, z.parity))
+        lc = lc + bracket(spec, y, br(z, x)).scale(koszul(y.parity, x.parity))
+        lc = lc + bracket(spec, z, br(x, y)).scale(koszul(z.parity, y.parity))
         if not lc.structurally_zero:
             triples.append(((x.label, y.label, z.label), lc))
 
     # One tape for every triple, a group per triple.
+    groups = [_residual_exprs(spec, lc) for _, lc in triples]
+
     def arrays(block: dict, values):
-        for labels, lc in triples:
+        for labels, _ in triples:
             try:
-                vals = next(values)
+                yield from next(values)
             except PoleError as err:
                 raise PoleError(
-                    f"pole while evaluating triple ({','.join(labels)}): {err}", point=err.point
+                    f"pole while evaluating triple ({','.join(labels)}): {err.args[0]}",
+                    point=err.point,
                 ) from err
-            yield from _residual_arrays(lc, vals)
 
-    maxima = ex._sweep_max(env, [_residual_roots(spec, lc) for _, lc in triples], arrays)
-    per_triple = ex._worst_points(env, maxima, [_residual_count(lc) for _, lc in triples])
+    maxima = ex._sweep_max(env, groups, arrays)
+    per_triple = ex._worst_points(env, maxima, [len(roots) for roots in groups])
     residuals: Dict[tuple, float] = {}
     reported = 0
     for (labels, _), (value, point) in zip(triples, per_triple):
@@ -565,10 +535,10 @@ def _spec_for_jacobians(
         """Store [a,b] = lc under the canonical (enum-ordered) key."""
         if lc.structurally_zero:
             return
-        if a == b and not a.odd:
+        if a == b and not a.parity:
             raise ValueError("commutator of an even generator with itself")
         if b < a:
-            a, b, lc = b, a, lc.scale(_reversal_sign(a, b))
+            a, b, lc = b, a, lc.scale(-koszul(a.parity, b.parity))
         if (a, b) in table:
             raise ValueError(f"duplicate table row ({a.label}, {b.label})")
         table[(a, b)] = lc

@@ -145,47 +145,40 @@ def _sweep_max(
     groups: Sequence[Sequence["Expr"]],
     evaluate: Callable[[dict, Iterator[tuple]], Iterable],
 ) -> List[Tuple[float, int]]:
-    """Max modulus of every array ``evaluate`` yields, and the sample index of that maximum.
+    """Max modulus of every value ``evaluate`` yields, and the sample index of that maximum.
 
     ``groups`` are the sweep's root expressions, compiled once into a tape.
     ``evaluate(block_env, values)`` is called once per block of
     ``_BLOCK_POINTS`` samples of ``env`` (scalar entries broadcast); each
     ``next(values)`` computes the next group's new nodes, raising what
     ``Expr.eval`` would, and returns its root values, valid until the next
-    ``next``.  ``evaluate`` must yield the same arrays each time: last axis
-    over the block's samples (or scalars), leading axes in flat order.  Each
-    is reduced as it arrives to the value and flat sample index (for
-    ``sample_at(env, idx)``) that ``np.argmax`` over the whole array gives.
+    ``next``.  ``evaluate`` must yield the same values each time, each a
+    1-D array over the block's samples or a scalar.  Each is reduced as it
+    arrives to the value and sample index (for ``sample_at(env, idx)``) that
+    ``np.argmax`` over the whole array gives.  With no samples there are no
+    blocks, and the result is empty.
     """
     tape = _compile(groups)
     n = max((np.size(v) for v in env.values()), default=1)
     width = min(n, _BLOCK_POINTS)
     pool: list = []
-    tracked: list = []  # per array yielded: one [value, index] per row
-    for start in range(0, max(n, 1), _BLOCK_POINTS):
+    tracked: list = []  # per value yielded: (max modulus, sample index)
+    for start in range(0, n, _BLOCK_POINTS):
         block = {name: v[start:start + _BLOCK_POINTS] if np.ndim(v) == 1 and v.size == n else v
                  for name, v in env.items()}
         values = _run(tape, block, min(width, n - start), pool, width)
         try:
             for t, arr in enumerate(evaluate(block, values)):
                 a = np.abs(np.asarray(arr))
-                if a.ndim <= 1:
-                    i = int(a.argmax())
-                    found = [(float(a.flat[i]), i)]
-                else:
-                    a = a.reshape(-1, a.shape[-1])
-                    cols = a.argmax(axis=1)
-                    found = zip(a[np.arange(len(a)), cols].tolist(), cols.tolist())
+                i = int(a.argmax())
+                value = float(a.flat[i])
                 if start == 0:
-                    tracked.append([[value, i] for value, i in found])
-                    continue
-                for row, (value, i) in zip(tracked[t], found):
-                    if _beats(value, row[0]):
-                        row[:] = value, start + i
+                    tracked.append((value, i))
+                elif _beats(value, tracked[t][0]):
+                    tracked[t] = (value, start + i)
         finally:
             values.close()
-    # Across an array's rows, too, the first NaN wins, else the first maximum.
-    return [tuple(_worst(rows, rows[0])) for rows in tracked]
+    return tracked
 
 
 def _worst_points(env: Mapping[str, EnvValue], maxima, sizes) -> List[tuple]:

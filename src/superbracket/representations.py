@@ -68,7 +68,7 @@ from .diffops import (
     zero_op,
 )
 from .errors import DomainError, GradeError, InvalidParams
-from .expressions import add, const, mul, quot, var
+from .expressions import add, const, mul, neg, quot, var
 from .families import family_transform
 from .reports import ConsistencyReport
 from .sampling import Sampler
@@ -121,7 +121,7 @@ class Representation:
 def _check_image_invariants(images: Dict[Gen, DiffOperator]):
     probe = None
     for g, op in images.items():
-        if g.odd:
+        if g.parity:
             if op.B:
                 raise GradeError(f"odd image {g.label} has a differential part")
             if not (ex.is_const(op.A[0][0], 0) and ex.is_const(op.A[1][1], 0)):
@@ -307,14 +307,12 @@ def ode_solution_check(kappa: float, gamma_exp: float, s: Sampler) -> Consistenc
 
     def arrays(block: dict, values):
         (f_vals,) = next(values)
-        f_vals = np.asarray(f_vals)
         if np.any((f_vals.real <= 0) | (f_vals.real >= 2 * math.pi)):
             raise DomainError("arccot momentum map left the branch (0, 2 pi)")
-        for a, b in values:
-            yield np.asarray(a) - np.asarray(b)
+        yield from next(values)
 
     (ode, ode_idx), (energy, energy_idx) = ex._sweep_max(
-        env, [(f,), (df, rhs), (lhs, closed)], arrays)
+        env, [(f,), (add(df, neg(rhs)), add(lhs, neg(closed)))], arrays)
     report.add("momentum-map-ode", ode, ex.sample_at(env, ode_idx))
     report.add("pulled-back-energy-closed-form", energy, ex.sample_at(env, energy_idx))
     return report

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InvalidParams
-from .expressions import Expr, _every_root, _sweep_max, sample_at
+from .expressions import _BLOCK_POINTS, Expr, _every_root, _sweep_max, sample_at
 from .reports import ConsistencyReport
 
 # Points the sampler must stay away from: zeros of sin(p/2) and the poles of
@@ -104,13 +104,15 @@ class Sampler:
         """Sample (p_L, p_R) arrays; with a constraint, p_R = f(p_L).
 
         Without one the two arrays are independent draws, which also serve
-        as the (p1, p2) site momenta of two-site operators.
+        as the (p1, p2) site momenta of two-site operators.  With no samples
+        both are empty.
 
         Constrained draws are rejected until the induced p_R also clears the
-        singular loci, so downstream evaluations never sit on a pole.
+        singular loci, so downstream evaluations never sit on a pole.  f is
+        evaluated in blocks of ``_BLOCK_POINTS`` samples.
         """
         rng = np.random.default_rng(self.seed)
-        if constraint is None:
+        if constraint is None or self.count == 0:
             return self._draw(rng, self.count), self._draw(rng, self.count)
         f, _ = constraint
         collected_l: list[np.ndarray] = []
@@ -120,7 +122,8 @@ class Sampler:
             if have >= self.count:
                 break
             pl = self._draw(rng, max(self.count, 16))
-            pr = np.asarray(f.eval({"pL": pl + 0j}))
+            pr = np.concatenate([np.asarray(f.eval({"pL": pl[i:i + _BLOCK_POINTS] + 0j}))
+                                 for i in range(0, pl.size, _BLOCK_POINTS)])
             ok = _clear_of_loci(pr.real) & (np.abs(pr.imag) < 1e-9)
             collected_l.append(pl[ok])
             collected_r.append(pr.real[ok])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
 from . import expressions as ex
-from .algebra import AlgebraSpec, Gen
+from .algebra import AlgebraSpec, Gen, koszul
 from .errors import NormalFormDivergence, SuperbracketError
 from .expressions import Expr, add, const, mul, var
 
@@ -231,7 +231,7 @@ class SymbolicEngine:
             return hit
         hit = self.table.get((b, a))
         if hit is not None:
-            sign = 1.0 if (a.parity and b.parity) else -1.0
+            sign = -koszul(a.parity, b.parity)
             return {g: sign * c for g, c in hit.items()}
         return {}
 
@@ -273,13 +273,13 @@ class SymbolicEngine:
                     return
                 if b < a:
                     # x y = (-1)^{|x||y|} y x + [x, y]
-                    koszul = -1.0 if (a.parity and b.parity) else 1.0
+                    swap = koszul(a.parity, b.parity)
                     row = self.row(a, b)
                     for g, rc in row.items():
                         neww = word[:i] + ([g] if g is not None else []) + word[i + 2:]
                         work(c * rc, tuple(neww))
                     word[i], word[i + 1] = b, a
-                    c *= koszul
+                    c *= swap
                     i = max(i - 1, 0)
                     continue
                 i += 1
@@ -294,8 +294,7 @@ class SymbolicEngine:
         for (w1, w2), c1 in e1.terms.items():
             p_w2 = _word_parity(w2)
             for (v1, v2), c2 in e2.terms.items():
-                koszul = -1.0 if (p_w2 and _word_parity(v1)) else 1.0
-                coef = (c1 * c2).scaled(koszul)
+                coef = (c1 * c2).scaled(koszul(p_w2, _word_parity(v1)))
                 site1 = self.normal_order_word(w1 + v1)
                 site2 = self.normal_order_word(w2 + v2)
                 for f1, nw1 in site1:
@@ -311,7 +310,7 @@ class SymbolicEngine:
 
     def bracket(self, e1: SymbolicElement, e2: SymbolicElement) -> SymbolicElement:
         """Supercommutator e1 e2 - (-1)^{|e1||e2|} e2 e1."""
-        sign = -1.0 if (e1.parity() and e2.parity()) else 1.0
+        sign = koszul(e1.parity(), e2.parity())
         return self.product(e1, e2) - self.product(e2, e1).scaled(sign)
 
 

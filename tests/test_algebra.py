@@ -20,7 +20,7 @@ from superbracket.algebra import (
     mutate_row,
     outer_action,
 )
-from superbracket.errors import InconsistentParams
+from superbracket.errors import InconsistentParams, PoleError
 from superbracket.expressions import const, mul
 from superbracket.sampling import Sampler, is_zero
 
@@ -36,11 +36,10 @@ ALL_FAMILIES = [
 
 def lincomb_residual(spec, lc, count=25, seed=11):
     """Max modulus of a LinComb with the central values substituted."""
-    from superbracket.algebra import _residual_arrays, _residual_roots
+    from superbracket.algebra import _residual_exprs
 
     env = spec.sample_env(Sampler(seed=seed, count=count))
-    maxima = ex._sweep_max(env, [_residual_roots(spec, lc)],
-                           lambda block, values: _residual_arrays(lc, next(values)))
+    maxima = ex._sweep_max(env, [_residual_exprs(spec, lc)], ex._every_root)
     return max((value for value, _ in maxima), default=0.0)
 
 
@@ -59,7 +58,7 @@ def test_koszul_antisymmetry_of_rows():
     for (a, b) in list(spec.table):
         fwd = bracket(spec, a, b)
         bwd = bracket(spec, b, a)
-        sign = 1.0 if (a.odd and b.odd) else -1.0
+        sign = 1.0 if (a.parity and b.parity) else -1.0
         diff = bwd + fwd.scale(-sign)
         assert lincomb_residual(spec, diff) <= 1e-12, (a, b)
 
@@ -172,6 +171,17 @@ def test_jacobi_random_single_row_mutations_fail():
         report = jacobi_check(mutate_row(spec, key, 2.0), Sampler(count=10))
         failures += 0 if report.passed else 1
     assert failures == 25, f"only {failures} of 25 mutations broke the identities"
+
+
+def test_jacobi_pole_names_its_triple_and_point_once():
+    pl = ex.var("pL")
+    den = ex.add(ex.sin(pl), ex.neg(ex.sin(pl)))  # identically zero, not folded
+    spec = mutate_row(build_algebra(DPlusOne()), (Gen.Q_L, Gen.S_L), ex.quot(ex.ONE, den))
+    with pytest.raises(PoleError) as info:
+        jacobi_check(spec, Sampler(count=10))
+    message = str(info.value)
+    assert message.startswith("pole while evaluating triple (")
+    assert message.count(" at ") == 1 and message.endswith(f" at {info.value.point}")
 
 
 def test_energy_identification_validation():

@@ -5,6 +5,7 @@ import pytest
 
 from superbracket import expressions as ex
 from superbracket import sampling as sm
+from superbracket.algebra import ratio_momentum_map
 from superbracket.expressions import add, const, mul, var
 from superbracket.sampling import (
     MomentumPoint,
@@ -34,6 +35,19 @@ def test_constrained_pairs_respect_the_map():
     assert np.allclose(pr, -pl)
     for locus in registered_singular_loci():
         assert np.all(np.abs(pr - locus) >= 0.05)
+
+
+def test_zero_samples_draw_empty_pairs():
+    for constraint in (None, (mul(const(-1.0), PL), const(-1.0))):
+        pl, pr = Sampler(count=0).pairs(constraint)
+        assert pl.shape == pr.shape == (0,)
+
+
+def test_constrained_pairs_evaluate_the_map_in_blocks_bit_for_bit():
+    f, df = ratio_momentum_map(1.0, 2.0)
+    pl, pr = Sampler(seed=3, count=3 * ex._BLOCK_POINTS + 17).pairs((f, df))
+    assert pl.size == pr.size == 3 * ex._BLOCK_POINTS + 17
+    assert np.array_equal(pr, np.asarray(f.eval({"pL": pl + 0j})).real)
 
 
 def test_is_zero_pythagorean():

@@ -29,7 +29,7 @@ from superbracket.diffops import TwoVarContext, first_order_op, mat, mat_eval, m
 from superbracket.errors import PoleError
 from superbracket.expressions import add, const, mul, quot, var
 from superbracket.reports import ConsistencyReport
-from superbracket.representations import build_representation
+from superbracket.representations import boost_identification_residual, build_representation
 from superbracket.sampling import Sampler
 from superbracket.suite import parse_suite
 
@@ -106,6 +106,14 @@ def test_first_maximum_wins_across_blocks():
     env["pL"][2 * B + 3] = np.nan  # np.argmax takes the first NaN over any maximum
     [(value, idx)] = ex._sweep_max(env, [(PL,)], ex._every_root)
     assert np.isnan(value) and idx == 2 * B + 3 == int(np.argmax(np.abs(env["pL"])))
+
+
+def test_zero_samples_sweep_no_block():
+    env = {"pL": np.empty(0, complex), "pR": np.empty(0, complex)}
+    assert ex._sweep_max(env, [(PL,), (mul(PL, PR),)], ex._every_root) == []
+    assert multiplication_op(CTX, mat([[PL, PR]])).max_abs(env) == (0.0, None)
+    rep = build_representation(DPlusOne())
+    assert boost_identification_residual(rep, Sampler(count=0)) == 0.0
 
 
 def test_matrix_maximum_keeps_flat_entry_then_sample_order():
