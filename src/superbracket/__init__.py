@@ -25,7 +25,6 @@ from .algebra import (
     bracket,
     build_algebra,
     jacobi_check,
-    outer_action,
 )
 from .errors import (
     AmbiguousFamily,

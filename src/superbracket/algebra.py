@@ -24,7 +24,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -236,20 +238,33 @@ def dispersion_shape(kind: str, h: float, mass: float, p: Expr) -> Expr:
 # AlgebraSpec
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AlgebraSpec:
+    """A family's bracket table with the expressions it is built from.
+
+    The spec is frozen and its mappings are read-only copies, so what it
+    derives lazily (``jacobi_residuals``) cannot go stale; a changed table is
+    a new spec (``replace_table``, ``dataclasses.replace``).
+    """
+
     family: FamilyTag
     params: AlgebraParams
-    H: Dict[str, Expr]            # side -> energy expression
-    Phi: Dict[str, Expr]          # side -> dH/dp in the side's own momentum
-    phiQ: Dict[str, Expr]
-    phiS: Dict[str, Expr]
+    H: Mapping[str, Expr]         # side -> energy expression
+    Phi: Mapping[str, Expr]       # side -> dH/dp in the side's own momentum
+    phiQ: Mapping[str, Expr]
+    phiS: Mapping[str, Expr]
     dLR: Expr
     dRL: Expr
-    cross: Dict[str, Expr]        # side A -> H_A d_AB / H_B
-    table: Dict[Tuple[Gen, Gen], LinComb]
+    cross: Mapping[str, Expr]     # side A -> H_A d_AB / H_B
+    table: Mapping[Tuple[Gen, Gen], LinComb]
     constraint: Optional[Tuple[Expr, Expr]]  # (p_R = f(p_L), df/dp_L)
-    values: Dict[Gen, Expr] = field(default_factory=dict)
+    values: Mapping[Gen, Expr] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Mapping):
+                object.__setattr__(self, f.name, MappingProxyType(dict(value)))
 
     @property
     def zeta(self):
@@ -278,8 +293,37 @@ class AlgebraSpec:
         pl, pr = s.pairs(self.constraint)
         return {"pL": pl + 0j, "pR": pr + 0j}
 
-    def replace_table(self, table: Dict[Tuple[Gen, Gen], LinComb]) -> "AlgebraSpec":
+    def replace_table(self, table: Mapping[Tuple[Gen, Gen], LinComb]) -> "AlgebraSpec":
         return replace(self, table=table)
+
+    @cached_property
+    def jacobi_residuals(self) -> Tuple[Tuple[Tuple[str, str, str], tuple], ...]:
+        """Labels and ``_residual_exprs`` roots of each triple ``jacobi_check`` sweeps.
+
+        In ``jacobi_triples`` order, leaving out every triple whose residual is
+        structurally zero; a triple whose three inner brackets are all
+        structurally zero is skipped before its outer brackets are built.
+        Expanded once per spec, on first use, and held by the spec.
+        """
+        pair_cache: Dict[Tuple[Gen, Gen], LinComb] = {}
+
+        def br(a: Gen, b: Gen) -> LinComb:
+            hit = pair_cache.get((a, b))
+            if hit is None:
+                hit = pair_cache[(a, b)] = bracket(self, a, b)
+            return hit
+
+        out = []
+        for (x, y, z) in jacobi_triples():
+            yz, zx, xy = br(y, z), br(z, x), br(x, y)
+            if yz.structurally_zero and zx.structurally_zero and xy.structurally_zero:
+                continue
+            lc = bracket(self, x, yz).scale(koszul(x.parity, z.parity))
+            lc = lc + bracket(self, y, zx).scale(koszul(y.parity, x.parity))
+            lc = lc + bracket(self, z, xy).scale(koszul(z.parity, y.parity))
+            if not lc.structurally_zero:
+                out.append(((x.label, y.label, z.label), _residual_exprs(self, lc)))
+        return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -315,13 +359,6 @@ def bracket(spec: AlgebraSpec, x: Element, y: Element) -> LinComb:
             if gy in BOOSTS:
                 out = out + LinComb(scalar=mul(const(-1.0), cy, spec.derive(gy, lx.scalar)))
     return out
-
-
-def outer_action(spec: AlgebraSpec, t: Gen, x: Gen) -> LinComb:
-    """Adjoint action of an outer-automorphism generator; absent rows are zero."""
-    if t not in OUTER:
-        raise ValueError(f"{t.label} is not an outer-automorphism generator")
-    return spec.row(t, x)
 
 
 def _residual_exprs(spec: AlgebraSpec, lc: LinComb) -> tuple:
@@ -365,34 +402,16 @@ def jacobi_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
     Residuals of
       (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]]
     are evaluated at the sampled points, with the family's momentum
-    constraint applied to the samples.
+    constraint applied to the samples.  The triples are expanded once per
+    spec, by ``AlgebraSpec.jacobi_residuals``.
     """
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
         report.note = "no samples"
         return report
     env = spec.sample_env(s)
-
-    pair_cache: Dict[Tuple[Gen, Gen], LinComb] = {}
-
-    def br(a: Gen, b: Gen) -> LinComb:
-        key = (a, b)
-        hit = pair_cache.get(key)
-        if hit is None:
-            hit = bracket(spec, a, b)
-            pair_cache[key] = hit
-        return hit
-
-    triples = []
-    for (x, y, z) in jacobi_triples():
-        lc = bracket(spec, x, br(y, z)).scale(koszul(x.parity, z.parity))
-        lc = lc + bracket(spec, y, br(z, x)).scale(koszul(y.parity, x.parity))
-        lc = lc + bracket(spec, z, br(x, y)).scale(koszul(z.parity, y.parity))
-        if not lc.structurally_zero:
-            triples.append(((x.label, y.label, z.label), lc))
-
-    # One tape for every triple, a group per triple.
-    groups = [_residual_exprs(spec, lc) for _, lc in triples]
+    triples = spec.jacobi_residuals
+    groups = [roots for _, roots in triples]  # one tape, a group per triple
 
     def arrays(block: dict, values):
         for labels, _ in triples:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -17,8 +18,9 @@ from superbracket.algebra import (
     bracket,
     build_algebra,
     jacobi_check,
+    jacobi_triples,
+    koszul,
     mutate_row,
-    outer_action,
 )
 from superbracket.errors import InconsistentParams, PoleError
 from superbracket.expressions import const, mul
@@ -103,12 +105,10 @@ def test_phi_sum_constraint():
 
 def test_outer_action_examples():
     spec = build_algebra(DPlusOne())
-    assert repr(outer_action(spec, Gen.t_lp, Gen.S_R)) == "(1.0)*Q_L"
-    assert outer_action(spec, Gen.t_lp, Gen.Q_R).structurally_zero
-    assert repr(outer_action(spec, Gen.t_rp, Gen.P)) == "(1.0)*H_L"
-    assert repr(outer_action(spec, Gen.B, Gen.Q_L)) == "(2j)*Q_L"
-    with pytest.raises(ValueError):
-        outer_action(spec, Gen.Q_L, Gen.P)
+    assert repr(spec.row(Gen.t_lp, Gen.S_R)) == "(1.0)*Q_L"
+    assert spec.row(Gen.t_lp, Gen.Q_R).structurally_zero
+    assert repr(spec.row(Gen.t_rp, Gen.P)) == "(1.0)*H_L"
+    assert repr(spec.row(Gen.B, Gen.Q_L)) == "(2j)*Q_L"
 
 
 def test_hypercharge_is_difference_of_diagonal_outers():
@@ -171,6 +171,58 @@ def test_jacobi_random_single_row_mutations_fail():
         report = jacobi_check(mutate_row(spec, key, 2.0), Sampler(count=10))
         failures += 0 if report.passed else 1
     assert failures == 25, f"only {failures} of 25 mutations broke the identities"
+
+
+def unpruned_jacobi_residuals(spec):
+    """Every triple expanded through all three outer brackets, none skipped."""
+    from superbracket.algebra import _residual_exprs
+
+    out = []
+    for x, y, z in jacobi_triples():
+        lc = bracket(spec, x, bracket(spec, y, z)).scale(koszul(x.parity, z.parity))
+        lc = lc + bracket(spec, y, bracket(spec, z, x)).scale(koszul(y.parity, x.parity))
+        lc = lc + bracket(spec, z, bracket(spec, x, y)).scale(koszul(z.parity, y.parity))
+        if not lc.structurally_zero:
+            out.append(((x.label, y.label, z.label), _residual_exprs(spec, lc)))
+    return out
+
+
+QS, QJ, SJ = (Gen.Q_L, Gen.S_L), (Gen.Q_L, Gen.J_R), (Gen.S_L, Gen.J_R)
+
+
+# The mutated tables make each inner bracket the only nonzero one of some
+# triple whose residual is nonzero, so a prune that skips a triple on any two
+# vanishing inner brackets fails one of them.
+@pytest.mark.parametrize("family, params, mutations", [
+    *((f, AlgebraParams(), ()) for f in ALL_FAMILIES),
+    (DZero(), AlgebraParams(drop_central_extension=True), ()),
+    (DPlusOne(), AlgebraParams(), ((QS, 2.0),)),
+    (DPlusOne(), AlgebraParams(), ((QS, 0.0),)),
+    (DPlusOne(), AlgebraParams(), ((QJ, 0.0), (SJ, 0.0))),
+], ids=[*map(repr, ALL_FAMILIES), "d_zero-dropped-centrals", "QS-x2", "QS-x0", "QJ,SJ-x0"])
+def test_pruned_expansion_matches_the_unpruned_loop(family, params, mutations):
+    spec = build_algebra(family, params)
+    for key, factor in mutations:
+        spec = mutate_row(spec, key, factor)
+    got, want = spec.jacobi_residuals, unpruned_jacobi_residuals(spec)
+    assert [labels for labels, _ in got] == [labels for labels, _ in want]
+    for (labels, roots), (_, expected) in zip(got, want):
+        # nodes are interned, so equal residuals are the same objects
+        assert len(roots) == len(expected), labels
+        assert all(a is b for a, b in zip(roots, expected)), labels
+
+
+def test_expansion_is_cached_per_spec_and_never_stale():
+    spec = build_algebra(DPlusOne())
+    assert spec.jacobi_residuals is spec.jacobi_residuals
+    s = Sampler(count=10)
+    assert jacobi_check(spec, s).passed
+    assert not jacobi_check(mutate_row(spec, (Gen.Q_L, Gen.S_L)), s).passed
+    assert jacobi_check(spec, s).passed
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.dLR = const(2.0)
+    with pytest.raises(TypeError):
+        spec.table[(Gen.Q_L, Gen.S_L)] = LinComb.of(Gen.H_R)
 
 
 def test_jacobi_pole_names_its_triple_and_point_once():

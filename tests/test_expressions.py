@@ -206,17 +206,24 @@ def test_intern_table_forgets_dead_nodes():
 
 
 def test_intern_table_does_not_grow_over_repeated_sweeps():
-    # every node a sweep builds dies with it (no cache pins derivatives);
-    # only the spec's own trees stay
-    spec = build_algebra(Ratio(2), AlgebraParams())
+    # the spec holds its trees and its expanded Jacobi residuals; every other
+    # node a sweep builds dies with it (no cache pins derivatives), and the
+    # spec's nodes die with the spec
     gc.collect()
-    before = len(ex._NODES)
+    empty = len(ex._NODES)
+    spec = build_algebra(Ratio(2), AlgebraParams())
+    assert spec.jacobi_residuals
+    gc.collect()
+    held = len(ex._NODES)
     sizes = []
     for _ in range(4):
         jacobi_check(spec, Sampler(seed=7, count=100))
         gc.collect()
         sizes.append(len(ex._NODES))
-    assert sizes == [before] * 4
+    assert sizes == [held] * 4
+    del spec
+    gc.collect()
+    assert len(ex._NODES) == empty
 
 
 def test_constant_folding_keeps_trees_small():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,9 +45,7 @@ S = Sampler(count=100)
 
 
 def unconstrained(spec):
-    out = spec.replace_table(spec.table)
-    out.constraint = None
-    return out
+    return dataclasses.replace(spec, constraint=None)
 
 
 def test_cross_residual_trivial_for_d_zero():
@@ -63,9 +63,8 @@ def test_cross_residual_d_plus_one_cancels():
 
 
 def test_cross_residual_invalid_constant_pair():
-    spec = unconstrained(build_algebra(DPlusOne()))
-    spec.dLR = const(2.0)
-    spec.dRL = const(2.0)
+    spec = dataclasses.replace(unconstrained(build_algebra(DPlusOne())),
+                               dLR=const(2.0), dRL=const(2.0))
     r = cross_jacobian_residual(spec, MomentumPoint(1.0, 1.0))
     # direct evaluation: H d Phi - 0 - H d Phi d = 2 H Phi (1 - 2) at p = 1
     h = np.sin(0.5)
@@ -130,9 +129,8 @@ def test_product_constraints():
     assert product_constraint_check(build_algebra(Ratio(2.0)), S).passed
     assert product_constraint_check(build_algebra(LeftSeparable(1.0)), S).passed
 
-    bad = unconstrained(build_algebra(DPlusOne()))
-    bad.dLR = const(0.5)
-    bad.dRL = const(0.5)
+    bad = dataclasses.replace(unconstrained(build_algebra(DPlusOne())),
+                              dLR=const(0.5), dRL=const(0.5))
     report = product_constraint_check(bad, S)
     names = {c.name for c in report.failures()}
     assert "product-compatibility" in names
