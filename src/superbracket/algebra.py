@@ -65,7 +65,7 @@ class Gen(enum.IntEnum):
 
     @property
     def parity(self) -> int:
-        return 1 if self in _ODD else 0
+        return PARITY[self]
 
     @property
     def label(self) -> str:
@@ -78,7 +78,8 @@ GL2 = frozenset(OUTER - {Gen.B})
 BOOSTS = frozenset({Gen.J_L, Gen.J_R})
 VALUE_CARRIERS = (Gen.H_L, Gen.H_R, Gen.p_L, Gen.p_R)
 FERMIONS = (Gen.Q_L, Gen.S_L, Gen.Q_R, Gen.S_R)
-_ODD = frozenset(FERMIONS)
+# The Z2 grading of each generator, indexed by its integer value.
+PARITY = tuple(1 if g in FERMIONS else 0 for g in Gen)
 
 _LABELS = {
     Gen.H_L: "H_L", Gen.H_R: "H_R", Gen.P: "P", Gen.K: "K",

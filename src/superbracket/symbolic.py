@@ -8,7 +8,14 @@ quarter-phase monomial
 
 with integer n and complex c.  Products reorder words against the bracket
 table (PBW-style, Koszul signs included); every bracket row used here has a
-constant coefficient, so all cancellations are exact, with no tolerance.
+constant coefficient.  A product accumulates into one flat map (word pair)
+-> {phase key: complex} and builds its objects only for the result.
+
+The coefficients are complex floats, but their values are small dyadic
+Gaussian integers: ±1, ±i and ±2 in every product of the tail checks, and a
+test pins every real and imaginary part to a multiple of 2^-8 below 2^44.
+So every sum is exact, in any order, and a residual is either exactly zero
+or not.  Exact rational arithmetic is ROADMAP item 5.
 
 The opaque symbols carry the unbraided coefficient functions F+, F-, G,
 which enter the tails only as overall factors and never need evaluating.
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
 from . import expressions as ex
-from .algebra import AlgebraSpec, Gen, koszul
+from .algebra import PARITY, AlgebraSpec, Gen, koszul
 from .errors import NormalFormDivergence, SuperbracketError
 from .expressions import Expr, add, const, mul, var
 
@@ -29,6 +36,23 @@ Word = Tuple[Gen, ...]
 _ZERO_PHASE = (0, 0, 0, 0, ())
 
 _SLOT_VARS = ("pL1", "pR1", "pL2", "pR2")
+
+_MINUS_ONE = complex(-1.0)
+
+
+def _phase_product(left, right) -> Dict[PhaseKey, complex]:
+    """The terms of the product of two phase maps, dropping exact zeros."""
+    out: Dict[PhaseKey, complex] = {}
+    for (a1, a2, a3, a4, s1), v1 in left.items():
+        for (b1, b2, b3, b4, s2), v2 in right.items():
+            key = (a1 + b1, a2 + b2, a3 + b3, a4 + b4,
+                   tuple(sorted(s1 + s2)) if s1 or s2 else ())
+            w = out.get(key, 0) + v1 * v2
+            if w == 0:
+                out.pop(key, None)
+            else:
+                out[key] = w
+    return out
 
 
 class PhaseCoef:
@@ -41,6 +65,13 @@ class PhaseCoef:
         for k, v in (terms or {}).items():
             if v != 0:
                 self.terms[k] = v
+
+    @classmethod
+    def _wrap(cls, terms: Dict[PhaseKey, complex]) -> "PhaseCoef":
+        """A coefficient over ``terms`` as given: no copy, no zero filter."""
+        self = cls.__new__(cls)
+        self.terms = terms
+        return self
 
     @staticmethod
     def number(c: complex) -> "PhaseCoef":
@@ -66,19 +97,10 @@ class PhaseCoef:
                 out.pop(k, None)
             else:
                 out[k] = w
-        return PhaseCoef(out)
+        return PhaseCoef._wrap(out)
 
     def __mul__(self, other: "PhaseCoef") -> "PhaseCoef":
-        out: Dict[PhaseKey, complex] = {}
-        for (a1, a2, a3, a4, s1), v1 in self.terms.items():
-            for (b1, b2, b3, b4, s2), v2 in other.terms.items():
-                key = (a1 + b1, a2 + b2, a3 + b3, a4 + b4, tuple(sorted(s1 + s2)))
-                w = out.get(key, 0) + v1 * v2
-                if w == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = w
-        return PhaseCoef(out)
+        return PhaseCoef._wrap(_phase_product(self.terms, other.terms))
 
     def scaled(self, c: complex) -> "PhaseCoef":
         if c == 0:
@@ -129,7 +151,7 @@ class PhaseCoef:
 
 
 def _word_parity(w: Word) -> int:
-    return sum(g.parity for g in w) % 2
+    return sum(map(PARITY.__getitem__, w)) & 1
 
 
 class SymbolicElement:
@@ -143,6 +165,13 @@ class SymbolicElement:
             if not v.is_zero:
                 self.terms[k] = v
 
+    @classmethod
+    def _wrap(cls, terms: Dict[Tuple[Word, Word], PhaseCoef]) -> "SymbolicElement":
+        """An element over ``terms`` as given: no copy, no zero filter."""
+        self = cls.__new__(cls)
+        self.terms = terms
+        return self
+
     @staticmethod
     def of(coef: PhaseCoef, w1: Iterable[Gen] = (), w2: Iterable[Gen] = ()) -> "SymbolicElement":
         return SymbolicElement({(tuple(w1), tuple(w2)): coef})
@@ -155,7 +184,7 @@ class SymbolicElement:
                 out.pop(k, None)
             else:
                 out[k] = w
-        return SymbolicElement(out)
+        return SymbolicElement._wrap(out)
 
     def scaled(self, c) -> "SymbolicElement":
         coef = c if isinstance(c, PhaseCoef) else PhaseCoef.number(c)
@@ -290,28 +319,75 @@ class SymbolicEngine:
         return [(c, word) for word, c in out.items() if c != 0]
 
     def product(self, e1: SymbolicElement, e2: SymbolicElement) -> SymbolicElement:
-        out: Dict[Tuple[Word, Word], PhaseCoef] = {}
+        """e1 e2, normal-ordered.
+
+        The terms accumulate into one flat map (word pair) -> {phase key:
+        complex}, and the objects are built once, for the result.  Each
+        float step of the term-by-term fold is kept, in the fold's order:
+        c1 c2 is scaled by the Koszul sign and then by each normal-form
+        factor, a new word pair stores that term as it is, and a seen one
+        adds it phase by phase.  So the terms, their order and the
+        coefficient bits (signed zeros included) are the fold's.
+        """
+        out: Dict[Tuple[Word, Word], Dict[PhaseKey, complex]] = {}
+        right = [(v1, v2, _word_parity(v1), c2.terms) for (v1, v2), c2 in e2.terms.items()]
+        normal_form = self.normal_order_word
         for (w1, w2), c1 in e1.terms.items():
-            p_w2 = _word_parity(w2)
-            for (v1, v2), c2 in e2.terms.items():
-                coef = (c1 * c2).scaled(koszul(p_w2, _word_parity(v1)))
-                site1 = self.normal_order_word(w1 + v1)
-                site2 = self.normal_order_word(w2 + v2)
+            odd_w2 = _word_parity(w2)
+            for v1, v2, odd_v1, c2 in right:
+                site1 = normal_form(w1 + v1)
+                site2 = normal_form(w2 + v2)
+                coef = _phase_product(c1.terms, c2)
+                if not coef:
+                    continue
+                sign = -1.0 if (odd_w2 and odd_v1) else 1.0
+                signed = [(k, x * sign) for k, x in coef.items()]
                 for f1, nw1 in site1:
                     for f2, nw2 in site2:
-                        term = coef.scaled(f1 * f2)
+                        f = f1 * f2
                         key = (nw1, nw2)
-                        total = (out[key] + term) if key in out else term
-                        if total.is_zero:
-                            out.pop(key, None)
-                        else:
-                            out[key] = total
-        return SymbolicElement(out)
+                        acc = out.get(key)
+                        if acc is None:
+                            out[key] = acc = {}
+                            for k, x in signed:
+                                acc[k] = x * f
+                            continue
+                        for k, x in signed:
+                            w = acc.get(k, 0) + x * f
+                            if w == 0:
+                                acc.pop(k, None)
+                            else:
+                                acc[k] = w
+                        if not acc:
+                            del out[key]
+        return SymbolicElement._wrap({k: PhaseCoef._wrap(v) for k, v in out.items()})
 
     def bracket(self, e1: SymbolicElement, e2: SymbolicElement) -> SymbolicElement:
-        """Supercommutator e1 e2 - (-1)^{|e1||e2|} e2 e1."""
-        sign = koszul(e1.parity(), e2.parity())
-        return self.product(e1, e2) - self.product(e2, e1).scaled(sign)
+        """Supercommutator e1 e2 - (-1)^{|e1||e2|} e2 e1.
+
+        The second product is merged into the first in place, with the float
+        steps of ``first - second.scaled(sign)``: each coefficient x becomes
+        0 + (0 + x sign) (-1), and is added to the first product's term.
+        """
+        sign = complex(koszul(e1.parity(), e2.parity()))
+        first = self.product(e1, e2)
+        out = first.terms
+        for key, coef in self.product(e2, e1).terms.items():
+            acc = out.get(key)
+            if acc is None:
+                coef.terms = {k: 0 + (0 + x * sign) * _MINUS_ONE for k, x in coef.terms.items()}
+                out[key] = coef
+                continue
+            terms = acc.terms
+            for k, x in coef.terms.items():
+                w = terms.get(k, 0) + (0 + (0 + x * sign) * _MINUS_ONE)
+                if w == 0:
+                    terms.pop(k, None)
+                else:
+                    terms[k] = w
+            if not terms:
+                del out[key]
+        return first
 
 
 # --------------------------------------------------------------------------

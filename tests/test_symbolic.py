@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 from superbracket import expressions as ex
-from superbracket.algebra import DMinusOne, DPlusOne, DZero, Gen, build_algebra
+from superbracket import symbolic
+from superbracket.algebra import (
+    DMinusOne,
+    DPlusOne,
+    DZero,
+    Gen,
+    LeftSeparable,
+    Ratio,
+    RightSeparable,
+    build_algebra,
+    koszul,
+)
 from superbracket.coproducts import build_coproduct
 from superbracket.diffops import op_add, op_bracket, op_scale, op_sub
 from superbracket.errors import NormalFormDivergence
@@ -22,6 +33,10 @@ from superbracket.symbolic import (
     tail_cancellation_check,
 )
 from superbracket.tensorops import TWO_SITE, tensor_mult
+
+ALL_FAMILIES = [DZero(), LeftSeparable(2.0), RightSeparable(2.0), DPlusOne(), DMinusOne(),
+                Ratio(2.0)]
+BRAIDINGS = ("braided", "unbraided")
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +117,61 @@ def test_product_equals_the_folded_product_on_every_identity(monkeypatch):
     assert len(calls) > 100 and any(calls)
 
 
+def _run_every_exact_check():
+    """The 12 family x braiding tail checks and the exact short reduction."""
+    for family in ALL_FAMILIES:
+        for braiding in BRAIDINGS:
+            assert tail_cancellation_check(build_algebra(family), braiding).passed
+    assert short_rep_reduction_symbolic(build_algebra(DPlusOne())).passed
+
+
+def _bits(element):
+    """Word pairs and coefficients in order, with every coefficient's float bits."""
+    return [(k, [(pk, x.real.hex(), x.imag.hex()) for pk, x in v.terms.items()])
+            for k, v in element.terms.items()]
+
+
+def test_bracket_equals_the_folded_supercommutator_on_every_identity(monkeypatch):
+    calls = []
+    bracket = SymbolicEngine.bracket
+
+    def checked(self, e1, e2):
+        before = (_bits(e1), _bits(e2))
+        got = bracket(self, e1, e2)
+        assert (_bits(e1), _bits(e2)) == before  # the operands are left as they were
+        sign = koszul(e1.parity(), e2.parity())
+        want = folded_product(self, e1, e2) - folded_product(self, e2, e1).scaled(sign)
+        assert _bits(got) == _bits(want)
+        assert repr(got) == repr(want)
+        calls.append(len(got.terms))
+        return got
+
+    monkeypatch.setattr(SymbolicEngine, "bracket", checked)
+    _run_every_exact_check()
+    assert len(calls) >= 100 and any(calls) and not all(calls)
+
+
+def test_engine_coefficients_are_small_dyadic_gaussian_integers(monkeypatch):
+    # Every sum of multiples of 2^-8 below 2^44 in size is exact in a double,
+    # so the engine's float accumulation cannot round, in any order.
+    values = set()
+    calls = []
+    product = SymbolicEngine.product
+
+    def spied(self, e1, e2):
+        got = product(self, e1, e2)
+        calls.append(1)
+        values.update(x for coef in got.terms.values() for x in coef.terms.values())
+        return got
+
+    monkeypatch.setattr(SymbolicEngine, "product", spied)
+    _run_every_exact_check()
+    assert len(calls) == 328 and values
+    for x in values:
+        for part in (x.real, x.imag):
+            assert (part * 256).is_integer() and abs(part) < 2.0**44, x
+
+
 def test_memoised_normal_forms_keep_the_step_budget():
     table = symbolic_table(build_algebra(DPlusOne()))
     tiny = SymbolicEngine(table, step_budget=5)
@@ -127,11 +197,44 @@ def test_convention_self_test_fixes_the_relative_sign(engine):
     assert second.terms == {(0, 0, 0, 1, ()): -1.0 + 0j}
 
 
-@pytest.mark.parametrize("family", [DPlusOne(), DMinusOne(), DZero()], ids=repr)
-@pytest.mark.parametrize("braiding", ["braided", "unbraided"])
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=repr)
+@pytest.mark.parametrize("braiding", BRAIDINGS)
 def test_tail_cancellation_exact(family, braiding):
     report = tail_cancellation_check(build_algebra(family), braiding)
     assert report.passed, [i.name for i in report.failures()]
+
+
+@pytest.mark.parametrize("braiding", BRAIDINGS)
+def test_tail_check_fails_with_a_wrong_tail_coefficient(monkeypatch, braiding):
+    alpha = symbolic.alpha_coef
+    monkeypatch.setattr(symbolic, "alpha_coef", lambda side: alpha(side).scaled(-1.0))
+    report = tail_cancellation_check(build_algebra(DPlusOne()), braiding)
+    assert [i.name for i in report.failures()] == [
+        "[FT_L, Delta Q_R] = 0", "[FT_L, Delta S_R] = 0",
+        "[FT_R, Delta Q_L] = 0", "[FT_R, Delta S_L] = 0",
+    ]
+    assert all(not i.residual.is_zero for i in report.failures())
+
+
+@pytest.mark.parametrize("braiding", BRAIDINGS)
+def test_tail_check_fails_with_a_wrong_braiding_phase(monkeypatch, braiding):
+    delta = symbolic.delta_fermion_symbolic
+
+    def flipped(g, braiding):
+        # Delta Q_R with the sign of its site-2 quarter exponent flipped
+        e = delta(g, braiding)
+        if g != Gen.Q_R:
+            return e
+        return SymbolicElement({
+            words: PhaseCoef({(n1, n2, -n3, -n4, syms): c
+                              for (n1, n2, n3, n4, syms), c in coef.terms.items()})
+            for words, coef in e.terms.items()
+        })
+
+    monkeypatch.setattr(symbolic, "delta_fermion_symbolic", flipped)
+    report = tail_cancellation_check(build_algebra(DPlusOne()), braiding)
+    assert [i.name for i in report.failures()] == ["convention-self-test"]
+    assert not report.passed and "self-test failed" in report.note
 
 
 def test_tail_without_outer_terms_leaves_residue(engine):
