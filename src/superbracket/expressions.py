@@ -16,12 +16,15 @@ nodes of the first derivative, so no derivative cache is kept.
 Each node class has one evaluation kernel, ``_eval(vals, env, out)``, which
 ``Expr.eval`` calls recursively under a memo, allocating every node value.
 Sampled checks state their root expressions in ordered groups, which
-``_sweep_max`` compiles once into a tape of the distinct nodes in
-``Expr.eval``'s post-order and runs over blocks of ``_BLOCK_POINTS`` (4096)
-samples, keeping a running maximum per array the check yields, so memory does
-not grow with the sample count.  Node values live in buffers from a free list
-kept for the whole sweep; a buffer returns after its node's last use, and a
-root value is valid only until the check's code for its group returns.
+``_sweep_max`` compiles once into a tape and runs over blocks of
+``_BLOCK_POINTS`` (4096) samples, keeping a running maximum per array the
+check yields, so memory does not grow with the sample count.  The tape
+computes the distinct nodes in ``Expr.eval``'s post-order: an ``Add`` or
+``Mul`` as binary left-fold steps, each computed once for all the nodes whose
+arguments start with the same prefix, and any other node as one call of its
+kernel.  The compiler also fixes which buffer each array step writes into,
+by the last use of every value, and the sweep allocates those buffers once;
+a root value is valid only until the check's code for its group returns.
 
 Variables are plain strings; the algebra layers use "pL"/"pR" for the two
 momenta, "p" for an identified momentum and "p1"/"p2" for two-site momenta.
@@ -81,57 +84,127 @@ def _worst(found: Iterable[Sequence], top: Sequence):
     return top
 
 
-def _compile(groups: Sequence[Sequence["Expr"]]) -> list:
-    """One op per distinct node under ``groups``, in ``Expr.eval``'s post-order, and one per group.
+# The kind of a tape value, the same in every block: a Python or NumPy scalar,
+# an array of the block's shape, or anything else (from an env entry that is
+# not sliced).  A node's value is of the highest kind among its operands'.
+_SCALAR, _BLOCK, _OTHER = range(3)
 
-    Op ``t`` is (kernel, operand ops, ops last used at ``t``): a node's ``_eval`` and its
-    children, or, after the group's last new node, None and its roots."""
-    slot: dict = {}
-    ops: list = []
 
-    def visit(node):
-        if node not in slot:
-            for child in node.children():
-                visit(child)
-            slot[node] = len(ops)
-            ops.append((node._eval, tuple(slot[c] for c in node.children())))
+def _postorder(node: "Expr", done: set, order: list) -> None:
+    """Append ``node`` and its descendants not in ``done`` to ``order``, each after its children."""
+    for child in node.children():
+        if child not in done:
+            _postorder(child, done, order)
+    done.add(node)
+    order.append(node)
 
+
+def _compile(groups: Sequence[Sequence["Expr"]], kinds: Mapping[str, int]) -> tuple:
+    """The steps that compute ``groups`` block by block, the constants, and the buffer count.
+
+    ``kinds`` gives the kind of each variable's value.  Nodes are computed in
+    ``Expr.eval``'s post-order.  Every ``Add``/``Mul`` is a chain of binary
+    left-fold steps, one per (class, left value, right value), so a prefix
+    that several nodes share is computed once; on arrays of the block's shape
+    a step is the class's ufunc, otherwise the node's own ``_eval`` on the two
+    values.  Every other node but a constant is one ``_eval`` step, and a
+    step after the group's last new node yields its roots.
+
+    Each step whose value is an array of the block's shape writes into one of
+    the returned number of buffers, one that no live value holds; a binary
+    step may take the buffer of an operand whose last use it is, as an
+    in-place fold would.  A step is ``(t, ufunc, a, b, buffer)``, ``(t,
+    kernel, operands, None, buffer or None)`` or ``(None, None, roots, None,
+    None)``; ``t``, ``a`` and ``b`` index the block's values, which start as
+    the constants (None where a step computes the value).
+    """
+    order: list = []  # nodes in post-order, each group's roots after its last new node
+    done: set = set()
     for roots in groups:
         for root in roots:
-            visit(root)
-        ops.append((None, tuple(slot[r] for r in roots)))
-    last = {j: t for t, (_, operands) in enumerate(ops) for j in operands}
-    dies: list = [[] for _ in ops]
-    for j, t in last.items():
-        dies[t].append(j)
-    return [(kernel, operands, tuple(d)) for (kernel, operands), d in zip(ops, dies)]
+            if root not in done:
+                _postorder(root, done, order)
+        order.append(tuple(roots))
+
+    slot: dict = {}  # node -> its value
+    kind: list = []  # per value
+    consts: dict = {}  # value -> its constant
+    buffered: set = set()  # the values written into a buffer
+    # (value, callable, operands, None) per step, (value, ufunc, a, b) for a
+    # ufunc step; the value is None for a group's step.
+    ops: list = []
+    folds: dict = {Add: {}, Mul: {}}  # class -> {(a, b): the value of their step}
+    for node in order:
+        cls = node.__class__
+        if cls is tuple:
+            ops.append((None, None, tuple([slot[r] for r in node]), None))
+        elif cls is Const:
+            consts[len(kind)] = node.value
+            slot[node] = len(kind)
+            kind.append(_SCALAR)
+        elif cls is Add or cls is Mul:
+            pairs = folds[cls]
+            args = node.args
+            t = slot[args[0]]
+            for c in args[1:]:
+                b = slot[c]
+                key = (t, b)
+                hit = pairs.get(key)
+                if hit is None:
+                    hit = pairs[key] = len(kind)
+                    k = kind[t] if kind[t] > kind[b] else kind[b]
+                    kind.append(k)
+                    if k == _BLOCK:
+                        buffered.add(hit)
+                        ops.append((hit, cls._ufunc, t, b))
+                    else:
+                        ops.append((hit, node._eval, key, None))
+                t = hit
+            slot[node] = t
+        else:
+            operands = tuple([slot[c] for c in node.children()])
+            # A variable's value is the env's own array, not a buffer.
+            k = kinds.get(node.name, _OTHER) if cls is Var else max([kind[j] for j in operands])
+            t = slot[node] = len(kind)
+            kind.append(k)
+            if k == _BLOCK and cls is not Var:
+                buffered.add(t)
+            ops.append((t, node._eval, operands, None))
+
+    # Buffers are planned from the last step back: a value takes a free buffer
+    # at its last use and gives it back at the step that computes it.  A
+    # ufunc step gives its buffer back before its operands take theirs, so an
+    # operand whose last use it is may share it; any other step after.
+    live: dict = {}  # value -> its buffer (None if it has none), from its last use back
+    free: list = []
+    new = itertools.count()  # the index of the next buffer to allocate
+    steps = []
+    for t, f, a, b in reversed(ops):
+        out = live.pop(t, None)
+        if b is not None:
+            free.append(out)
+        for j in a if b is None else (a, b):
+            if j not in live:
+                live[j] = (free.pop() if free else next(new)) if j in buffered else None
+        if b is None and out is not None:
+            free.append(out)
+        steps.append((t, f, a, b, out))
+    steps.reverse()
+    initial = [None] * len(kind)
+    for t, value in consts.items():
+        initial[t] = value
+    return steps, initial, next(new)
 
 
-def _run(tape: list, block: Mapping[str, EnvValue], m: int, pool: list, width: int):
-    """Run ``tape`` on ``block`` of ``m`` samples, yielding each group's root values in turn.
-
-    Array values of the block's shape go into ``width``-wide buffers from ``pool``."""
-    vals: list = [None] * len(tape)
-    held: dict = {}  # op -> the pooled buffer its value lives in
-    shape = (m,)
-    try:
-        for t, (kernel, operands, dead) in enumerate(tape):
-            xs = [vals[j] for j in operands]
-            if kernel is None:
-                yield tuple(xs)
-            else:
-                shapes = [x.shape for x in xs if isinstance(x, np.ndarray)]
-                out = None
-                if shapes and shapes.count(shape) == len(shapes):
-                    buf = held[t] = pool.pop() if pool else np.empty(width, np.complex128)
-                    out = buf[:m]
-                vals[t] = kernel(xs, block, out)
-            for j in dead:
-                if j in held:
-                    pool.append(held.pop(j))
-                vals[j] = None
-    finally:
-        pool.extend(held.values())
+def _run(steps: list, block: Mapping[str, EnvValue], vals: list):
+    """Run ``steps`` on ``block`` from the initial ``vals``, yielding each group's root values."""
+    for t, f, a, b, out in steps:
+        if b is not None:
+            vals[t] = f(vals[a], vals[b], out)
+        elif f is not None:
+            vals[t] = f([vals[j] for j in a], block, out)
+        else:
+            yield tuple([vals[j] for j in a])
 
 
 def _every_root(block: Mapping[str, EnvValue], values: Iterator[tuple]) -> Iterator:
@@ -147,7 +220,8 @@ def _sweep_max(
 ) -> List[Tuple[float, int]]:
     """Max modulus of every value ``evaluate`` yields, and the sample index of that maximum.
 
-    ``groups`` are the sweep's root expressions, compiled once into a tape.
+    ``groups`` are the sweep's root expressions, compiled once into a tape
+    (``_compile``) whose buffers are allocated here, as wide as the first block.
     ``evaluate(block_env, values)`` is called once per block of
     ``_BLOCK_POINTS`` samples of ``env`` (scalar entries broadcast); each
     ``next(values)`` computes the next group's new nodes, raising what
@@ -158,15 +232,23 @@ def _sweep_max(
     ``np.argmax`` over the whole array gives.  With no samples there are no
     blocks, and the result is empty.
     """
-    tape = _compile(groups)
     n = max((np.size(v) for v in env.values()), default=1)
+    sliced = {name for name, v in env.items() if np.ndim(v) == 1 and v.size == n}
+    kinds = {name: _BLOCK if name in sliced else
+             _OTHER if isinstance(v, np.ndarray) else _SCALAR for name, v in env.items()}
+    steps, consts, count = _compile(groups, kinds)
     width = min(n, _BLOCK_POINTS)
-    pool: list = []
+    buffers = [np.empty(width, np.complex128) for _ in range(count)]
+    bound = None  # the steps with each buffer's view for the block; a short last block rebinds
     tracked: list = []  # per value yielded: (max modulus, sample index)
     for start in range(0, n, _BLOCK_POINTS):
-        block = {name: v[start:start + _BLOCK_POINTS] if np.ndim(v) == 1 and v.size == n else v
+        block = {name: v[start:start + _BLOCK_POINTS] if name in sliced else v
                  for name, v in env.items()}
-        values = _run(tape, block, min(width, n - start), pool, width)
+        m = min(width, n - start)
+        if bound is None or m < width:
+            outs = [buf[:m] for buf in buffers]
+            bound = [step[:4] + (None if step[4] is None else outs[step[4]],) for step in steps]
+        values = _run(bound, block, list(consts))
         try:
             for t, arr in enumerate(evaluate(block, values)):
                 a = np.abs(np.asarray(arr))

@@ -108,8 +108,11 @@ class Sampler:
         both are empty.
 
         Constrained draws are rejected until the induced p_R also clears the
-        singular loci, so downstream evaluations never sit on a pole.  f is
-        evaluated in blocks of ``_BLOCK_POINTS`` samples.
+        singular loci, so downstream evaluations never sit on a pole.  Each
+        batch of p_L is drawn whole, so the random stream does not depend on
+        how much of it is used; f is evaluated on it in blocks of
+        ``_BLOCK_POINTS`` samples, and no further once ``count`` pairs are
+        accepted.
         """
         rng = np.random.default_rng(self.seed)
         if constraint is None or self.count == 0:
@@ -121,13 +124,16 @@ class Sampler:
         for _ in range(200):
             if have >= self.count:
                 break
-            pl = self._draw(rng, max(self.count, 16))
-            pr = np.concatenate([np.asarray(f.eval({"pL": pl[i:i + _BLOCK_POINTS] + 0j}))
-                                 for i in range(0, pl.size, _BLOCK_POINTS)])
-            ok = _clear_of_loci(pr.real) & (np.abs(pr.imag) < 1e-9)
-            collected_l.append(pl[ok])
-            collected_r.append(pr.real[ok])
-            have += int(np.count_nonzero(ok))
+            batch = self._draw(rng, max(self.count, 16))
+            for i in range(0, batch.size, _BLOCK_POINTS):
+                pl = batch[i:i + _BLOCK_POINTS]
+                pr = np.asarray(f.eval({"pL": pl + 0j}))
+                ok = _clear_of_loci(pr.real) & (np.abs(pr.imag) < 1e-9)
+                collected_l.append(pl[ok])
+                collected_r.append(pr.real[ok])
+                have += int(np.count_nonzero(ok))
+                if have >= self.count:
+                    break
         if have < self.count:
             raise InvalidParams("constraint pushes too many samples onto singular loci")
         pl = np.concatenate(collected_l)[: self.count]

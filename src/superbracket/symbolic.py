@@ -500,8 +500,13 @@ def outer_terms_only(side: str, braiding: str = "braided") -> SymbolicElement:
     coproducts.  The unbraided hypercharge block is excluded: acting as the
     hypercharge on same-handed operators is exactly its job.
     """
-    full = fermionic_tail(side, braiding, include_outer_terms=True)
-    bare = fermionic_tail(side, braiding, include_outer_terms=False)
+    return _outer_terms(side, braiding, fermionic_tail(side, braiding),
+                        fermionic_tail(side, braiding, include_outer_terms=False))
+
+
+def _outer_terms(side: str, braiding: str, full: SymbolicElement,
+                 bare: SymbolicElement) -> SymbolicElement:
+    """``outer_terms_only`` from the side's tail with (``full``) and without (``bare``) them."""
     extra = full - bare
     if braiding == "unbraided":
         extra = extra - _hypercharge_block(side, PhaseCoef.symbol("G"))
@@ -623,7 +628,7 @@ def tail_cancellation_check(spec: AlgebraSpec, braiding: str = "braided") -> Sym
         for g in (other_q, other_s):
             res = engine.bracket(ft, delta_fermion_symbolic(g, braiding))
             report.add(f"[FT_{side}, Delta {g.label}] = 0", res)
-        extra = outer_terms_only(side, braiding)
+        extra = _outer_terms(side, braiding, ft, bare)
         for g in (own_q, own_s):
             res = engine.bracket(extra, delta_fermion_symbolic(g, braiding))
             report.add(f"[FT_{side} outer terms, Delta {g.label}] = 0", res)

@@ -50,6 +50,48 @@ def test_constrained_pairs_evaluate_the_map_in_blocks_bit_for_bit():
     assert np.array_equal(pr, np.asarray(f.eval({"pL": pl + 0j})).real)
 
 
+class CountedMap:
+    """A momentum map that counts the blocks it is evaluated on."""
+
+    def __init__(self, f):
+        self.f, self.blocks = f, 0
+
+    def eval(self, env):
+        self.blocks += 1
+        return self.f.eval(env)
+
+
+@pytest.mark.parametrize("count", [100, 3 * ex._BLOCK_POINTS + 17])
+def test_constrained_pairs_stop_evaluating_once_enough_are_accepted(count):
+    f, df = ratio_momentum_map(1.0, 2.0)
+    s = Sampler(seed=3, count=count)
+    # Reference: every batch drawn and its map evaluated whole.  The blocks
+    # that must be evaluated are all of each batch but the last, and of the
+    # last those up to the one that brings in the count-th accepted pair.
+    rng = np.random.default_rng(s.seed)
+    want_l, want_r, blocks, have = [], [], 0, 0
+    while have < count:
+        pl = s._draw(rng, max(count, 16))
+        pr = np.asarray(f.eval({"pL": pl + 0j}))
+        ok = sm._clear_of_loci(pr.real) & (np.abs(pr.imag) < 1e-9)
+        want_l.append(pl[ok])
+        want_r.append(pr.real[ok])
+        accepted = have + np.cumsum(ok)
+        if accepted[-1] >= count:
+            blocks += int(np.argmax(accepted >= count)) // ex._BLOCK_POINTS + 1
+        else:
+            blocks += -(-pl.size // ex._BLOCK_POINTS)
+        have = int(accepted[-1])
+    assert len(want_l) == 2  # the first batch always falls short on the ratio map
+    counted = CountedMap(f)
+    pl, pr = s.pairs((counted, df))
+    assert np.array_equal(pl, np.concatenate(want_l)[:count])
+    assert np.array_equal(pr, np.concatenate(want_r)[:count])
+    assert counted.blocks == blocks
+    per_batch = -(-max(count, 16) // ex._BLOCK_POINTS)
+    assert blocks < 2 * per_batch or per_batch == 1  # the second batch is cut short
+
+
 def test_is_zero_pythagorean():
     e = add(
         mul(ex.sin(mul(const(0.5), P)), ex.sin(mul(const(0.5), P))),

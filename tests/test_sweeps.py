@@ -1,8 +1,11 @@
 """Blocked sampled sweeps: the same verdicts, points and errors as whole-array
-evaluation, in memory that does not grow with the sample count, with node
-buffers freed at their last use and reused from block to block."""
+evaluation, in memory that does not grow with the sample count, on a tape
+whose node buffers are planned when it is compiled and allocated once per
+sweep."""
+import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,9 +14,13 @@ from superbracket import expressions as ex
 from superbracket import runner
 from superbracket.algebra import (
     VALUE_CARRIERS,
+    DMinusOne,
     DPlusOne,
+    DZero,
     Gen,
+    LeftSeparable,
     Ratio,
+    RightSeparable,
     bracket,
     build_algebra,
     jacobi_check,
@@ -177,34 +184,143 @@ def test_every_node_kind_sweeps_as_whole_env_evaluation():
         assert (value, idx) == (float(whole.max()), int(np.argmax(whole))), t
 
 
+JACOBI_FAMILIES = (DZero(), LeftSeparable(2.0), RightSeparable(2.0), DPlusOne(), DMinusOne(),
+                   Ratio(2.0))
+
+
+def compile_blocks(groups):
+    """The tape of ``groups`` for an env whose momenta are sliced into blocks."""
+    return ex._compile(groups, {"pL": ex._BLOCK, "pR": ex._BLOCK})
+
+
+def ufunc_steps(steps):
+    return [step for step in steps if step[3] is not None]
+
+
+def scalar_fold_steps(steps):
+    """The binary steps of an ``Add``/``Mul`` run by its ``_eval`` (not into a buffer)."""
+    return [step for step in steps if isinstance(getattr(step[1], "__self__", None), ex._NAry)]
+
+
 def test_node_buffers_are_reused_across_blocks(monkeypatch):
     resource = pytest.importorskip("resource")
     spec = build_algebra(Ratio(2.0))
-    pools = []  # the sweep's free list as each block ends
+    planned = compile_blocks([roots for _, roots in spec.jacobi_residuals])[2]
+    used = []  # per block: the buffers its steps write into
     run = ex._run
 
-    def spy(tape, block, m, pool, width):
-        try:
-            yield from run(tape, block, m, pool, width)
-        finally:
-            pools.append(list(pool))
+    def spy(steps, block, vals):
+        used.append({id(step[-1].base) for step in steps if step[-1] is not None})
+        yield from run(steps, block, vals)
 
     monkeypatch.setattr(ex, "_run", spy)
     faults = []
     for count in (B, 16 * B):
         s = Sampler(seed=7, count=count)
         jacobi_check(spec, s)  # grows the heap once for this sample count
-        pools.clear()
+        used.clear()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         assert jacobi_check(spec, s).passed
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    # Every block ends with the first block's buffers back in the free list,
-    # and no others: no block after the first allocates a node buffer ...
-    first = {id(buf) for buf in pools[0]}
-    assert len(pools) == 16 and first and all({id(buf) for buf in p} == first for p in pools)
+    # The sweep allocates the planned buffers once, and every block writes
+    # into those and no others: no block after the first allocates one ...
+    first = used[0]
+    assert len(used) == 16 and len(first) == planned and all(u == first for u in used)
     # ... and faulting them in again in each of the 15 later blocks would cost
     # 16 pages per buffer per block, more than the whole call takes.
     assert faults[1] < 15 * 16 * len(first), (faults, len(first))
+
+
+def test_jacobi_tapes_share_fold_prefixes():
+    # 2228 binary steps without sharing; each buffer is 64 KiB of a block.
+    folds, buffers = 0, []
+    for family in JACOBI_FAMILIES:
+        groups = [roots for _, roots in build_algebra(family).jacobi_residuals]
+        steps, _, count = compile_blocks(groups)
+        folds += len(ufunc_steps(steps)) + len(scalar_fold_steps(steps))
+        buffers.append(count)
+    assert folds == 1883
+    assert buffers == [15, 34, 35, 40, 41, 52]
+
+
+def swept_values(env, roots):
+    """Each root's value in every block of a sweep, copied as it is yielded."""
+    blocks = []
+
+    def keep(block, values):
+        blocks.append([np.array(v) if isinstance(v, np.ndarray) else v for v in next(values)])
+        return ()
+
+    ex._sweep_max(env, [roots], keep)
+    return blocks
+
+
+def assert_sweep_is_eval(env, roots):
+    """The sweep computes each root bit for bit as ``Expr.eval`` alone does, of the same type."""
+    blocks = swept_values(env, roots)
+    for k, root in enumerate(roots):
+        whole = root.eval(env)
+        if isinstance(whole, np.ndarray) and whole.shape == (N,):
+            got = np.concatenate([b[k] for b in blocks])
+            assert got.tobytes() == whole.tobytes(), root
+        else:
+            for b in blocks:
+                assert type(b[k]) is type(whole), root
+                assert np.asarray(b[k]).tobytes() == np.asarray(whole).tobytes(), root
+
+
+def test_nodes_that_share_a_prefix_sweep_as_eval():
+    s, c = ex.sin(PL), ex.cos(PR)
+    roots = [ex.Mul((PL, PR, s)), ex.Mul((PL, PR, c)), ex.Mul((PL, PR)),
+             ex.Add((s, c, PL, PR)), ex.Add((s, c, PR)), ex.Add((s, c))]
+    steps = compile_blocks([roots])[0]
+    assert len(ufunc_steps(steps)) == 7  # of 11 binary steps without sharing
+    assert_sweep_is_eval(hand_env(), roots)
+
+
+def test_constants_fold_in_python_before_the_arrays():
+    roots = [ex.Add((const(2.0), const(0.5j), const(-1.25), PL)),
+             ex.Mul((const(3.0), const(-0.5), PR, const(1.5j))),
+             ex.Add((const(1.0), const(-1.0)))]
+    scalar = scalar_fold_steps(compile_blocks([roots])[0])
+    assert len(scalar) == 4 and all(step[-1] is None for step in scalar)
+    assert_sweep_is_eval(hand_env(), roots)
+
+
+def test_unsliced_env_entries_sweep_as_eval():
+    env = hand_env()
+    env.update(z=np.array(0.3 - 0.2j), q=0.7, w=np.array([1.5 + 0j]))  # 0-d, scalar, 1 sample
+    z, q, w = var("z"), var("q"), var("w")
+    roots = [z, q, w, ex.Add((z, q)), ex.Mul((q, q)), ex.Add((PL, z, q)), ex.sin(z),
+             ex.Mul((w, PL, PR)), quot(PL, w), ex.Add((ex.Mul((z, PR)), PL)),
+             ex.exp(ex.Add((z, q)))]
+    assert_sweep_is_eval(env, roots)
+
+
+def test_a_fold_step_overwrites_an_operand_at_its_last_use():
+    s, c = ex.sin(PL), ex.cos(PR)
+    roots = [ex.Mul((s, c, PR)), ex.Add((PL, ex.exp(PR)))]
+    steps = compile_blocks([roots])[0]
+    buffer_of = {step[0]: step[-1] for step in steps if step[-1] is not None}
+    in_place = [step for step in ufunc_steps(steps)
+                if step[-1] in (buffer_of.get(step[2]), buffer_of.get(step[3]))]
+    # sin*cos into sin's buffer, then (sin*cos)*pR into that one; pL + exp into exp's
+    assert len(in_place) == 3
+    assert_sweep_is_eval(hand_env(), roots)
+
+
+def test_a_sweep_frees_its_env_when_it_returns():
+    spec = build_algebra(Ratio(2.0))
+    groups = [roots for _, roots in spec.jacobi_residuals]
+    env = spec.sample_env(Sampler(seed=7, count=N))
+    freed = [weakref.ref(v) for v in env.values()]
+    gc.disable()  # a reference cycle would keep the arrays alive until a collection
+    try:
+        ex._sweep_max(env, groups, ex._every_root)
+        del env
+        assert all(ref() is None for ref in freed)
+    finally:
+        gc.enable()
 
 
 def test_jacobi_peak_memory_does_not_grow_with_sample_count():

@@ -216,6 +216,33 @@ def test_tail_check_fails_with_a_wrong_tail_coefficient(monkeypatch, braiding):
     assert all(not i.residual.is_zero for i in report.failures())
 
 
+def identities(report):
+    return [(i.name, i.negated, repr(i.residual)) for i in report.identities]
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=repr)
+@pytest.mark.parametrize("braiding", BRAIDINGS)
+def test_tail_check_builds_each_tail_once(monkeypatch, family, braiding):
+    spec = build_algebra(family)
+    tail = symbolic.fermionic_tail
+    built = []
+
+    def counted(*args, **kw):
+        built.append(args)
+        return tail(*args, **kw)
+
+    monkeypatch.setattr(symbolic, "fermionic_tail", counted)
+    got = identities(tail_cancellation_check(spec, braiding))
+    # the self-test's bare tail, then each side's tail with and without outer terms
+    assert len(built) == 5
+    # The outer terms from tails built afresh give every identity the same
+    # residual: no bracket changed a tail that the check shares.
+    outer = symbolic._outer_terms
+    monkeypatch.setattr(symbolic, "_outer_terms", lambda side, braiding, full, bare: outer(
+        side, braiding, tail(side, braiding), tail(side, braiding, include_outer_terms=False)))
+    assert got == identities(tail_cancellation_check(spec, braiding))
+
+
 @pytest.mark.parametrize("braiding", BRAIDINGS)
 def test_tail_check_fails_with_a_wrong_braiding_phase(monkeypatch, braiding):
     delta = symbolic.delta_fermion_symbolic
