@@ -410,7 +410,8 @@ def jacobi_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
     if s.count == 0:
         report.note = "no samples"
         return report
-    env = spec.sample_env(s)
+    pl, pr = s.pairs(spec.constraint)
+    env = {"pL": pl, "pR": pr}  # real momenta: the tape runs its real values in float64
     triples = spec.jacobi_residuals
     groups = [roots for _, roots in triples]  # one tape, a group per triple
 

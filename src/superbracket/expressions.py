@@ -1,10 +1,10 @@
 """Exact scalar coefficient functions of the momenta.
 
-Expression trees are immutable; evaluation is deterministic, complex-valued
-and numpy-vectorised, so the same tree evaluated twice at the same points
-returns bit-identical arrays.  Differentiation is exact (no simplification
-beyond constant folding in the constructors, which keeps trees from growing
-during repeated products and derivatives).
+Expression trees are immutable; evaluation is deterministic and
+numpy-vectorised, so the same tree evaluated twice at the same points returns
+bit-identical arrays.  ``Expr.eval`` is complex-valued.  Differentiation is
+exact (no simplification beyond constant folding in the constructors, which
+keeps trees from growing during repeated products and derivatives).
 
 Nodes are hash-consed: every constructor looks its node up in one weak intern
 table and builds it only on a miss, so structurally equal trees are one object
@@ -13,8 +13,9 @@ equality: the identity-keyed memos of ``Expr.eval`` and ``substitute`` share
 work between equal subtrees, and differentiating a tree again returns the
 nodes of the first derivative, so no derivative cache is kept.
 
-Each node class has one evaluation kernel, ``_eval(vals, env, out)``, which
-``Expr.eval`` calls recursively under a memo, allocating every node value.
+Each node class has one complex evaluation kernel, ``_eval(vals, env, out)``,
+which ``Expr.eval`` calls recursively under a memo, allocating every node
+value.
 Sampled checks state their root expressions in ordered groups, which
 ``_sweep_max`` compiles once into a tape and runs over blocks of
 ``_BLOCK_POINTS`` (4096) samples, keeping a running maximum per array the
@@ -26,6 +27,14 @@ kernel.  The compiler also fixes which buffer each array step writes into,
 by the last use of every value, and the sweep allocates those buffers once;
 a root value is valid only until the check's code for its group returns.
 
+A tape value is real, imaginary or complex, fixed when the tape is compiled
+from the env's dtypes and the node kinds.  Where the env holds float64 arrays
+(``jacobi_check``'s sampled momenta), a value that is real or imaginary there
+is one float64 array, computed by a float64 kernel that gives, bit for bit,
+the part the complex kernel would (``_FLOAT64_KERNELS``); every other node
+runs its complex kernel on complex128 copies of its operands.  On complex
+envs every value is complex, as ``Expr.eval`` computes it.
+
 Variables are plain strings; the algebra layers use "pL"/"pR" for the two
 momenta, "p" for an identified momentum and "p1"/"p2" for two-site momenta.
 """
@@ -34,9 +43,10 @@ from __future__ import annotations
 import itertools
 import operator
 import weakref
+from functools import partial
 from math import copysign
-from typing import (Callable, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Collection, FrozenSet, Iterable, Iterator, List, Mapping, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -89,6 +99,14 @@ def _worst(found: Iterable[Sequence], top: Sequence):
 # not sliced).  A node's value is of the highest kind among its operands'.
 _SCALAR, _BLOCK, _OTHER = range(3)
 
+# The class of a tape value, also the same in every block: a real value is a
+# float64 x meaning x + 0i, an imaginary one a float64 x meaning 0 + xi, and a
+# complex one is complex128.  Only constants and arrays of the block's shape
+# are real or imaginary: a float64 env array, and what a float64 kernel
+# (``_FLOAT64_KERNELS``) computes from such values.  Every other value is
+# complex, as ``Expr.eval`` computes it.
+_REAL, _IMAG, _COMPLEX = range(3)
+
 
 def _postorder(node: "Expr", done: set, order: list) -> None:
     """Append ``node`` and its descendants not in ``done`` to ``order``, each after its children."""
@@ -99,19 +117,29 @@ def _postorder(node: "Expr", done: set, order: list) -> None:
     order.append(node)
 
 
-def _compile(groups: Sequence[Sequence["Expr"]], kinds: Mapping[str, int]) -> tuple:
-    """The steps that compute ``groups`` block by block, the constants, and the buffer count.
+def _compile(groups: Sequence[Sequence["Expr"]], kinds: Mapping[str, int],
+             real: Collection[str]) -> tuple:
+    """The steps that compute ``groups`` block by block, the constants, and the buffers' dtypes.
 
-    ``kinds`` gives the kind of each variable's value.  Nodes are computed in
-    ``Expr.eval``'s post-order.  Every ``Add``/``Mul`` is a chain of binary
-    left-fold steps, one per (class, left value, right value), so a prefix
-    that several nodes share is computed once; on arrays of the block's shape
-    a step is the class's ufunc, otherwise the node's own ``_eval`` on the two
-    values.  Every other node but a constant is one ``_eval`` step, and a
-    step after the group's last new node yields its roots.
+    ``kinds`` gives the kind of each variable's value, and ``real`` the
+    variables whose values are float64 arrays of the block's shape.  Nodes
+    are computed in ``Expr.eval``'s post-order.  Every ``Add``/``Mul`` is a
+    chain of binary left-fold steps, one per (``Add`` or ``Mul``, left value,
+    right value), so a prefix that several nodes share is computed once; on
+    arrays of the block's shape a step is a ufunc, otherwise the node's own
+    ``_eval`` on the two values.  Every other node but a constant is one
+    kernel step, and a step after the group's last new node yields its roots.
+
+    Each value's class is fixed here, from its operands' classes: a step whose
+    operands are all real or imaginary runs the node's float64 kernel where
+    ``_FLOAT64_KERNELS`` has one, on each constant's float64 part.  Any other
+    step runs the complex128 kernel, on each constant's complex value and on
+    a complex128 copy of each real or imaginary operand, made by one widening
+    step.  A group yields its roots as their true values: a real one as its
+    float64 array, an imaginary one as its complex128 copy.
 
     Each step whose value is an array of the block's shape writes into one of
-    the returned number of buffers, one that no live value holds; a binary
+    the returned buffers, one of its dtype that no live value holds; a binary
     step may take the buffer of an operand whose last use it is, as an
     in-place fold would.  A step is ``(t, ufunc, a, b, buffer)``, ``(t,
     kernel, operands, None, buffer or None)`` or ``(None, None, roots, None,
@@ -128,22 +156,55 @@ def _compile(groups: Sequence[Sequence["Expr"]], kinds: Mapping[str, int]) -> tu
 
     slot: dict = {}  # node -> its value
     kind: list = []  # per value
+    klass: list = []  # per value; a constant's is that of its complex value
     consts: dict = {}  # value -> its constant
+    parts: dict = {}  # complex constant's value -> the value of its float64 part
+    wide: dict = {}  # real or imaginary array value -> the value of its complex128 copy
     buffered: set = set()  # the values written into a buffer
     # (value, callable, operands, None) per step, (value, ufunc, a, b) for a
     # ufunc step; the value is None for a group's step.
     ops: list = []
     folds: dict = {Add: {}, Mul: {}}  # class -> {(a, b): the value of their step}
+
+    def new(k: int, c: int) -> int:
+        kind.append(k)
+        klass.append(c)
+        return len(kind) - 1
+
+    def operands(args: Sequence[int], typed: bool) -> list:
+        """The values a float64 (``typed``) or complex128 step reads for ``args``."""
+        out = []
+        for j in args:
+            if j in consts:
+                if typed:
+                    p = parts.get(j)
+                    if p is None:
+                        p = parts[j] = new(_SCALAR, klass[j])
+                        consts[p] = consts[j].real if klass[j] == _REAL else consts[j].imag
+                    j = p
+            elif not typed and klass[j] != _COMPLEX:
+                w = wide.get(j)
+                if w is None:
+                    w = wide[j] = new(_BLOCK, _COMPLEX)
+                    buffered.add(w)
+                    widen = _real_to_complex if klass[j] == _REAL else _imag_to_complex
+                    ops.append((w, widen, (j,), None))
+                j = w
+            out.append(j)
+        return out
+
     for node in order:
         cls = node.__class__
         if cls is tuple:
-            ops.append((None, None, tuple([slot[r] for r in node]), None))
+            roots = [slot[r] for r in node]
+            roots = [operands((j,), False)[0] if klass[j] == _IMAG else j for j in roots]
+            ops.append((None, None, tuple(roots), None))
         elif cls is Const:
             consts[len(kind)] = node.value
-            slot[node] = len(kind)
-            kind.append(_SCALAR)
+            slot[node] = new(_SCALAR, _FLOAT64_KERNELS[Const](node, ())[0])
         elif cls is Add or cls is Mul:
             pairs = folds[cls]
+            rule = _FLOAT64_KERNELS[cls]
             args = node.args
             t = slot[args[0]]
             for c in args[1:]:
@@ -151,49 +212,77 @@ def _compile(groups: Sequence[Sequence["Expr"]], kinds: Mapping[str, int]) -> tu
                 key = (t, b)
                 hit = pairs.get(key)
                 if hit is None:
-                    hit = pairs[key] = len(kind)
                     k = kind[t] if kind[t] > kind[b] else kind[b]
-                    kind.append(k)
+                    ct, cb = klass[t], klass[b]
+                    typed = rule(node, (ct, cb)) if k == _BLOCK and ct != _COMPLEX != cb else None
+                    x, y = key if ct == cb == _COMPLEX else operands(key, typed is not None)
+                    if typed is not None:
+                        hit = new(k, typed[0])
+                        ops.append((hit, typed[1], x, y))
+                    elif k == _BLOCK:
+                        hit = new(k, _COMPLEX)
+                        ops.append((hit, cls._ufunc, x, y))
+                    else:
+                        hit = new(k, _COMPLEX)
+                        ops.append((hit, node._eval, (x, y), None))
                     if k == _BLOCK:
                         buffered.add(hit)
-                        ops.append((hit, cls._ufunc, t, b))
-                    else:
-                        ops.append((hit, node._eval, key, None))
+                    pairs[key] = hit
                 t = hit
             slot[node] = t
         else:
-            operands = tuple([slot[c] for c in node.children()])
-            # A variable's value is the env's own array, not a buffer.
-            k = kinds.get(node.name, _OTHER) if cls is Var else max([kind[j] for j in operands])
-            t = slot[node] = len(kind)
-            kind.append(k)
+            rule = None if cls in _COMPLEX_ONLY else _FLOAT64_KERNELS[cls]
+            if cls is Var:
+                # A variable's value is the env's own array, not a buffer.
+                k = kinds.get(node.name, _OTHER)
+                args, classes = (), (_REAL if node.name in real else _COMPLEX,)
+            else:
+                args = tuple([slot[c] for c in node.children()])
+                k = max([kind[j] for j in args])
+                classes = tuple([klass[j] for j in args])
+            typed = (rule(node, classes) if k == _BLOCK and rule is not None
+                     and _COMPLEX not in classes else None)
+            if classes.count(_COMPLEX) < len(args):  # not all operands complex
+                args = tuple(operands(args, typed is not None))
+            if typed is None:
+                typed = (_COMPLEX, node._eval)
+            t = slot[node] = new(k, typed[0])
             if k == _BLOCK and cls is not Var:
                 buffered.add(t)
-            ops.append((t, node._eval, operands, None))
+            ops.append((t, typed[1], args, None))
 
     # Buffers are planned from the last step back: a value takes a free buffer
-    # at its last use and gives it back at the step that computes it.  A
-    # ufunc step gives its buffer back before its operands take theirs, so an
-    # operand whose last use it is may share it; any other step after.
+    # of its dtype at its last use and gives it back at the step that
+    # computes it.  A ufunc step gives its buffer back before its operands
+    # take theirs, so an operand whose last use it is may share it; any other
+    # step after.
     live: dict = {}  # value -> its buffer (None if it has none), from its last use back
-    free: list = []
-    new = itertools.count()  # the index of the next buffer to allocate
+    free: tuple = ([], [])  # the free float64 buffers, and the free complex128 ones
+    cplx: list = []  # per buffer: whether it is complex128
     steps = []
     for t, f, a, b in reversed(ops):
         out = live.pop(t, None)
         if b is not None:
-            free.append(out)
+            free[cplx[out]].append(out)
         for j in a if b is None else (a, b):
-            if j not in live:
-                live[j] = (free.pop() if free else next(new)) if j in buffered else None
+            if j in live:
+                continue
+            if j not in buffered:
+                live[j] = None
+                continue
+            pool = free[klass[j] == _COMPLEX]
+            if not pool:
+                pool.append(len(cplx))
+                cplx.append(klass[j] == _COMPLEX)
+            live[j] = pool.pop()
         if b is None and out is not None:
-            free.append(out)
+            free[cplx[out]].append(out)
         steps.append((t, f, a, b, out))
     steps.reverse()
     initial = [None] * len(kind)
     for t, value in consts.items():
         initial[t] = value
-    return steps, initial, next(new)
+    return steps, initial, [np.complex128 if w else np.float64 for w in cplx]
 
 
 def _run(steps: list, block: Mapping[str, EnvValue], vals: list):
@@ -205,6 +294,28 @@ def _run(steps: list, block: Mapping[str, EnvValue], vals: list):
             vals[t] = f([vals[j] for j in a], block, out)
         else:
             yield tuple([vals[j] for j in a])
+
+
+# The kernels of a tape's float64 steps (see ``_FLOAT64_KERNELS``) and of its
+# widening steps.
+
+def _neg_mul(x, y, out):
+    """The product of imaginary values x and y, the real -(x*y)."""
+    return np.negative(np.multiply(x, y, out=out), out=out)
+
+
+def _real_to_complex(vals: list, env, out: np.ndarray) -> np.ndarray:
+    """Real value ``vals[0]`` widened into complex128 ``out``."""
+    out.real = vals[0]
+    out.imag = 0.0
+    return out
+
+
+def _imag_to_complex(vals: list, env, out: np.ndarray) -> np.ndarray:
+    """Imaginary value ``vals[0]`` widened into complex128 ``out``."""
+    out.real = 0.0
+    out.imag = vals[0]
+    return out
 
 
 def _every_root(block: Mapping[str, EnvValue], values: Iterator[tuple]) -> Iterator:
@@ -226,19 +337,24 @@ def _sweep_max(
     ``_BLOCK_POINTS`` samples of ``env`` (scalar entries broadcast); each
     ``next(values)`` computes the next group's new nodes, raising what
     ``Expr.eval`` would, and returns its root values, valid until the next
-    ``next``.  ``evaluate`` must yield the same values each time, each a
-    1-D array over the block's samples or a scalar.  Each is reduced as it
-    arrives to the value and sample index (for ``sample_at(env, idx)``) that
-    ``np.argmax`` over the whole array gives.  With no samples there are no
-    blocks, and the result is empty.
+    ``next``.  A root is a complex value, as ``Expr.eval`` gives it, except
+    where ``env`` holds float64 arrays: a root that is real there comes as its
+    float64 array (an imaginary one is widened to complex128).  ``evaluate``
+    must yield the same values each time, each a 1-D array over the block's
+    samples or a scalar.  Each is reduced as it arrives, its modulus taken
+    into one float64 array of the block's width, to the value and sample index
+    (for ``sample_at(env, idx)``) that ``np.argmax`` over the whole array
+    gives.  With no samples there are no blocks, and the result is empty.
     """
     n = max((np.size(v) for v in env.values()), default=1)
     sliced = {name for name, v in env.items() if np.ndim(v) == 1 and v.size == n}
     kinds = {name: _BLOCK if name in sliced else
              _OTHER if isinstance(v, np.ndarray) else _SCALAR for name, v in env.items()}
-    steps, consts, count = _compile(groups, kinds)
+    real = {name for name in sliced if env[name].dtype == np.float64}
+    steps, consts, dtypes = _compile(groups, kinds, real)
     width = min(n, _BLOCK_POINTS)
-    buffers = [np.empty(width, np.complex128) for _ in range(count)]
+    buffers = [np.empty(width, dtype) for dtype in dtypes]
+    moduli = np.empty(width)
     bound = None  # the steps with each buffer's view for the block; a short last block rebinds
     tracked: list = []  # per value yielded: (max modulus, sample index)
     for start in range(0, n, _BLOCK_POINTS):
@@ -248,10 +364,14 @@ def _sweep_max(
         if bound is None or m < width:
             outs = [buf[:m] for buf in buffers]
             bound = [step[:4] + (None if step[4] is None else outs[step[4]],) for step in steps]
+            row = moduli[:m]
         values = _run(bound, block, list(consts))
         try:
             for t, arr in enumerate(evaluate(block, values)):
-                a = np.abs(np.asarray(arr))
+                if arr.__class__ is np.ndarray and arr.shape == row.shape:
+                    a = np.abs(arr, out=row)
+                else:  # a scalar, or an array from an entry that is not sliced
+                    a = np.abs(np.asarray(arr))
                 i = int(a.argmax())
                 value = float(a.flat[i])
                 if start == 0:
@@ -429,6 +549,10 @@ class Var(Expr):
             return val.astype(np.complex128, copy=False)
         return complex(val)
 
+    def _read(self, vals, env, out):
+        # A real variable's tape value: the env's float64 array itself.
+        return env[self.name]
+
     def _repr(self):
         return self.name
 
@@ -501,6 +625,14 @@ class Quot(Expr):
         if isinstance(n, np.ndarray) or isinstance(d, np.ndarray):
             return np.divide(n, d, out=out)
         return n / d
+
+    def _eval_f64(self, negate: bool, vals, env, out):
+        # n * (1/d), negated if ``negate``: NumPy's complex divide by a real
+        # or imaginary divisor, on real or imaginary operands.
+        n, d = vals
+        _refuse_pole(d, env, "division by ~0", self.den)
+        q = np.multiply(n, np.divide(1.0, d, out=out), out=out)
+        return np.negative(q, out=q) if negate else q
 
     def _repr(self):
         return f"({self.num._repr()}/{self.den._repr()})"
@@ -578,6 +710,13 @@ class _TrigRatio(_Unary):
         _refuse_pole(d, env, f"{self.kind} pole", self)
         return np.divide(self._num(a, out=out), d, out=out)
 
+    def _eval_f64(self, vals, env, out):
+        # _num * (1/_den) on a real argument, as the complex divide computes it.
+        (a,) = vals
+        d = self._den(a)
+        _refuse_pole(d, env, f"{self.kind} pole", self)
+        return np.multiply(self._num(a, out=out), np.divide(1.0, d, out=d), out=out)
+
 
 class Tan(_TrigRatio):
     __slots__ = ()
@@ -635,6 +774,57 @@ class AbsNode(_Unary):
         if np.any(np.abs(np.imag(a)) > _IMAG_EPS * np.maximum(np.abs(a), 1.0)):
             raise DomainError(f"abs() of a non-real value in {self!r}")
         return np.add(np.abs(a), 0j, out=out)
+
+
+# Float64 kernels of a tape (``_compile``).  For operands that are all real or
+# imaginary, a rule(node, operand classes) gives the node's class and its
+# step's kernel where the node runs in float64, else None; a variable's one
+# operand is its env array, and a constant has no step.  Each kernel
+# computes, bit for bit, the real or imaginary part of what the node's
+# complex128 kernel does on the same values (tests/test_sweeps.py checks
+# this).  A node kind of ``_COMPLEX_ONLY`` always runs its complex128 kernel:
+# NumPy's float64 exp, arctan and power differ from the complex ones in the
+# last bits.
+
+def _const_rule(node: Const, classes):
+    v = node.value
+    return (_REAL if v.imag == 0 else _IMAG if v.real == 0 else _COMPLEX), None
+
+
+def _var_rule(node: Var, classes):
+    return _REAL, node._read
+
+
+def _add_rule(node: Add, classes):
+    a, b = classes
+    return (a, np.add) if a == b else None
+
+
+def _mul_rule(node: Mul, classes):
+    a, b = classes
+    if a != b:
+        return _IMAG, np.multiply
+    return _REAL, np.multiply if a == _REAL else _neg_mul
+
+
+def _quot_rule(node: Quot, classes):
+    n, d = classes
+    return (_REAL if n == d else _IMAG), partial(node._eval_f64, n == _REAL and d == _IMAG)
+
+
+def _sin_cos_rule(node: _Unary, classes):
+    return (_REAL, node._eval) if classes == (_REAL,) else None
+
+
+def _trig_ratio_rule(node: _TrigRatio, classes):
+    return (_REAL, node._eval_f64) if classes == (_REAL,) else None
+
+
+_FLOAT64_KERNELS = {
+    Const: _const_rule, Var: _var_rule, Add: _add_rule, Mul: _mul_rule, Quot: _quot_rule,
+    Sin: _sin_cos_rule, Cos: _sin_cos_rule, Tan: _trig_ratio_rule, Cot: _trig_ratio_rule,
+}
+_COMPLEX_ONLY = frozenset({Pow, ExpNode, Arccot, AbsNode})
 
 
 ZERO = Const(0)

@@ -157,3 +157,58 @@ def test_detector_flags_only_unread_private_names():
 def test_no_unused_private_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+def _assigned_names(tree, target: str) -> set:
+    """The names in the module-level value assigned to ``target``: a dict's keys, a set's items."""
+    for node in tree.body:
+        names = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and names == [target]:
+            value = node.value
+            if isinstance(value, ast.Call):  # frozenset({...})
+                [value] = value.args
+            items = value.keys if isinstance(value, ast.Dict) else value.elts
+            return {item.id for item in items}
+    raise LookupError(target)
+
+
+def unclassed_node_kinds(source: str) -> list:
+    """Concrete ``Expr`` subclasses in both or neither of the two tape-class tables.
+
+    The tables are ``_FLOAT64_KERNELS`` and ``_COMPLEX_ONLY``.
+
+    A concrete node class is one that sets its ``kind``; the abstract bases
+    (``_NAry``, ``_Unary``, ...) do not.
+    """
+    tree = ast.parse(source)
+    classes = [n for n in tree.body if isinstance(n, ast.ClassDef)]
+    nodes = {"Expr"}
+    for cls in classes:  # bases come before their subclasses
+        if any(getattr(b, "id", None) in nodes for b in cls.bases):
+            nodes.add(cls.name)
+    concrete = [cls.name for cls in classes if cls.name in nodes and cls.name != "Expr" and any(
+        isinstance(s, ast.Assign) and [getattr(t, "id", None) for t in s.targets] == ["kind"]
+        for s in cls.body)]
+    kernels = _assigned_names(tree, "_FLOAT64_KERNELS")
+    complex_only = _assigned_names(tree, "_COMPLEX_ONLY")
+    return sorted(name for name in concrete if (name in kernels) == (name in complex_only))
+
+
+def test_detector_flags_node_kinds_outside_or_in_both_tables():
+    source = (
+        "class Expr: kind = '?'\n"
+        "class _Base(Expr): pass\n"
+        "class Leaf(Expr): kind = 'leaf'\n"
+        "class Both(_Base): kind = 'both'\n"
+        "class New(_Base): kind = 'new'\n"
+        "class Plain: kind = 'other'\n"
+        "_FLOAT64_KERNELS = {Leaf: f, Both: g}\n"
+        "_COMPLEX_ONLY = frozenset({Both})\n"
+    )
+    assert unclassed_node_kinds(source) == ["Both", "New"]
+
+
+def test_every_node_kind_has_one_tape_class():
+    # A new node kind must say whether a tape may run it in float64: it cannot
+    # fall into either class by default.
+    assert unclassed_node_kinds((PACKAGE / "expressions.py").read_text()) == []

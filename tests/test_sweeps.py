@@ -51,6 +51,11 @@ def hand_env():
     return {"pL": rng.uniform(0.2, 0.9, N) + 0j, "pR": rng.uniform(0.2, 0.9, N) + 0j}
 
 
+def hand_env_f64():
+    """``hand_env``'s momenta as float64 arrays, which the tape sweeps in float64."""
+    return {name: v.real.copy() for name, v in hand_env().items()}
+
+
 def whole_residual(spec, lc, env):
     """Residual and worst point of ``lc`` from whole-env arrays and np.argmax."""
     memo: dict = {}
@@ -156,10 +161,12 @@ def walk(e):
         yield from walk(c)
 
 
-def test_every_node_kind_sweeps_as_whole_env_evaluation():
+@pytest.mark.parametrize("make_env", [hand_env, hand_env_f64], ids=["complex", "float64"])
+def test_every_node_kind_sweeps_as_whole_env_evaluation(make_env):
     # Const first in Add and Mul, a scalar-valued node among array ones, and
     # every array-producing kind: each writes into a pooled buffer, and the
-    # short last block into prefix views of them.
+    # short last block into prefix views of them.  On float64 momenta the
+    # tape mixes float64 steps, widening steps and complex ones.
     a = ex.Add((const(2.0), const(0.5j), PL, ex.Sin(const(0.3))))
     b = ex.Mul((const(-1.5), PR, ex.Cos(PL)))
     trees = [
@@ -177,7 +184,7 @@ def test_every_node_kind_sweeps_as_whole_env_evaluation():
     assert kinds == {ex.Const, ex.Var, ex.Add, ex.Mul, ex.Quot, ex.Pow, ex.Sin, ex.Cos, ex.Tan,
                      ex.Cot, ex.Arccot, ex.ExpNode, ex.AbsNode}
     env = hand_env()
-    maxima = ex._sweep_max(env, [(t,) for t in trees], ex._every_root)
+    maxima = ex._sweep_max(make_env(), [(t,) for t in trees], ex._every_root)
     for t, (value, idx) in zip(trees, maxima):
         whole = np.abs(t.eval(env))
         assert whole.shape == (N,)
@@ -189,8 +196,9 @@ JACOBI_FAMILIES = (DZero(), LeftSeparable(2.0), RightSeparable(2.0), DPlusOne(),
 
 
 def compile_blocks(groups):
-    """The tape of ``groups`` for an env whose momenta are sliced into blocks."""
-    return ex._compile(groups, {"pL": ex._BLOCK, "pR": ex._BLOCK})
+    """The tape of ``groups`` for an env whose complex momenta are sliced into blocks."""
+    steps, initial, dtypes = ex._compile(groups, {"pL": ex._BLOCK, "pR": ex._BLOCK}, ())
+    return steps, initial, len(dtypes)
 
 
 def ufunc_steps(steps):
@@ -205,7 +213,9 @@ def scalar_fold_steps(steps):
 def test_node_buffers_are_reused_across_blocks(monkeypatch):
     resource = pytest.importorskip("resource")
     spec = build_algebra(Ratio(2.0))
-    planned = compile_blocks([roots for _, roots in spec.jacobi_residuals])[2]
+    groups = [roots for _, roots in spec.jacobi_residuals]
+    # jacobi_check sweeps float64 momenta
+    planned = len(ex._compile(groups, {"pL": ex._BLOCK, "pR": ex._BLOCK}, {"pL", "pR"})[2])
     used = []  # per block: the buffers its steps write into
     run = ex._run
 
@@ -241,6 +251,133 @@ def test_jacobi_tapes_share_fold_prefixes():
         buffers.append(count)
     assert folds == 1883
     assert buffers == [15, 34, 35, 40, 41, 52]
+
+
+WIDENING = (ex._real_to_complex, ex._imag_to_complex)
+
+
+def complex_node_steps(steps, dtypes):
+    """The steps of nodes that compute a complex128 array: all but the widening ones."""
+    return [step for step in steps if step[1] not in WIDENING
+            and step[-1] is not None and dtypes[step[-1]] == np.complex128]
+
+
+def test_jacobi_tapes_on_real_momenta_run_in_float64():
+    # Every value of the six Jacobi tapes is real or imaginary on float64
+    # momenta, so every node runs in float64: a widening step only copies an
+    # imaginary root into complex128 as it leaves the tape, and those copies
+    # take two complex buffers per tape.
+    buffers = []
+    for family in JACOBI_FAMILIES:
+        groups = [roots for _, roots in build_algebra(family).jacobi_residuals]
+        steps, _, dtypes = ex._compile(groups, {"pL": ex._BLOCK, "pR": ex._BLOCK}, {"pL", "pR"})
+        assert complex_node_steps(steps, dtypes) == []
+        widened = {step[0] for step in steps if step[1] in WIDENING}
+        assert {step[1] for step in steps if step[1] in WIDENING} == {ex._imag_to_complex}
+        assert widened <= {j for step in steps if step[0] is None for j in step[2]}  # roots
+        buffers.append((len(widened), dtypes.count(np.float64), dtypes.count(np.complex128)))
+    assert buffers == [(4, 15, 2), (5, 34, 2), (5, 34, 2), (6, 38, 2), (6, 41, 2), (6, 51, 2)]
+
+
+def f64_samples():
+    """2**20 float64 samples: the sampler's domain, negatives, values near 0 and large ones."""
+    rng = np.random.default_rng(11)
+    n = 2**18
+    sign = rng.choice([-1.0, 1.0], 2 * n)
+    return np.concatenate([
+        rng.uniform(0.1, np.pi - 0.1, n),
+        rng.uniform(-4 * np.pi, 4 * np.pi, n),
+        sign[:n] * 10.0 ** rng.uniform(-9, -3, n),  # near 0, never 0, so no signed zeros
+        sign[n:] * 10.0 ** rng.uniform(-3, 3, n),
+    ])
+
+
+def test_float64_kernels_equal_the_complex_ones_bit_for_bit():
+    # The premise of the float64 tape: on values whose other part is zero,
+    # each float64 kernel computes the real or imaginary part of the complex
+    # kernel, bit for bit.  A libm or NumPy build that breaks it fails here.
+    x = f64_samples()
+    y = np.random.default_rng(12).permutation(x)
+    assert x.size >= 10**6
+    for wide in (x + 0j, x * 1j):  # the sweep's reduction
+        assert np.abs(x).tobytes() == np.abs(wide).tobytes()
+    X, Y = var("x"), var("y")
+    iX, iY = ex.Mul((ex.I, X)), ex.Mul((ex.I, Y))
+    roots = [ex.Add((X, Y)), ex.Add((iX, iY)), ex.Mul((X, Y)), ex.Mul((X, iY)),
+             ex.Mul((iX, Y)), ex.Mul((iX, iY)), ex.Quot(X, Y), ex.Quot(iX, Y), ex.Quot(X, iY),
+             ex.Quot(iX, iY), ex.Sin(X), ex.Cos(X), ex.Tan(X), ex.Cot(X)]
+    kinds = {"x": ex._BLOCK, "y": ex._BLOCK}
+    steps, _, dtypes = ex._compile([roots], kinds, {"x", "y"})
+    assert complex_node_steps(steps, dtypes) == []
+    checked = []
+
+    def compare(block, values):
+        wide = {name: v + 0j for name, v in block.items()}
+        for root, got in zip(roots, next(values)):
+            want = root.eval(wide)
+            if got.dtype == np.float64:  # a real root
+                assert got.tobytes() == want.real.tobytes() and not want.imag.any(), root
+            else:  # an imaginary one, widened as it leaves the tape
+                assert got.imag.tobytes() == want.imag.tobytes() and not want.real.any(), root
+                assert not got.real.any()
+            checked.append(got.size)
+        return ()
+
+    ex._sweep_max({"x": x, "y": y}, [roots], compare)
+    assert sum(checked) == len(roots) * x.size
+
+
+def test_complex_only_kinds_widen_their_operand():
+    X = var("x")
+    nodes = [ex.Pow(X, 0.5), ex.ExpNode(X), ex.Arccot(X), ex.AbsNode(X)]
+    assert {type(n) for n in nodes} == ex._COMPLEX_ONLY
+    steps, _, dtypes = ex._compile([(n,) for n in nodes], {"x": ex._BLOCK}, {"x"})
+    [widen] = [step for step in steps if step[1] is ex._real_to_complex]
+    for node in nodes:
+        [step] = [step for step in steps if getattr(step[1], "__self__", None) is node]
+        assert step[2] == (widen[0],) and dtypes[step[-1]] == np.complex128, node
+
+
+def complex_sweep_report(spec, s):
+    """What ``jacobi_check`` reports, from a sweep of the complex ``sample_env`` momenta."""
+    groups = [roots for _, roots in spec.jacobi_residuals]
+    env = spec.sample_env(s)
+    maxima = ex._sweep_max(env, groups, ex._every_root)
+    per_triple = ex._worst_points(env, maxima, [len(roots) for roots in groups])
+    extra = {labels: value for (labels, _), (value, _) in zip(spec.jacobi_residuals, per_triple)}
+    return extra, per_triple
+
+
+def hexed(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("spec", [build_algebra(f) for f in JACOBI_FAMILIES] + [
+    mutate_row(build_algebra(Ratio(2.0)), (Gen.Q_L, Gen.S_L), factor)
+    for factor in (2.0, 1 + 1e-10, np.nan)
+], ids=[type(f).__name__ for f in JACOBI_FAMILIES] + ["ratio-x2", "ratio-x(1+1e-10)", "ratio-nan"])
+def test_jacobi_on_float64_momenta_reports_as_the_complex_sweep(spec):
+    s = Sampler(seed=7, count=N)
+    report = jacobi_check(spec, s)
+    extra, per_triple = complex_sweep_report(spec, s)
+    assert list(report.extra) == list(extra)
+    assert hexed(report.extra.values()) == hexed(extra.values())
+    *failing, summary = report.conditions
+    for cond in failing:
+        labels = tuple(cond.name[len("jacobi("):-1].split(","))
+        value, point = per_triple[list(extra).index(labels)]
+        assert (hexed([cond.max_residual]), cond.worst_point) == (hexed([value]), point)
+    worst, point = ex._worst(per_triple, (0.0, None))
+    assert (hexed([summary.max_residual]), summary.worst_point) == (hexed([worst]), point)
+    failed = [f"jacobi({','.join(labels)})" for labels, v in extra.items() if not v <= s.tolerance]
+    assert [c.name for c in failing] == failed[:25] and not any(c.passed for c in failing)
+    assert summary.passed == (worst <= s.tolerance)
+
+
+def test_a_tiny_table_mutation_keeps_its_residual_on_float64_momenta():
+    spec = mutate_row(build_algebra(Ratio(2.0)), (Gen.Q_L, Gen.S_L), 1 + 1e-10)
+    report = jacobi_check(spec, Sampler(seed=7, count=N))
+    assert report.passed and f"{report.max_residual:.1e}" == "1.0e-10"
 
 
 def swept_values(env, roots):
