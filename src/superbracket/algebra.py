@@ -413,7 +413,16 @@ def jacobi_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
     pl, pr = s.pairs(spec.constraint)
     env = {"pL": pl, "pR": pr}  # real momenta: the tape runs its real values in float64
     triples = spec.jacobi_residuals
-    groups = [roots for _, roots in triples]  # one tape, a group per triple
+    # One tape, a group per triple holding the roots no earlier triple has,
+    # so each distinct root is computed and reduced once, by the first triple
+    # that needs it (which a pole message names).
+    groups = []
+    found: dict = {}  # root -> its place among the swept values
+    for _, roots in triples:
+        fresh = [r for r in dict.fromkeys(roots) if r not in found]
+        for r in fresh:
+            found[r] = len(found)
+        groups.append(fresh)
 
     def arrays(block: dict, values):
         for labels, _ in triples:
@@ -426,7 +435,8 @@ def jacobi_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
                 ) from err
 
     maxima = ex._sweep_max(env, groups, arrays)
-    per_triple = ex._worst_points(env, maxima, [len(roots) for roots in groups])
+    per_triple = ex._worst_points(env, [maxima[found[r]] for _, roots in triples for r in roots],
+                                  [len(roots) for _, roots in triples])
     residuals: Dict[tuple, float] = {}
     reported = 0
     for (labels, _), (value, point) in zip(triples, per_triple):

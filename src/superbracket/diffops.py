@@ -20,12 +20,14 @@ block-off-diagonal matrices in the (boson, fermion) basis.
 Entries that are the interned ``ex.ZERO`` are structurally zero, and only
 the other, live, entries cost work: ``mat_mul`` leaves out every product with
 a ``ZERO`` factor, ``mat_add`` every ``ZERO`` addend, and ``mats_max_abs``
-evaluates the live entries alone.  The test is ``is ex.ZERO``, not equality,
-so a signed zero such as ``Const(-0.0)`` is live.  Leaving these terms out
-changes no entry and no maximum: ``add`` folds a ``ZERO`` addend to nothing,
-``mul`` folds a ``ZERO`` factor to ``ZERO`` (unless the other factor carries
-an infinite or NaN constant, where it reads NaN), and a ``ZERO`` entry's
-modulus of 0.0 never displaces a maximum.
+evaluates the live entries alone, each distinct live entry once.  The test is
+``is ex.ZERO``, not equality, so a signed zero such as ``Const(-0.0)`` is
+live.  Leaving these terms out changes no entry and no maximum: ``add`` folds
+a ``ZERO`` addend to nothing, ``mul`` folds a ``ZERO`` factor to ``ZERO``
+(unless the other factor carries an infinite or NaN constant, where it reads
+NaN), and a ``ZERO`` entry's modulus of 0.0 never displaces a maximum.
+Entries are interned, so equal entries are one object, swept once for all
+its occurrences.
 """
 from __future__ import annotations
 
@@ -204,24 +206,24 @@ class DiffOperator:
 def mats_max_abs(mats, env: dict) -> list:
     """Max modulus of each of ``mats`` at the env samples, and its flat sample index.
 
-    One blocked sweep (``ex._sweep_max``) evaluates only the live (not
-    ``ex.ZERO``) entries, in flat (i, j) order, one entry per group, so each
-    is reduced and its buffer freed before the next is computed.  Within a
-    matrix the first maximum in flat (i, j, sample) order wins, as
+    One blocked sweep (``ex._roots_max``) evaluates each distinct live (not
+    ``ex.ZERO``) entry once, however many entries of ``mats`` it is, and
+    reduces it once; every entry then takes its root's (max, index).
+    Within a matrix the first maximum in flat (i, j, sample) order wins, as
     ``np.argmax`` over its dense ``mat_eval`` would pick; a matrix with no
-    live entry reads (0.0, 0).
+    live entry reads (0.0, 0).  The distinct entries are computed fewest
+    nodes first, so of several poles in one block the one named may differ
+    from a flat-order sweep's.
     """
     live = [[e for row in m for e in row if e is not ex.ZERO] for m in mats]
-
-    maxima = iter(ex._sweep_max(env, [(e,) for entries in live for e in entries],
-                                ex._every_root))
+    maxima = iter(ex._roots_max(env, [e for entries in live for e in entries]))
     return [ex._worst(itertools.islice(maxima, len(entries)), (0.0, 0)) for entries in live]
 
 
 def ops_max_abs(ops, env: dict) -> list:
     """``op.max_abs(env)`` for each of ``ops``, from one blocked sweep.
 
-    Only the live entries of the coefficient matrices are evaluated
+    Each distinct live entry of the coefficient matrices is evaluated once
     (``mats_max_abs``).  Within a coefficient matrix the first maximum in
     flat (i, j, sample) order wins; across the matrices of an operator, the
     first NaN, else the first above all before it and above 0.0, else

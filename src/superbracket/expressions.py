@@ -26,6 +26,9 @@ arguments start with the same prefix, and any other node as one call of its
 kernel.  The compiler also fixes which buffer each array step writes into,
 by the last use of every value, and the sweep allocates those buffers once;
 a root value is valid only until the check's code for its group returns.
+A root repeated in a later group would hold its buffer until then, so checks
+state each distinct root once: ``_roots_max`` does so for checks that reduce
+each root alone, and gives every occurrence its root's maximum.
 
 A tape value is real, imaginary or complex, fixed when the tape is compiled
 from the env's dtypes and the node kinds.  Where the env holds float64 arrays
@@ -322,6 +325,29 @@ def _every_root(block: Mapping[str, EnvValue], values: Iterator[tuple]) -> Itera
     """The ``evaluate`` of a sweep that reduces every root value as it is."""
     for group in values:
         yield from group
+
+
+def _node_count(root: "Expr") -> int:
+    """The number of distinct nodes in ``root``'s tree."""
+    order: list = []
+    _postorder(root, set(), order)
+    return len(order)
+
+
+def _roots_max(env: Mapping[str, EnvValue], roots: Sequence["Expr"]) -> List[Tuple[float, int]]:
+    """``_sweep_max`` of each of ``roots`` alone, sweeping each distinct root once.
+
+    The distinct roots are compiled fewest nodes first, one to a group, so a
+    root's value is reduced and its buffer free again before the next root
+    is computed, and small roots do not wait in buffers while large ones
+    are.  Every occurrence of a root gets that root's (max, index), which is
+    what sweeping each occurrence alone gives.  Of several errors that one
+    block would raise, the one met first may differ from a sweep in the order
+    given.  With no samples the result is empty.
+    """
+    distinct = sorted(dict.fromkeys(roots), key=_node_count)
+    found = dict(zip(distinct, _sweep_max(env, [(r,) for r in distinct], _every_root)))
+    return [found[r] for r in roots] if found else []
 
 
 def _sweep_max(

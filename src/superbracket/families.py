@@ -123,20 +123,28 @@ def product_constraint_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport
     # maximum of the 0/1 indicator.
     active = vanish = 0
 
+    # One group of the distinct roots (on d_zero, say, the four named roots
+    # and the prefactor are all ZERO), each named one reduced once.
+    distinct = list(dict.fromkeys(e for _, e in named))
+    branch = (mul(prod, one_minus), line1, line2)
+    roots = tuple(dict.fromkeys(distinct + list(branch)))
+
     def arrays(block: dict, values):
         nonlocal active, vanish
-        for _ in named:
-            yield from next(values)
-        pre, l1, l2 = next(values)
+        vals = dict(zip(roots, next(values)))
+        for e in distinct:
+            yield vals[e]
+        pre, l1, l2 = (vals[e] for e in branch)
         on = np.abs(np.atleast_1d(np.asarray(pre))) > 1e-6
         both = on & (np.abs(l1) <= s.tolerance) & (np.abs(l2) <= s.tolerance)
         active += int(np.count_nonzero(on))
         vanish += int(np.count_nonzero(both))
         yield both.astype(float)
 
-    groups = [(e,) for _, e in named] + [(mul(prod, one_minus), line1, line2)]
-    maxima = ex._sweep_max(env, groups, arrays)
-    for (name, _), (res, idx) in zip(named, maxima):
+    maxima = ex._sweep_max(env, [roots], arrays)
+    found = dict(zip(distinct, maxima))
+    for name, e in named:
+        res, idx = found[e]
         report.add(name, res, ex.sample_at(env, idx))
     if active:
         point = ex.sample_at(env, maxima[-1][1]) if vanish else None
@@ -153,7 +161,7 @@ def cross_jacobian_report(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
         return report
     env = spec.sample_env(s)
     exprs = [_cross_residual_expr(spec, swapped) for swapped in (False, True)]
-    maxima = ex._sweep_max(env, [(e,) for e in exprs], ex._every_root)
+    maxima = ex._roots_max(env, exprs)
     for name, (res, idx) in zip(("cross-jacobian", "cross-jacobian-swapped"), maxima):
         report.add(name, res, ex.sample_at(env, idx))
     return report

@@ -44,6 +44,22 @@ def _clear_of_loci(arr: np.ndarray) -> np.ndarray:
     return np.abs(dist, out=dist) >= _MARGIN
 
 
+def _domain_clear_of_loci(lo: float, hi: float) -> bool:
+    """Whether every draw from ``(lo, hi)`` keeps ``_MARGIN`` from every singular locus.
+
+    ``rng.uniform`` computes lo + (hi - lo) * u, which rounding can carry at
+    most three ulps of the larger end past either end; x - locus rounds
+    monotonically in x.  So when both ends, widened by four such ulps, clear
+    a locus on the same side, every draw does, and ``_clear_of_loci`` would
+    keep them all.  A domain with an infinite or NaN end is never clear.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return False
+    pad = 4 * math.ulp(max(abs(lo), abs(hi)))
+    lo, hi = lo - pad, hi + pad
+    return all(lo - k >= _MARGIN or k - hi >= _MARGIN for k in _SINGULAR_LOCI)
+
+
 @dataclass(frozen=True)
 class MomentumPoint:
     """A single evaluation point, optionally constrained to p_R = f(p_L)."""
@@ -82,16 +98,18 @@ class Sampler:
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         lo, hi = self.domain
+        clear = _domain_clear_of_loci(lo, hi)  # then no draw needs the mask
         out: list[np.ndarray] = []
         have = 0
         for _ in range(200):
             if have >= n:
                 break
             batch = rng.uniform(lo, hi, size=max(n, 16))
-            batch = batch[_clear_of_loci(batch)]
+            if not clear:
+                batch = batch[_clear_of_loci(batch)]
             out.append(batch)
             have += batch.size
-        arr = np.concatenate(out) if out else np.empty(0)
+        arr = out[0] if len(out) == 1 else np.concatenate(out) if out else np.empty(0)
         if arr.size < n:
             raise InvalidParams("sampling domain is too thin around the singular loci")
         return arr[:n]

@@ -155,3 +155,43 @@ def test_nearest_locus_test_equals_the_loop_over_all_loci():
     ks = np.arange(-sm._K_MAX, sm._K_MAX + 1, dtype=float)
     assert [x.hex() for x in ks * math.pi] == [x.hex() for x in registered_singular_loci()]
     assert not sm._clear_of_loci(edges).all() and sm._clear_of_loci(edges).any()
+
+
+def draw_masking_every_batch(s, rng, n):
+    """``Sampler._draw`` as it was before it learned to skip the mask: every batch masked."""
+    lo, hi = s.domain
+    out, have = [], 0
+    while have < n:
+        batch = rng.uniform(lo, hi, size=max(n, 16))
+        batch = batch[sm._clear_of_loci(batch)]
+        out.append(batch)
+        have += batch.size
+    return np.concatenate(out)[:n]
+
+
+@pytest.mark.parametrize("domain, clear", [
+    ((0.1, math.pi - 0.1), True),    # the default domain
+    ((-3.0, -0.06), True),
+    ((0.02, 1.0), False),             # starts inside the margin of 0
+    ((1.0, 5.0), False),              # straddles pi
+    ((0.05, 1.0), False),             # starts on the margin: the mask decides
+    ((math.pi + 0.05, 4.0), False),
+    ((20.0, 30.0), False),            # about 7 pi and 9 pi
+    ((27.0, 40.0), True),             # beyond the last locus, 8 pi
+    ((0.1, math.inf), False),
+], ids=str)
+def test_draws_skip_the_mask_only_where_the_domain_keeps_the_margin(monkeypatch, domain, clear):
+    assert sm._domain_clear_of_loci(*domain) == clear
+    if math.isinf(domain[1]):
+        return  # rng.uniform cannot draw from it
+    calls = []
+    mask = sm._clear_of_loci
+    monkeypatch.setattr(sm, "_clear_of_loci", lambda arr: calls.append(arr.size) or mask(arr))
+    for count in (100, 3 * ex._BLOCK_POINTS + 17):
+        s = Sampler(seed=5, count=count, domain=domain)
+        got = s.momenta()
+        calls_made = len(calls)
+        want = draw_masking_every_batch(s, np.random.default_rng(5), count)
+        assert got.tobytes() == want.tobytes()
+        assert (calls_made == 0) == clear
+        calls.clear()

@@ -1,17 +1,20 @@
 """Blocked sampled sweeps: the same verdicts, points and errors as whole-array
 evaluation, in memory that does not grow with the sample count, on a tape
 whose node buffers are planned when it is compiled and allocated once per
-sweep."""
+sweep, and which computes each distinct root once."""
+import dataclasses
 import gc
+import itertools
 import json
 import tracemalloc
 import weakref
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from superbracket import coproducts, diffops, representations, runner
 from superbracket import expressions as ex
-from superbracket import runner
 from superbracket.algebra import (
     VALUE_CARRIERS,
     DMinusOne,
@@ -28,7 +31,9 @@ from superbracket.algebra import (
     mutate_row,
 )
 from superbracket.coproducts import (
+    CENTRAL_GENS,
     build_coproduct,
+    cocommutativity_check,
     homomorphism_check,
     short_rep_reduction_check,
 )
@@ -36,7 +41,13 @@ from superbracket.diffops import TwoVarContext, first_order_op, mat, mat_eval, m
 from superbracket.errors import PoleError
 from superbracket.expressions import add, const, mul, quot, var
 from superbracket.reports import ConsistencyReport
-from superbracket.representations import boost_identification_residual, build_representation
+from superbracket.representations import (
+    boost_commutator_zero,
+    boost_identification_residual,
+    build_representation,
+    transformed_representation,
+    verify_relations,
+)
 from superbracket.sampling import Sampler
 from superbracket.suite import parse_suite
 
@@ -213,9 +224,6 @@ def scalar_fold_steps(steps):
 def test_node_buffers_are_reused_across_blocks(monkeypatch):
     resource = pytest.importorskip("resource")
     spec = build_algebra(Ratio(2.0))
-    groups = [roots for _, roots in spec.jacobi_residuals]
-    # jacobi_check sweeps float64 momenta
-    planned = len(ex._compile(groups, {"pL": ex._BLOCK, "pR": ex._BLOCK}, {"pL", "pR"})[2])
     used = []  # per block: the buffers its steps write into
     run = ex._run
 
@@ -224,6 +232,7 @@ def test_node_buffers_are_reused_across_blocks(monkeypatch):
         yield from run(steps, block, vals)
 
     monkeypatch.setattr(ex, "_run", spy)
+    tapes = record_compiles(monkeypatch)  # the tape jacobi_check compiles plans the buffers
     faults = []
     for count in (B, 16 * B):
         s = Sampler(seed=7, count=count)
@@ -235,7 +244,7 @@ def test_node_buffers_are_reused_across_blocks(monkeypatch):
     # The sweep allocates the planned buffers once, and every block writes
     # into those and no others: no block after the first allocates one ...
     first = used[0]
-    assert len(used) == 16 and len(first) == planned and all(u == first for u in used)
+    assert len(used) == 16 and len(first) == tapes[-1][1] and all(u == first for u in used)
     # ... and faulting them in again in each of the 15 later blocks would cost
     # 16 pages per buffer per block, more than the whole call takes.
     assert faults[1] < 15 * 16 * len(first), (faults, len(first))
@@ -339,7 +348,11 @@ def test_complex_only_kinds_widen_their_operand():
 
 
 def complex_sweep_report(spec, s):
-    """What ``jacobi_check`` reports, from a sweep of the complex ``sample_env`` momenta."""
+    """What ``jacobi_check`` reports, from a sweep of the complex ``sample_env`` momenta.
+
+    Every triple's group holds all its roots, so a root that several triples
+    share is computed into its own buffer and reduced once per occurrence.
+    """
     groups = [roots for _, roots in spec.jacobi_residuals]
     env = spec.sample_env(s)
     maxima = ex._sweep_max(env, groups, ex._every_root)
@@ -352,12 +365,18 @@ def hexed(values):
     return [float(v).hex() for v in values]
 
 
-@pytest.mark.parametrize("spec", [build_algebra(f) for f in JACOBI_FAMILIES] + [
-    mutate_row(build_algebra(Ratio(2.0)), (Gen.Q_L, Gen.S_L), factor)
-    for factor in (2.0, 1 + 1e-10, np.nan)
-], ids=[type(f).__name__ for f in JACOBI_FAMILIES] + ["ratio-x2", "ratio-x(1+1e-10)", "ratio-nan"])
-def test_jacobi_on_float64_momenta_reports_as_the_complex_sweep(spec):
-    s = Sampler(seed=7, count=N)
+JACOBI_SPECS = [(type(f).__name__, build_algebra(f)) for f in JACOBI_FAMILIES] + [
+    (name, mutate_row(build_algebra(Ratio(2.0)), (Gen.Q_L, Gen.S_L), factor))
+    for name, factor in (("ratio-x2", 2.0), ("ratio-x(1+1e-10)", 1 + 1e-10), ("ratio-nan", np.nan))
+]
+
+
+@pytest.mark.parametrize("spec, count", [
+    pytest.param(spec, count, id=name if count == N else f"{name}-{count}")
+    for count in (N, 100, 10**4) for name, spec in JACOBI_SPECS
+])
+def test_jacobi_on_float64_momenta_reports_as_the_complex_sweep(spec, count):
+    s = Sampler(seed=7, count=count)
     report = jacobi_check(spec, s)
     extra, per_triple = complex_sweep_report(spec, s)
     assert list(report.extra) == list(extra)
@@ -563,3 +582,146 @@ def test_nan_table_coefficient_fails_jacobi_and_reads_null(monkeypatch):
     assert summary.worst_point == failing[0].worst_point is not None
     record = emitted_record(monkeypatch, report)
     assert (record["status"], record["max_residual"]) == ("fail", None)
+
+
+# -- each distinct root swept once --------------------------------------------
+
+def mats_max_abs_per_occurrence(mats, env):
+    """``diffops.mats_max_abs`` sweeping every live entry alone in flat order, repeats included."""
+    live = [[e for row in m for e in row if e is not ex.ZERO] for m in mats]
+    maxima = iter(ex._sweep_max(env, [(e,) for entries in live for e in entries], ex._every_root))
+    return [ex._worst(itertools.islice(maxima, len(entries)), (0.0, 0)) for entries in live]
+
+
+def hexed_report(report):
+    return report.note, [(c.name, float(c.max_residual).hex(), c.passed, c.worst_point, c.note)
+                         for c in report.conditions]
+
+
+def record_compiles(monkeypatch):
+    """A list that gets (roots, planned buffers) for every tape compiled from now on."""
+    tapes = []
+    compile_ = ex._compile
+
+    def spy(groups, kinds, real):
+        tape = compile_(groups, kinds, real)
+        tapes.append(([r for roots in groups for r in roots], len(tape[2])))
+        return tape
+
+    monkeypatch.setattr(ex, "_compile", spy)
+    return tapes
+
+
+def operator_checks():
+    """(name, check) for every check that sweeps operator matrices through ``mats_max_abs``."""
+    for family in JACOBI_FAMILIES:
+        spec = build_algebra(family)
+        if isinstance(family, (LeftSeparable, RightSeparable)):
+            rep = transformed_representation(build_representation(DZero()), family)
+        else:
+            rep = build_representation(family, spec=spec)
+        yield f"relations {family!r}", lambda s, rep=rep, spec=spec: verify_relations(rep, spec, s)
+        yield f"boost {family!r}", lambda s, rep=rep: boost_commutator_zero(rep, s)
+    for family, braiding in ((DPlusOne(), "braided"), (DPlusOne(), "unbraided"),
+                             (DMinusOne(), "braided")):
+        rep = build_representation(family)
+        delta = build_coproduct(rep.spec, braiding, rep)
+        tag = f"{family!r} {braiding}"
+        yield f"hom {tag}", lambda s, d=delta, rep=rep: homomorphism_check(d, rep.spec, rep, s)
+        for g in CENTRAL_GENS:
+            yield f"cocommutativity {g.label} {tag}", lambda s, d=delta, g=g: \
+                cocommutativity_check(d, g, s)
+        yield f"fixture {tag}", lambda s, d=delta: cocommutativity_check(d, Gen.Q_L, s, True)
+    rep = build_representation(DPlusOne())
+    for t_terms in (True, False):
+        yield f"short reduction {t_terms}", lambda s, t=t_terms: \
+            short_rep_reduction_check(rep.spec, rep, s, t)
+
+
+@pytest.mark.parametrize("count", [100, 10**4, N])
+def test_operator_checks_report_as_a_sweep_of_every_occurrence(monkeypatch, count):
+    s = Sampler(seed=7, count=count)
+    checks = list(operator_checks())
+    got = [hexed_report(check(s)) for _, check in checks]
+    tapes = record_compiles(monkeypatch)
+    for module in (diffops, coproducts, representations):
+        monkeypatch.setattr(module, "mats_max_abs", mats_max_abs_per_occurrence)
+    for (name, check), report in zip(checks, got):
+        assert report == hexed_report(check(s)), name
+    # the reference really does sweep repeated entries
+    assert sum(len(roots) - len(set(roots)) for roots, _ in tapes) > 500
+
+
+def test_a_tie_and_a_nan_shared_by_repeated_entries():
+    env = hand_env()
+    env["pL"][B + 9] = env["pL"][2 * B + 3] = 5.0  # a tie between blocks 1 and 2
+    x, y = mul(PL, PR), ex.sin(PL)  # each entry of several matrices
+    mats = [mat([[y, x], [x, PR]]), mat([[x, ex.ZERO], [ex.ZERO, y]]),
+            mat([[PR, x], [ex.ZERO, ex.ZERO]]), mat([[y, ex.ZERO], [ex.ZERO, y]]), mat([[ex.ZERO]])]
+    for nan_at in (None, B + 20, 3 * B + 5):
+        if nan_at is not None:
+            env["pR"][nan_at] = np.nan  # NaN in x and pR, at once
+        got = diffops.mats_max_abs(mats, env)
+        assert repr(got) == repr(mats_max_abs_per_occurrence(mats, env))
+        for m, (value, idx) in zip(mats[:4], got):
+            dense = np.abs(mat_eval(m, env)).ravel()
+            first = int(np.argmax(dense))
+            assert repr((value, idx)) == repr((float(dense[first]), first % N))
+        assert got[4] == (0.0, 0)
+        assert got[3] == (abs(np.sin(5.0)), B + 9)  # the tie, in y's first occurrence
+    assert np.isnan(got[0][0]) and got[0][1] == B + 20
+
+
+def test_jacobi_pole_message_names_the_first_triple_to_meet_it():
+    spec = build_algebra(DPlusOne())
+    s = Sampler(seed=7, count=N)
+    pl, pr = s.pairs(spec.constraint)
+    bad = 2 * B + 100
+    pole = quot(ex.ONE, add(PL, const(-pl[bad])))
+    spec = mutate_row(spec, (Gen.Q_L, Gen.S_L), pole)
+    meets = [labels for labels, roots in spec.jacobi_residuals
+             if any(node is pole for r in roots for node in walk(r))]
+    assert len(meets) > 1  # several triples share the pole
+    with pytest.raises(PoleError) as info:
+        jacobi_check(spec, s)
+    assert str(info.value).startswith(f"pole while evaluating triple ({','.join(meets[0])}): ")
+    assert info.value.point == ex.sample_at({"pL": pl, "pR": pr}, bad)
+
+
+def test_braided_hom_compiles_each_distinct_entry_once(monkeypatch):
+    rep = build_representation(DPlusOne())
+    delta = build_coproduct(rep.spec, "braided", rep)
+    tapes = record_compiles(monkeypatch)
+    assert homomorphism_check(delta, rep.spec, rep, Sampler(seed=7, count=100)).passed
+    [(roots, buffers)] = tapes
+    # 290 live entries; compiled in flat order, repeats included, they planned
+    # 60 buffers, and fewest nodes first 28.
+    assert len(roots) == len(set(roots)) == 46
+    assert buffers <= 30
+
+
+def test_jacobi_tapes_plan_no_more_buffers_than_with_every_occurrence(monkeypatch):
+    tapes = record_compiles(monkeypatch)
+    for family in JACOBI_FAMILIES:
+        assert jacobi_check(build_algebra(family), Sampler(seed=7, count=100)).passed
+    assert all(len(roots) == len(set(roots)) for roots, _ in tapes)
+    assert sum(len(roots) for roots, _ in tapes) == 167  # of 232 roots over all triples
+    # Compiling every triple's roots, repeats included, planned these:
+    assert all(b <= was for (_, b), was in zip(tapes, [17, 36, 36, 40, 43, 53]))
+
+
+BUNDLED = ["d_zero", "left_separable", "right_separable", "d_plus_one", "d_minus_one", "ratio"]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_no_sweep_of_a_bundled_suite_compiles_a_root_twice(monkeypatch, name):
+    text = resources.files("superbracket").joinpath(f"suites/{name}.suite").read_text()
+    cfg = parse_suite(text)
+    cfg = dataclasses.replace(cfg, sampling=dataclasses.replace(cfg.sampling, points=10**4))
+    tapes = record_compiles(monkeypatch)
+    records = runner.run_suite(cfg)
+    assert all(r.status in ("pass", "expected-fail") for r in records)
+    assert tapes
+    for roots, _ in tapes:
+        repeated = [r for r in set(roots) if roots.count(r) > 1]
+        assert not repeated, repeated[:3]
