@@ -28,7 +28,6 @@ from .algebra import (
 )
 from .errors import (
     AmbiguousFamily,
-    BranchError,
     DimensionMismatch,
     DomainError,
     GradeError,
@@ -55,7 +54,6 @@ from .families import (
     Rejection,
     classify_family,
     cross_jacobian_report,
-    cross_jacobian_residual,
     family_transform,
     product_constraint_check,
 )
@@ -69,11 +67,10 @@ from .representations import (
     verify_relations,
 )
 from .runner import ReportRecord, emit_report, run_suite
-from .sampling import MomentumPoint, Sampler, is_zero
-from .suite import CheckSuiteConfig, parse_suite, print_suite
+from .sampling import Sampler, is_zero
+from .suite import CheckSuiteConfig, parse_suite
 from .symbolic import (
     SymbolicElement,
-    boost_coproduct_symbolic,
     short_rep_reduction_symbolic,
     tail_cancellation_check,
 )

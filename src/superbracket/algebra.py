@@ -139,9 +139,6 @@ class LinComb:
     def structurally_zero(self) -> bool:
         return not self.terms and ex.is_const(self.scalar, 0)
 
-    def coefficient(self, g: Gen) -> Expr:
-        return self.terms.get(g, ex.ZERO)
-
     def __repr__(self):
         if self.structurally_zero:
             return "0"
@@ -214,7 +211,6 @@ class AlgebraParams:
     dispersion: str = "magnon"  # magnon | relativistic | massive_magnon
     mass: float = 0.0
     kappa: float = 1.0  # integration constant of the ratio-family momentum map
-    drop_central_extension: bool = False
 
     def __post_init__(self):
         if self.dispersion not in ("magnon", "relativistic", "massive_magnon"):
@@ -575,14 +571,12 @@ def _spec_for_jacobians(
         table[(a, b)] = lc
 
     i = ex.I
-    drop = params.drop_central_extension
 
     # su(1|1)^2 with the central extension
     put(Gen.Q_L, Gen.S_L, LinComb.of(Gen.H_L))
     put(Gen.Q_R, Gen.S_R, LinComb.of(Gen.H_R))
-    if not drop:
-        put(Gen.Q_L, Gen.Q_R, LinComb.of(Gen.P))
-        put(Gen.S_L, Gen.S_R, LinComb.of(Gen.K))
+    put(Gen.Q_L, Gen.Q_R, LinComb.of(Gen.P))
+    put(Gen.S_L, Gen.S_R, LinComb.of(Gen.K))
 
     # boost rows, same handedness
     for side, J, p_gen, H_gen, Q, S in (
@@ -612,11 +606,10 @@ def _spec_for_jacobians(
         put(J, S, LinComb.of(S, mul(C, phiS[other])))
 
     # boost action on the mixed-handed centrals (one boost + two supercharges)
-    if not drop:
-        put(Gen.J_L, Gen.P, LinComb.of(Gen.P, add(phiQ["L"], mul(cross["L"], phiQ["R"]))))
-        put(Gen.J_R, Gen.P, LinComb.of(Gen.P, add(phiQ["R"], mul(cross["R"], phiQ["L"]))))
-        put(Gen.J_L, Gen.K, LinComb.of(Gen.K, add(phiS["L"], mul(cross["L"], phiS["R"]))))
-        put(Gen.J_R, Gen.K, LinComb.of(Gen.K, add(phiS["R"], mul(cross["R"], phiS["L"]))))
+    put(Gen.J_L, Gen.P, LinComb.of(Gen.P, add(phiQ["L"], mul(cross["L"], phiQ["R"]))))
+    put(Gen.J_R, Gen.P, LinComb.of(Gen.P, add(phiQ["R"], mul(cross["R"], phiQ["L"]))))
+    put(Gen.J_L, Gen.K, LinComb.of(Gen.K, add(phiS["L"], mul(cross["L"], phiS["R"]))))
+    put(Gen.J_R, Gen.K, LinComb.of(Gen.K, add(phiS["R"], mul(cross["R"], phiS["L"]))))
 
     # hypercharge: charge +-2i on the fermions, zero on everything else
     two_i = const(2j)
@@ -626,7 +619,6 @@ def _spec_for_jacobians(
     put(Gen.B, Gen.S_R, LinComb.of(Gen.S_R, two_i))
 
     # gl(2)^2 action on the fermions; the +/- generators mix the two copies
-    mixing = {Gen.t_lp, Gen.t_lm, Gen.t_rp, Gen.t_rm}
     t_fermion_rows = [
         (Gen.t_l0, Gen.Q_L, Gen.Q_L, 1), (Gen.t_l3, Gen.Q_L, Gen.Q_L, 1),
         (Gen.t_l0, Gen.S_R, Gen.S_R, 1), (Gen.t_l3, Gen.S_R, Gen.S_R, -1),
@@ -636,8 +628,6 @@ def _spec_for_jacobians(
         (Gen.t_rp, Gen.Q_R, Gen.S_L, 1), (Gen.t_rm, Gen.S_L, Gen.Q_R, 1),
     ]
     for t, src, dst, sign in t_fermion_rows:
-        if drop and t in mixing:
-            continue
         put(t, src, LinComb.of(dst, const(sign)))
 
     # derived action on the central elements (Leibniz through the fermion rows)
@@ -656,22 +646,19 @@ def _spec_for_jacobians(
         (Gen.t_rm, Gen.H_L, Gen.P, 1), (Gen.t_rm, Gen.K, Gen.H_R, 1),
     ]
     for t, c, dst, sign in t_central_rows:
-        if drop and (t in mixing or dst in (Gen.P, Gen.K) or c in (Gen.P, Gen.K)):
-            continue
         put(t, c, LinComb.of(dst, const(sign)))
 
     # gl(2) structure inside each copy (required by Jacobi with the fermion
     # action); the lambda and rho copies commute with each other and with B.
     # The +/- labels follow the hypercharge doublets, so t^r_+ lowers the
     # t^r_3 weight: the rho-copy structure constants come out sign-flipped.
-    if not drop:
-        for t3, tp, tm, w in (
-            (Gen.t_l3, Gen.t_lp, Gen.t_lm, 1.0),
-            (Gen.t_r3, Gen.t_rp, Gen.t_rm, -1.0),
-        ):
-            put(t3, tp, LinComb.of(tp, const(2 * w)))
-            put(t3, tm, LinComb.of(tm, const(-2 * w)))
-            put(tp, tm, LinComb.of(t3, const(w)))
+    for t3, tp, tm, w in (
+        (Gen.t_l3, Gen.t_lp, Gen.t_lm, 1.0),
+        (Gen.t_r3, Gen.t_rp, Gen.t_rm, -1.0),
+    ):
+        put(t3, tp, LinComb.of(tp, const(2 * w)))
+        put(t3, tm, LinComb.of(tm, const(-2 * w)))
+        put(tp, tm, LinComb.of(t3, const(w)))
 
     return AlgebraSpec(
         family=family,

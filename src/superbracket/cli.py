@@ -4,8 +4,9 @@
     superbracket list-checks
     superbracket explain <check>
 
-Exit codes: 0 all pass, 1 any non-expected failure, 2 parse error or a seed
-that is not a non-negative integer, 3 internal error.  SUPERBRACKET_SEED
+Exit codes: 0 all pass, 1 any non-expected failure, 2 parse error, an
+unreadable suite file, an unwritable --out or a seed that is not a
+non-negative integer, 3 internal error.  SUPERBRACKET_SEED
 overrides the suite file's seed.
 """
 from __future__ import annotations
@@ -93,7 +94,11 @@ def main(argv=None) -> int:
         return 3
 
     if args.out is not None:
-        args.out.write_bytes(payload)
+        try:
+            args.out.write_bytes(payload)
+        except OSError as err:
+            print(f"error: cannot write {args.out}: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload.decode())
     return 1 if suite_failed(records) else 0

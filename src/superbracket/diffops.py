@@ -243,10 +243,6 @@ def scalar_op(ctx, e, n: int) -> DiffOperator:
     return DiffOperator(ctx=ctx, n=n, parity=0, A=mat_scale(e, mat_eye(n)))
 
 
-def identity_op(ctx, n: int) -> DiffOperator:
-    return scalar_op(ctx, ex.ONE, n)
-
-
 def zero_op(ctx, n: int) -> DiffOperator:
     return DiffOperator(ctx=ctx, n=n, parity=0, A=mat_zero(n))
 

@@ -23,10 +23,6 @@ class DomainError(SuperbracketError):
     """An expression received an argument outside its real domain."""
 
 
-class BranchError(SuperbracketError):
-    """Differentiation hit an unresolved absolute value."""
-
-
 class InconsistentParams(SuperbracketError):
     """Family constraints on the Jacobian functions or couplings are violated."""
 

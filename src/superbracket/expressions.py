@@ -53,10 +53,9 @@ from typing import (Callable, Collection, FrozenSet, Iterable, Iterator, List, M
 
 import numpy as np
 
-from .errors import BranchError, DomainError, PoleError
+from .errors import PoleError
 
 _POLE_EPS = 1e-14
-_IMAG_EPS = 1e-12
 # Samples per block of a sampled sweep: 64 KiB per complex array.
 _BLOCK_POINTS = 4096
 
@@ -725,41 +724,27 @@ class Cos(_Unary):
         return mul(Const(-1), Sin(self.arg), self.arg.diff(v))
 
 
-class _TrigRatio(_Unary):
-    """``_num(arg) / _den(arg)``, refusing the poles where ``_den(arg)`` is ~0."""
+class Cot(_Unary):
+    """``cos(arg) / sin(arg)``, refusing the poles where ``sin(arg)`` is ~0."""
 
-    __slots__ = ()
-
-    def _eval(self, vals, env, out):
-        (a,) = vals
-        d = self._den(a)
-        _refuse_pole(d, env, f"{self.kind} pole", self)
-        return np.divide(self._num(a, out=out), d, out=out)
-
-    def _eval_f64(self, vals, env, out):
-        # _num * (1/_den) on a real argument, as the complex divide computes it.
-        (a,) = vals
-        d = self._den(a)
-        _refuse_pole(d, env, f"{self.kind} pole", self)
-        return np.multiply(self._num(a, out=out), np.divide(1.0, d, out=d), out=out)
-
-
-class Tan(_TrigRatio):
-    __slots__ = ()
-    kind = "tan"
-    _num, _den = np.sin, np.cos
-
-    def diff(self, v):
-        return quot(self.arg.diff(v), mul(Cos(self.arg), Cos(self.arg)))
-
-
-class Cot(_TrigRatio):
     __slots__ = ()
     kind = "cot"
-    _num, _den = np.cos, np.sin
 
     def diff(self, v):
         return neg(quot(self.arg.diff(v), mul(Sin(self.arg), Sin(self.arg))))
+
+    def _eval(self, vals, env, out):
+        (a,) = vals
+        d = np.sin(a)
+        _refuse_pole(d, env, "cot pole", self)
+        return np.divide(np.cos(a, out=out), d, out=out)
+
+    def _eval_f64(self, vals, env, out):
+        # cos * (1/sin) on a real argument, as the complex divide computes it.
+        (a,) = vals
+        d = np.sin(a)
+        _refuse_pole(d, env, "cot pole", self)
+        return np.multiply(np.cos(a, out=out), np.divide(1.0, d, out=d), out=out)
 
 
 class Arccot(_Unary):
@@ -783,23 +768,6 @@ class ExpNode(_Unary):
 
     def diff(self, v):
         return mul(ExpNode(self.arg), self.arg.diff(v))
-
-
-class AbsNode(_Unary):
-    __slots__ = ()
-    kind = "abs"
-
-    def diff(self, v):
-        raise BranchError(
-            "cannot differentiate through abs(); resolve the branch first "
-            "(restrict momenta so the argument has a fixed sign)"
-        )
-
-    def _eval(self, vals, env, out):
-        (a,) = vals
-        if np.any(np.abs(np.imag(a)) > _IMAG_EPS * np.maximum(np.abs(a), 1.0)):
-            raise DomainError(f"abs() of a non-real value in {self!r}")
-        return np.add(np.abs(a), 0j, out=out)
 
 
 # Float64 kernels of a tape (``_compile``).  For operands that are all real or
@@ -842,15 +810,15 @@ def _sin_cos_rule(node: _Unary, classes):
     return (_REAL, node._eval) if classes == (_REAL,) else None
 
 
-def _trig_ratio_rule(node: _TrigRatio, classes):
+def _cot_rule(node: Cot, classes):
     return (_REAL, node._eval_f64) if classes == (_REAL,) else None
 
 
 _FLOAT64_KERNELS = {
     Const: _const_rule, Var: _var_rule, Add: _add_rule, Mul: _mul_rule, Quot: _quot_rule,
-    Sin: _sin_cos_rule, Cos: _sin_cos_rule, Tan: _trig_ratio_rule, Cot: _trig_ratio_rule,
+    Sin: _sin_cos_rule, Cos: _sin_cos_rule, Cot: _cot_rule,
 }
-_COMPLEX_ONLY = frozenset({Pow, ExpNode, Arccot, AbsNode})
+_COMPLEX_ONLY = frozenset({Pow, ExpNode, Arccot})
 
 
 ZERO = Const(0)
@@ -967,10 +935,6 @@ def cos(x) -> Expr:
     return Const(np.cos(x.value)) if isinstance(x, Const) else Cos(x)
 
 
-def tan(x) -> Expr:
-    return Tan(coerce(x))
-
-
 def cot(x) -> Expr:
     return Cot(coerce(x))
 
@@ -984,13 +948,8 @@ def exp(x) -> Expr:
     return Const(np.exp(x.value)) if isinstance(x, Const) else ExpNode(x)
 
 
-def absval(x) -> Expr:
-    return AbsNode(coerce(x))
-
-
 _REBUILD = {
-    Add: add, Mul: mul, Quot: quot, Sin: sin, Cos: cos, Tan: tan, Cot: cot,
-    Arccot: arccot, ExpNode: exp, AbsNode: absval,
+    Add: add, Mul: mul, Quot: quot, Sin: sin, Cos: cos, Cot: cot, Arccot: arccot, ExpNode: exp,
 }
 
 

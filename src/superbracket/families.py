@@ -75,16 +75,6 @@ def _cross_residual_expr(spec: AlgebraSpec, swapped: bool) -> Expr:
     )
 
 
-def cross_jacobian_residual(spec: AlgebraSpec, pt, swapped: bool = False) -> complex:
-    """Residual of the two-boost/one-momentum Jacobi constraint at a point.
-
-    The boost acting on a Jacobian function is the derivation
-    [J_B, d_AB] = i H_B (d d_AB / dp_B), understood convectively.
-    """
-    env = pt.env() if hasattr(pt, "env") else dict(pt)
-    return complex(_cross_residual_expr(spec, swapped).eval(env))
-
-
 def product_constraint_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
     """Constraints on the product d_LR d_RL.
 

@@ -347,13 +347,3 @@ def shortening_identities(
     second = acomm(y * QL + SR, (y + 1) * SL - (y + eta) * QR)
     report.add("shortening-identity-2", float(np.max(np.abs(second))), {"x": x, "y": y})
     return report
-
-
-def boost_identification_residual(rep: Representation, s: Sampler) -> float:
-    """Max residual of h_R J_L = h_L J_R, where the family demands it."""
-    h_L, h_R = rep.spec.params.h_L, rep.spec.params.h_R
-    lhs = op_scale(const(h_R), rep.images[Gen.J_L])
-    rhs = op_scale(const(h_L), rep.images[Gen.J_R])
-    env = rep.ctx.sample_env(s)
-    res, _ = op_sub(lhs, rhs).max_abs(env)
-    return res

@@ -17,14 +17,10 @@ from .expressions import _BLOCK_POINTS, Expr, _every_root, _sweep_max, sample_at
 from .reports import ConsistencyReport
 
 # Points the sampler must stay away from: zeros of sin(p/2) and the poles of
-# cot/tan that the expression grammar can produce on (-4*pi, 4*pi).
+# cot that the expression grammar can produce on (-4*pi, 4*pi).
 _K_MAX = 8
 _SINGULAR_LOCI = tuple(k * math.pi for k in range(-_K_MAX, _K_MAX + 1))
 _MARGIN = 0.05
-
-
-def registered_singular_loci() -> Tuple[float, ...]:
-    return _SINGULAR_LOCI
 
 
 def _clear_of_loci(arr: np.ndarray) -> np.ndarray:
@@ -58,27 +54,6 @@ def _domain_clear_of_loci(lo: float, hi: float) -> bool:
     pad = 4 * math.ulp(max(abs(lo), abs(hi)))
     lo, hi = lo - pad, hi + pad
     return all(lo - k >= _MARGIN or k - hi >= _MARGIN for k in _SINGULAR_LOCI)
-
-
-@dataclass(frozen=True)
-class MomentumPoint:
-    """A single evaluation point, optionally constrained to p_R = f(p_L)."""
-
-    p_L: float
-    p_R: float
-    constraint: Optional[Tuple[Expr, Expr]] = None  # (f, df/dp_L)
-
-    def __post_init__(self):
-        if self.constraint is not None:
-            f, _ = self.constraint
-            expected = complex(f.eval({"pL": complex(self.p_L)}))
-            if abs(expected - self.p_R) > 1e-12:
-                raise ValueError(
-                    f"constrained point has p_R={self.p_R} but f(p_L)={expected}"
-                )
-
-    def env(self) -> dict:
-        return {"pL": complex(self.p_L), "pR": complex(self.p_R)}
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Check-suite DSL: tokenizer, recursive-descent parser and printer.
+"""Check-suite DSL: tokenizer and recursive-descent parser.
 
 Grammar (flat, line-diagnosable, no expression sublanguage):
 
@@ -491,48 +491,3 @@ def _validate_consumption(explicit, checks, tok: Token):
                 f"parameter {key!r} is set but consumed by no enabled check",
                 tok.line, tok.col,
             )
-
-
-# --------------------------------------------------------------------------
-# Printer (parse . print round-trips)
-# --------------------------------------------------------------------------
-
-def _fmt_num(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
-
-
-def print_suite(cfg: CheckSuiteConfig) -> str:
-    lines = [f'suite "{cfg.name}" {{']
-    fam = cfg.family
-    if cfg.family_args:
-        inner = ", ".join(f"{k}={_fmt_num(v)}" for k, v in cfg.family_args)
-        fam += f"({inner})"
-    lines.append(f"  family = {fam};")
-    disp = cfg.dispersion
-    if cfg.dispersion_args:
-        inner = ", ".join(f"{k}={_fmt_num(v)}" for k, v in cfg.dispersion_args)
-        disp += f"({inner})"
-    lines.append(f"  dispersion = {disp};")
-    if "braiding" in cfg.explicit:
-        lines.append(f"  braiding = {cfg.braiding};")
-    if "eta" in cfg.explicit:
-        lines.append(f"  eta = {_fmt_num(cfg.eta)};")
-    checks = []
-    for c in cfg.checks:
-        if c.args:
-            inner = ", ".join(f"{k}={_fmt_num(v)}" for k, v in c.args)
-            checks.append(f"{c.name}({inner})")
-        else:
-            checks.append(c.name)
-    lines.append(f"  checks = [ {', '.join(checks)} ];")
-    s = cfg.sampling
-    lines.append(
-        "  sampling { "
-        f"seed={s.seed}, points={s.points}, tol={s.tol!r}, "
-        f"domain=[{s.domain[0]!r}, {s.domain[1]!r}]"
-        " }"
-    )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

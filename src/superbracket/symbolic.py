@@ -28,7 +28,6 @@ from typing import Dict, Iterable, Optional, Tuple
 from . import expressions as ex
 from .algebra import PARITY, AlgebraSpec, Gen, koszul
 from .errors import NormalFormDivergence, SuperbracketError
-from .expressions import Expr, add, const, mul, var
 
 PhaseKey = Tuple[int, int, int, int, Tuple[str, ...]]
 Word = Tuple[Gen, ...]
@@ -111,32 +110,6 @@ class PhaseCoef:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def identify_momenta(self) -> "PhaseCoef":
-        """Apply p_L = p_R = p per site: merge the R slots into the L slots."""
-        out: Dict[PhaseKey, complex] = {}
-        for (a1, a2, a3, a4, s), v in self.terms.items():
-            key = (a1 + a2, 0, a3 + a4, 0, s)
-            out[key] = out.get(key, 0) + v
-        return PhaseCoef({k: v for k, v in out.items() if v != 0})
-
-    def to_expr(self, symbol_values: Optional[Dict[str, Expr]] = None) -> Expr:
-        """Convert to a momentum expression over (pL1, pR1, pL2, pR2)."""
-        symbol_values = symbol_values or {}
-        parts = []
-        for (n1, n2, n3, n4, syms), c in self.terms.items():
-            phase_arg = add(*(
-                mul(const(0.25j * n), var(v))
-                for n, v in zip((n1, n2, n3, n4), _SLOT_VARS) if n
-            ))
-            factor = mul(const(c), ex.exp(phase_arg)) if not ex.is_const(phase_arg, 0) \
-                else const(c)
-            for name in syms:
-                if name not in symbol_values:
-                    raise SuperbracketError(f"no expression supplied for symbol {name}")
-                factor = mul(factor, symbol_values[name])
-            parts.append(factor)
-        return add(*parts) if parts else ex.ZERO
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -202,9 +175,6 @@ class SymbolicElement:
         if len(parities) > 1:
             raise SuperbracketError("element is not parity-homogeneous")
         return parities.pop() if parities else 0
-
-    def identify_momenta(self) -> "SymbolicElement":
-        return SymbolicElement({k: v.identify_momenta() for k, v in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -493,49 +463,19 @@ def _hypercharge_block(side: str, g_sym: PhaseCoef) -> SymbolicElement:
     return e
 
 
-def outer_terms_only(side: str, braiding: str = "braided") -> SymbolicElement:
+def _outer_terms(side: str, braiding: str, full: SymbolicElement,
+                 bare: SymbolicElement) -> SymbolicElement:
     """The fermion-mixing outer-automorphism terms of a tail.
 
-    These are the additions that must annihilate the same-handed fermion
+    ``full`` and ``bare`` are the side's tail with and without them.  These
+    are the additions that must annihilate the same-handed fermion
     coproducts.  The unbraided hypercharge block is excluded: acting as the
     hypercharge on same-handed operators is exactly its job.
     """
-    return _outer_terms(side, braiding, fermionic_tail(side, braiding),
-                        fermionic_tail(side, braiding, include_outer_terms=False))
-
-
-def _outer_terms(side: str, braiding: str, full: SymbolicElement,
-                 bare: SymbolicElement) -> SymbolicElement:
-    """``outer_terms_only`` from the side's tail with (``full``) and without (``bare``) them."""
     extra = full - bare
     if braiding == "unbraided":
         extra = extra - _hypercharge_block(side, PhaseCoef.symbol("G"))
     return extra
-
-
-def boost_coproduct_symbolic(spec: AlgebraSpec, braiding: str, side: str = "L",
-                             identified: bool = False) -> SymbolicElement:
-    """Delta J with its tail, as an exact symbolic element.
-
-    For independent momenta this is Delta_0 J_side + (phase/4) FT_side; for
-    the identified-momentum families the two tails add and the momenta are
-    identified in the phases.
-    """
-    J = Gen.J_L if side == "L" else Gen.J_R
-    cosine = (PhaseCoef.phase(1, side, 2).scaled(0.5)
-              + PhaseCoef.phase(1, side, -2).scaled(0.5))
-    cosine2 = (PhaseCoef.phase(2, side, 2).scaled(0.5)
-               + PhaseCoef.phase(2, side, -2).scaled(0.5))
-    delta0 = (SymbolicElement.of(cosine2, (J,), ())
-              + SymbolicElement.of(cosine, (), (J,)))
-    prefactor = (PhaseCoef.phase(1, side, -1)
-                 * PhaseCoef.phase(2, side, 1)).scaled(0.25)
-    if not identified:
-        out = delta0 + fermionic_tail(side, braiding).scaled(prefactor)
-        return out
-    tail = fermionic_tail("L", braiding) + fermionic_tail("R", braiding)
-    out = delta0 + tail.scaled(prefactor)
-    return out.identify_momenta()
 
 
 # --------------------------------------------------------------------------

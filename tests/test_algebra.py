@@ -195,11 +195,10 @@ QS, QJ, SJ = (Gen.Q_L, Gen.S_L), (Gen.Q_L, Gen.J_R), (Gen.S_L, Gen.J_R)
 # vanishing inner brackets fails one of them.
 @pytest.mark.parametrize("family, params, mutations", [
     *((f, AlgebraParams(), ()) for f in ALL_FAMILIES),
-    (DZero(), AlgebraParams(drop_central_extension=True), ()),
     (DPlusOne(), AlgebraParams(), ((QS, 2.0),)),
     (DPlusOne(), AlgebraParams(), ((QS, 0.0),)),
     (DPlusOne(), AlgebraParams(), ((QJ, 0.0), (SJ, 0.0))),
-], ids=[*map(repr, ALL_FAMILIES), "d_zero-dropped-centrals", "QS-x2", "QS-x0", "QJ,SJ-x0"])
+], ids=[*map(repr, ALL_FAMILIES), "QS-x2", "QS-x0", "QJ,SJ-x0"])
 def test_pruned_expansion_matches_the_unpruned_loop(family, params, mutations):
     spec = build_algebra(family, params)
     for key, factor in mutations:
@@ -255,14 +254,6 @@ def test_zeta_must_be_nonzero():
 def test_massive_magnon_jacobi():
     spec = build_algebra(DPlusOne(), AlgebraParams(dispersion="massive_magnon", mass=0.4))
     assert jacobi_check(spec, Sampler(count=30)).passed
-
-
-def test_drop_central_extension_variant():
-    spec = build_algebra(DZero(), AlgebraParams(drop_central_extension=True))
-    assert spec.row(Gen.Q_L, Gen.Q_R).structurally_zero
-    assert spec.row(Gen.t_lp, Gen.S_R).structurally_zero
-    report = jacobi_check(spec, Sampler(count=30))
-    assert report.passed, report.failures()[:5]
 
 
 def test_lambda_rho_cross_brackets_vanish_consistently():

@@ -8,7 +8,6 @@ from superbracket.diffops import (
     SecondOrderResult,
     TwoVarContext,
     first_order_op,
-    identity_op,
     mat,
     mat_eval,
     mat_eye,
@@ -62,7 +61,7 @@ def test_double_boost_is_second_order():
 def test_product_with_identity():
     x = first_order_op(CTX, mat([[PL, ex.ONE], [ex.ZERO, PR]]),
                        {"pR": mat_scale(ex.sin(PL), mat_eye(2))})
-    prod = op_product(x, identity_op(CTX, 2))
+    prod = op_product(x, scalar_op(CTX, ex.ONE, 2))
     env = {"pL": np.array([0.9 + 0j]), "pR": np.array([1.7 + 0j])}
     assert op_sub(prod, x).max_abs(env)[0] <= 1e-14
 
@@ -83,7 +82,7 @@ def test_hatted_anticommutator():
     shat = multiplication_op(CTX, mat([[0, 1], [0, 0]]), parity=1)
     br = op_bracket(qhat, shat)
     env = {"pL": np.array([1.0 + 0j]), "pR": np.array([1.0 + 0j])}
-    assert op_sub(br, identity_op(CTX, 2)).max_abs(env)[0] <= 1e-14
+    assert op_sub(br, scalar_op(CTX, ex.ONE, 2)).max_abs(env)[0] <= 1e-14
 
 
 def test_anticommutator_with_differential_part_is_a_grade_error():
@@ -93,8 +92,8 @@ def test_anticommutator_with_differential_part_is_a_grade_error():
 
 
 def test_dimension_mismatch():
-    a = identity_op(CTX, 2)
-    b = identity_op(TwoVarContext(("p1", "p2")), 2)
+    a = scalar_op(CTX, ex.ONE, 2)
+    b = scalar_op(TwoVarContext(("p1", "p2")), ex.ONE, 2)
     with pytest.raises(DimensionMismatch):
         op_product(a, b)
 

@@ -10,6 +10,7 @@ import pytest
 from superbracket.runner import CHECK_DESCRIPTIONS, CHECKS, emit_report, run_suite, suite_failed
 from superbracket.suite import KNOWN_CHECKS, parse_suite
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 BUNDLED = ["d_zero", "left_separable", "right_separable", "d_plus_one", "d_minus_one", "ratio"]
 
 
@@ -22,9 +23,11 @@ def bundled_path(name: str) -> Path:
 
 
 def cli_env(**overrides: str) -> dict[str, str]:
-    """The parent environment (so PYTHONPATH still finds the package), with any
-    stray SUPERBRACKET_SEED removed and the given variables set explicitly."""
+    """The parent environment with the checkout's ``src`` first on PYTHONPATH, so
+    the children import this package installed or not, any stray
+    SUPERBRACKET_SEED removed and the given variables set explicitly."""
     env = {k: v for k, v in os.environ.items() if k != "SUPERBRACKET_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     env.update(overrides)
     return env
 
@@ -237,6 +240,18 @@ def test_cli_exit_codes(tmp_path):
         )
         assert proc.returncode == 2, proc.stderr.decode()
         assert f"'{seed}' is negative".encode() in proc.stderr
+
+    # An unwritable --out is a usage error too, not a failed check.
+    out = tmp_path / "no" / "such" / "dir" / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "superbracket.cli", "run", str(bundled_path("d_zero")),
+         "--out", str(out)],
+        capture_output=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert f"error: cannot write {out}: ".encode() in proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 def test_cli_env_seed(tmp_path):

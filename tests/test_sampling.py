@@ -7,13 +7,7 @@ from superbracket import expressions as ex
 from superbracket import sampling as sm
 from superbracket.algebra import ratio_momentum_map
 from superbracket.expressions import add, const, mul, var
-from superbracket.sampling import (
-    MomentumPoint,
-    Sampler,
-    constancy,
-    is_zero,
-    registered_singular_loci,
-)
+from superbracket.sampling import Sampler, constancy, is_zero
 
 P = var("p")
 PL = var("pL")
@@ -24,7 +18,7 @@ def test_sampler_deterministic_and_clear_of_loci():
     a = s.momenta()
     b = s.momenta()
     assert np.array_equal(a, b)
-    for locus in registered_singular_loci():
+    for locus in sm._SINGULAR_LOCI:
         assert np.all(np.abs(a - locus) >= 0.05)
 
 
@@ -33,7 +27,7 @@ def test_constrained_pairs_respect_the_map():
     s = Sampler(seed=5, count=50)
     pl, pr = s.pairs((f, const(-1.0)))
     assert np.allclose(pr, -pl)
-    for locus in registered_singular_loci():
+    for locus in sm._SINGULAR_LOCI:
         assert np.all(np.abs(pr - locus) >= 0.05)
 
 
@@ -122,13 +116,6 @@ def test_zero_report_records_seed_and_vacuous():
     assert rep.vacuous and rep.passed and rep.seed == 99
 
 
-def test_momentum_point_constraint_validation():
-    f = mul(const(-1.0), PL)
-    MomentumPoint(1.0, -1.0, (f, const(-1.0)))
-    with pytest.raises(ValueError):
-        MomentumPoint(1.0, 1.0, (f, const(-1.0)))
-
-
 def test_constancy():
     ok, val = constancy(const(3.5), Sampler(count=20))
     assert ok and val == pytest.approx(3.5)
@@ -139,12 +126,12 @@ def test_constancy():
 def test_nearest_locus_test_equals_the_loop_over_all_loci():
     def every_locus(arr):
         ok = np.ones(arr.shape, dtype=bool)
-        for locus in registered_singular_loci():
+        for locus in sm._SINGULAR_LOCI:
             ok &= np.abs(arr - locus) >= sm._MARGIN
         return ok
 
     rng = np.random.default_rng(0)
-    edges = np.array([locus + d for locus in registered_singular_loci()
+    edges = np.array([locus + d for locus in sm._SINGULAR_LOCI
                       for d in (-0.05, 0.05, np.nextafter(0.05, 0), np.nextafter(-0.05, 0), 0.0)])
     outside = np.concatenate([rng.uniform(8.5 * math.pi, 40, 500),
                               rng.uniform(-40, -8.5 * math.pi, 500),
@@ -153,7 +140,7 @@ def test_nearest_locus_test_equals_the_loop_over_all_loci():
         assert np.array_equal(sm._clear_of_loci(arr), every_locus(arr))
     # the nearest locus is computed as k * pi: bit for bit the table's float
     ks = np.arange(-sm._K_MAX, sm._K_MAX + 1, dtype=float)
-    assert [x.hex() for x in ks * math.pi] == [x.hex() for x in registered_singular_loci()]
+    assert [x.hex() for x in ks * math.pi] == [x.hex() for x in sm._SINGULAR_LOCI]
     assert not sm._clear_of_loci(edges).all() and sm._clear_of_loci(edges).any()
 
 

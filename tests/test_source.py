@@ -73,15 +73,11 @@ def _module_level_names(tree):
                         yield n.id, n.lineno
 
 
-def unused_private_names(sources: dict) -> list:
-    """Module-level ``_``-prefixed names of ``sources`` (module -> text) that none of them reads.
-
-    A read is a loaded name, a loaded attribute of that name (``ex._sweep_max``)
-    or a from-import of it; dunder names are exempt.
-    """
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def _reads(trees) -> set:
+    """Every name the trees read: a loaded name, a loaded attribute (``ex._sweep_max``) or a
+    from-import."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
@@ -89,10 +85,48 @@ def unused_private_names(sources: dict) -> list:
                 read.add(n.attr)
             elif isinstance(n, ast.ImportFrom):
                 read.update(alias.name for alias in n.names)
+    return read
+
+
+def unused_private_names(sources: dict) -> list:
+    """Module-level ``_``-prefixed names of ``sources`` (module -> text) that none of them reads.
+
+    Dunder names are exempt.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _reads(trees.values())
     return sorted(f"{module}: {name} (line {line})"
                   for module, tree in trees.items()
                   for name, line in _module_level_names(tree)
                   if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _public_defs(tree):
+    """(qualified name, name, line) for each public top-level function and class, and
+    each public method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m.name, m.lineno) for m in node.body
+                        if isinstance(m, _FUNCTIONS) and not m.name.startswith("_"))
+
+
+def unread_public_names(sources: dict) -> list:
+    """Public functions, classes and methods of ``sources`` (module -> text) that none of them
+    reads.
+
+    A method counts as read when any attribute of its name is loaded, whatever the object.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _reads(trees.values())
+    return sorted(f"{module}: {qualified} (line {line})"
+                  for module, tree in trees.items()
+                  for qualified, name, line in _public_defs(tree) if name not in read)
 
 
 def test_detector_flags_only_unread_imports():
@@ -159,6 +193,43 @@ def test_no_unused_private_names():
     assert unused_private_names(sources) == []
 
 
+def test_detector_flags_only_unread_public_names():
+    sources = {
+        "a": (
+            "class Node:\n"
+            "    def eval(self): return 1\n"
+            "    def probe(self): return 2\n"
+            "    def _hook(self): return 3\n"
+            "    @property\n"
+            "    def size(self): return 4\n"
+            "def build(): return Node().eval()\n"
+            "def helper(): return 5\n"
+            "def _private(): return 6\n"
+        ),
+        "b": (
+            "from .a import build\n"
+            "def run(n): return build() + n.size\n"
+            "run(None)\n"
+        ),
+    }
+    assert unread_public_names(sources) == ["a: Node.probe (line 3)", "a: helper (line 8)"]
+
+
+# Public names that no package module reads, each kept for the reason given.
+UNREAD_PUBLIC_KEPT = {
+    "mutate_row": "bench and the mutation tests build their negative controls with it",
+    "transformed_algebra_spec": "the algebra side of the paper's family relationships, "
+                                "which ROADMAP item 7 turns into a check",
+    "Expr.eval_at": "the one-point form of Expr.eval",
+}
+
+
+def test_no_unread_public_names():
+    # A public name that only tests call is a hook: delete it, or say above why it stays.
+    found = unread_public_names({p.name: p.read_text() for p in MODULES})
+    assert sorted(f.split(": ")[1].split(" (line")[0] for f in found) == sorted(UNREAD_PUBLIC_KEPT)
+
+
 def _assigned_names(tree, target: str) -> set:
     """The names in the module-level value assigned to ``target``: a dict's keys, a set's items."""
     for node in tree.body:
@@ -212,3 +283,64 @@ def test_every_node_kind_has_one_tape_class():
     # A new node kind must say whether a tape may run it in float64: it cannot
     # fall into either class by default.
     assert unclassed_node_kinds((PACKAGE / "expressions.py").read_text()) == []
+
+
+BENCH = PACKAGE.parent.parent / "bench"
+
+
+def package_reads(source: str) -> set:
+    """(package file, name) for each name a client source takes from the package.
+
+    The names are ``<alias>.<name>`` after ``import superbracket as <alias>`` or
+    ``from superbracket import <module> as <alias>``, and each name of
+    ``from superbracket[.<module>] import <name>``.
+    """
+    tree = ast.parse(source)
+    files, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            files.update((a.asname or a.name, "__init__.py") for a in node.names
+                         if a.name == "superbracket")
+        elif isinstance(node, ast.ImportFrom) and node.module == "superbracket":
+            for a in node.names:
+                if (PACKAGE / f"{a.name}.py").exists():
+                    files[a.asname or a.name] = f"{a.name}.py"
+                else:
+                    reads.add(("__init__.py", a.name))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("superbracket."):
+            reads.update((node.module.partition(".")[2] + ".py", a.name) for a in node.names)
+    reads.update((files[n.value.id], n.attr) for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                 and n.value.id in files)
+    return reads
+
+
+def _defined_names(tree) -> set:
+    """The names a module's top-level statements define or import."""
+    names = {name for name, _ in _module_level_names(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.partition(".")[0] for a in node.names)
+    return names
+
+
+def test_package_reads_follow_aliases():
+    source = (
+        "import superbracket as sb\n"
+        "from superbracket import expressions as ex, Sampler\n"
+        "from superbracket.algebra import bracket\n"
+        "import numpy as np\n"
+        "x = sb.Gen.J_L, ex.ONE, np.pi, sb.Gen\n"
+    )
+    assert package_reads(source) == {("__init__.py", "Gen"), ("__init__.py", "Sampler"),
+                                     ("expressions.py", "ONE"), ("algebra.py", "bracket")}
+
+
+def test_the_names_the_benchmark_reads_exist():
+    # bench/ imports the package; a name it reads that the package drops
+    # would crash the benchmark, so tier-1 catches it first.
+    reads = set().union(*(package_reads(p.read_text()) for p in BENCH.glob("*.py")))
+    assert reads
+    files = {f for f, _ in reads}
+    defined = {f: _defined_names(ast.parse((PACKAGE / f).read_text())) for f in files}
+    assert sorted(f"{f}: {name}" for f, name in reads if name not in defined[f]) == []

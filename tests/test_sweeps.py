@@ -43,7 +43,6 @@ from superbracket.expressions import add, const, mul, quot, var
 from superbracket.reports import ConsistencyReport
 from superbracket.representations import (
     boost_commutator_zero,
-    boost_identification_residual,
     build_representation,
     transformed_representation,
     verify_relations,
@@ -135,8 +134,6 @@ def test_zero_samples_sweep_no_block():
     env = {"pL": np.empty(0, complex), "pR": np.empty(0, complex)}
     assert ex._sweep_max(env, [(PL,), (mul(PL, PR),)], ex._every_root) == []
     assert multiplication_op(CTX, mat([[PL, PR]])).max_abs(env) == (0.0, None)
-    rep = build_representation(DPlusOne())
-    assert boost_identification_residual(rep, Sampler(count=0)) == 0.0
 
 
 def test_matrix_maximum_keeps_flat_entry_then_sample_order():
@@ -183,17 +180,16 @@ def test_every_node_kind_sweeps_as_whole_env_evaluation(make_env):
     trees = [
         a,
         b,
-        quot(ex.tan(PR), ex.cot(PL)),
+        quot(ex.sin(PR), ex.cot(PL)),
         ex.Pow(a, -2.0),
         ex.Pow(b, 0.5),
         ex.exp(ex.mul(const(0.5), PR)),
-        ex.absval(add(PL, ex.neg(PR))),
         ex.arccot(PL),
     ]
     trees.append(ex.Add((const(1.0), *trees[2:], ex.Mul((const(2.0), *trees[:2])))))
     kinds = {type(node) for t in trees for node in walk(t)}
-    assert kinds == {ex.Const, ex.Var, ex.Add, ex.Mul, ex.Quot, ex.Pow, ex.Sin, ex.Cos, ex.Tan,
-                     ex.Cot, ex.Arccot, ex.ExpNode, ex.AbsNode}
+    assert kinds == {ex.Const, ex.Var, ex.Add, ex.Mul, ex.Quot, ex.Pow, ex.Sin, ex.Cos, ex.Cot,
+                     ex.Arccot, ex.ExpNode}
     env = hand_env()
     maxima = ex._sweep_max(make_env(), [(t,) for t in trees], ex._every_root)
     for t, (value, idx) in zip(trees, maxima):
@@ -314,7 +310,7 @@ def test_float64_kernels_equal_the_complex_ones_bit_for_bit():
     iX, iY = ex.Mul((ex.I, X)), ex.Mul((ex.I, Y))
     roots = [ex.Add((X, Y)), ex.Add((iX, iY)), ex.Mul((X, Y)), ex.Mul((X, iY)),
              ex.Mul((iX, Y)), ex.Mul((iX, iY)), ex.Quot(X, Y), ex.Quot(iX, Y), ex.Quot(X, iY),
-             ex.Quot(iX, iY), ex.Sin(X), ex.Cos(X), ex.Tan(X), ex.Cot(X)]
+             ex.Quot(iX, iY), ex.Sin(X), ex.Cos(X), ex.Cot(X)]
     kinds = {"x": ex._BLOCK, "y": ex._BLOCK}
     steps, _, dtypes = ex._compile([roots], kinds, {"x", "y"})
     assert complex_node_steps(steps, dtypes) == []
@@ -338,7 +334,7 @@ def test_float64_kernels_equal_the_complex_ones_bit_for_bit():
 
 def test_complex_only_kinds_widen_their_operand():
     X = var("x")
-    nodes = [ex.Pow(X, 0.5), ex.ExpNode(X), ex.Arccot(X), ex.AbsNode(X)]
+    nodes = [ex.Pow(X, 0.5), ex.ExpNode(X), ex.Arccot(X)]
     assert {type(n) for n in nodes} == ex._COMPLEX_ONLY
     steps, _, dtypes = ex._compile([(n,) for n in nodes], {"x": ex._BLOCK}, {"x"})
     [widen] = [step for step in steps if step[1] is ex._real_to_complex]

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from superbracket import expressions as ex
@@ -24,7 +23,6 @@ from superbracket.symbolic import (
     PhaseCoef,
     SymbolicElement,
     SymbolicEngine,
-    boost_coproduct_symbolic,
     convention_self_test,
     delta_fermion_symbolic,
     fermionic_tail,
@@ -52,13 +50,6 @@ def test_phase_coef_algebra():
     s = PhaseCoef.symbol("F+") * PhaseCoef.phase(2, "L", 2)
     (key,) = s.terms
     assert key[4] == ("F+",)
-
-
-def test_phase_coef_to_expr():
-    c = PhaseCoef.phase(1, "R", -1, 2.0)
-    e = c.to_expr()
-    got = complex(e.eval_at(pL1=0.0, pR1=2.0, pL2=0.0, pR2=0.0))
-    assert got == pytest.approx(2.0 * np.exp(-0.5j))
 
 
 def test_normal_ordering_resolves_anticommutators(engine):
@@ -303,17 +294,6 @@ def test_symbolic_matches_numeric_where_representable():
 def _at(matrix, site):
     v = var("p1" if site == 1 else "p2")
     return tuple(tuple(e.substitute({"p": v}) for e in row) for row in matrix)
-
-
-def test_boost_coproduct_symbolic_structure():
-    spec = build_algebra(DPlusOne())
-    dj = boost_coproduct_symbolic(spec, "braided", identified=True)
-    words = set(dj.terms)
-    assert ((Gen.J_L,), ()) in words and ((), (Gen.J_L,)) in words
-    assert ((Gen.S_L,), (Gen.Q_L,)) in words and ((Gen.Q_R,), (Gen.S_R,)) in words
-    assert ((Gen.P,), (Gen.t_rp,)) in words  # the outer-automorphism tail
-    dz = boost_coproduct_symbolic(build_algebra(DZero()), "braided", side="R")
-    assert ((Gen.t_lm,), (Gen.P,)) in set(dz.terms)
 
 
 def test_engine_is_exact_on_float_cancellations(engine):
