@@ -288,7 +288,7 @@ class AlgebraSpec:
 
     def sample_env(self, s: Sampler) -> dict:
         pl, pr = s.pairs(self.constraint)
-        return {"pL": pl + 0j, "pR": pr + 0j}
+        return {"pL": pl, "pR": pr}
 
     def replace_table(self, table: Mapping[Tuple[Gen, Gen], LinComb]) -> "AlgebraSpec":
         return replace(self, table=table)
@@ -406,8 +406,7 @@ def jacobi_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
     if s.count == 0:
         report.note = "no samples"
         return report
-    pl, pr = s.pairs(spec.constraint)
-    env = {"pL": pl, "pR": pr}  # real momenta: the tape runs its real values in float64
+    env = spec.sample_env(s)
     triples = spec.jacobi_residuals
     # One tape, a group per triple holding the roots no earlier triple has,
     # so each distinct root is computed and reduced once, by the first triple

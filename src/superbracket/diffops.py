@@ -127,7 +127,7 @@ class TwoVarContext:
 
     def sample_env(self, s: Sampler) -> dict:
         a, b = s.pairs()
-        return {self.variables[0]: a + 0j, self.variables[1]: b + 0j}
+        return {self.variables[0]: a, self.variables[1]: b}
 
     def probe_env(self) -> dict:
         return {self.variables[0]: np.array([0.83, 1.91, 2.47]) + 0j,
@@ -157,7 +157,7 @@ class OneVarContext:
 
     def sample_env(self, s: Sampler) -> dict:
         pl, pr = s.pairs((self.constraint, self.jac_dep))
-        return {"pL": pl + 0j, "pR": pr + 0j}
+        return {"pL": pl, "pR": pr}
 
     def probe_env(self) -> dict:
         pl = np.array([0.83, 1.91, 2.47]) + 0j
@@ -193,7 +193,11 @@ class DiffOperator:
         return self.B.get(v, mat_zero(self.n))
 
     def max_abs(self, env: dict):
-        """Max modulus over all coefficient matrices at the env samples, and its sample."""
+        """Max modulus over all coefficient matrices at the env samples, and its sample.
+
+        ``env`` holds a 1-D float64 array per momentum, as ``sample_env``
+        gives; ``expressions._sweep_max`` refuses any other.
+        """
         return ops_max_abs([self], env)[0]
 
     def __repr__(self):
@@ -206,7 +210,9 @@ class DiffOperator:
 def mats_max_abs(mats, env: dict) -> list:
     """Max modulus of each of ``mats`` at the env samples, and its flat sample index.
 
-    One blocked sweep (``ex._roots_max``) evaluates each distinct live (not
+    ``env`` holds a 1-D float64 array per momentum, all of one length, as
+    ``sample_env`` gives; ``expressions._sweep_max`` refuses any other.  One
+    blocked sweep (``ex._roots_max``) evaluates each distinct live (not
     ``ex.ZERO``) entry once, however many entries of ``mats`` it is, and
     reduces it once; every entry then takes its root's (max, index).
     Within a matrix the first maximum in flat (i, j, sample) order wins, as

@@ -30,13 +30,14 @@ A root repeated in a later group would hold its buffer until then, so checks
 state each distinct root once: ``_roots_max`` does so for checks that reduce
 each root alone, and gives every occurrence its root's maximum.
 
-A tape value is real, imaginary or complex, fixed when the tape is compiled
-from the env's dtypes and the node kinds.  Where the env holds float64 arrays
-(``jacobi_check``'s sampled momenta), a value that is real or imaginary there
-is one float64 array, computed by a float64 kernel that gives, bit for bit,
-the part the complex kernel would (``_FLOAT64_KERNELS``); every other node
-runs its complex kernel on complex128 copies of its operands.  On complex
-envs every value is complex, as ``Expr.eval`` computes it.
+The tape sweeps the sampler's real momenta: every env entry is a float64
+array of the sweep's samples, and ``_sweep_max`` refuses any other.  A tape
+value is real, imaginary or complex, fixed when the tape is compiled.  A
+value that is real or imaginary is one float64 array, computed by a float64
+kernel that gives, bit for bit, the part the complex kernel would
+(``_FLOAT64_KERNELS``); every other node runs its complex kernel on
+complex128 copies of its operands.  A node whose operands are all constants
+is computed once, when the tape is compiled, and is a constant of the tape.
 
 Variables are plain strings; the algebra layers use "pL"/"pR" for the two
 momenta, "p" for an identified momentum and "p1"/"p2" for two-site momenta.
@@ -48,8 +49,7 @@ import operator
 import weakref
 from functools import partial
 from math import copysign
-from typing import (Callable, Collection, FrozenSet, Iterable, Iterator, List, Mapping, Sequence,
-                    Tuple, Union)
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,18 +96,17 @@ def _worst(found: Iterable[Sequence], top: Sequence):
     return top
 
 
-# The kind of a tape value, the same in every block: a Python or NumPy scalar,
-# an array of the block's shape, or anything else (from an env entry that is
-# not sliced).  A node's value is of the highest kind among its operands'.
-_SCALAR, _BLOCK, _OTHER = range(3)
-
-# The class of a tape value, also the same in every block: a real value is a
+# The class of a tape value, the same in every block: a real value is a
 # float64 x meaning x + 0i, an imaginary one a float64 x meaning 0 + xi, and a
-# complex one is complex128.  Only constants and arrays of the block's shape
-# are real or imaginary: a float64 env array, and what a float64 kernel
-# (``_FLOAT64_KERNELS``) computes from such values.  Every other value is
-# complex, as ``Expr.eval`` computes it.
+# complex one is complex128.  A variable is real; a constant's class is that
+# of its value, and a computed value's is what ``_FLOAT64_KERNELS`` gives it
+# from its operands' classes, else complex, as ``Expr.eval`` computes it.
 _REAL, _IMAG, _COMPLEX = range(3)
+
+
+def _class_of(value: complex) -> int:
+    """The class of a constant's value."""
+    return _REAL if value.imag == 0 else _IMAG if value.real == 0 else _COMPLEX
 
 
 def _postorder(node: "Expr", done: set, order: list) -> None:
@@ -119,18 +118,18 @@ def _postorder(node: "Expr", done: set, order: list) -> None:
     order.append(node)
 
 
-def _compile(groups: Sequence[Sequence["Expr"]], kinds: Mapping[str, int],
-             real: Collection[str]) -> tuple:
+def _compile(groups: Sequence[Sequence["Expr"]]) -> tuple:
     """The steps that compute ``groups`` block by block, the constants, and the buffers' dtypes.
 
-    ``kinds`` gives the kind of each variable's value, and ``real`` the
-    variables whose values are float64 arrays of the block's shape.  Nodes
-    are computed in ``Expr.eval``'s post-order.  Every ``Add``/``Mul`` is a
-    chain of binary left-fold steps, one per (``Add`` or ``Mul``, left value,
-    right value), so a prefix that several nodes share is computed once; on
-    arrays of the block's shape a step is a ufunc, otherwise the node's own
-    ``_eval`` on the two values.  Every other node but a constant is one
-    kernel step, and a step after the group's last new node yields its roots.
+    The env of every block holds one float64 array per variable, of the
+    block's samples (``_sweep_max``).  Nodes are computed in ``Expr.eval``'s
+    post-order.  Every ``Add``/``Mul`` is a chain of binary left-fold steps,
+    one per (``Add`` or ``Mul``, left value, right value), so a prefix that
+    several nodes share is computed once.  Every other node but a constant is
+    one kernel step, and a step after the group's last new node yields its
+    roots.  A node or fold step whose operands are all constants is computed
+    here, as ``Expr.eval`` computes it, and is a constant too; so a pole
+    among constants raises here, and names no sample.
 
     Each value's class is fixed here, from its operands' classes: a step whose
     operands are all real or imaginary runs the node's float64 kernel where
@@ -140,13 +139,13 @@ def _compile(groups: Sequence[Sequence["Expr"]], kinds: Mapping[str, int],
     step.  A group yields its roots as their true values: a real one as its
     float64 array, an imaginary one as its complex128 copy.
 
-    Each step whose value is an array of the block's shape writes into one of
-    the returned buffers, one of its dtype that no live value holds; a binary
-    step may take the buffer of an operand whose last use it is, as an
-    in-place fold would.  A step is ``(t, ufunc, a, b, buffer)``, ``(t,
-    kernel, operands, None, buffer or None)`` or ``(None, None, roots, None,
-    None)``; ``t``, ``a`` and ``b`` index the block's values, which start as
-    the constants (None where a step computes the value).
+    Each step but a variable's read writes into one of the returned buffers,
+    one of its dtype that no live value holds; a binary step may take the
+    buffer of an operand whose last use it is, as an in-place fold would.  A
+    step is ``(t, ufunc, a, b, buffer)``, ``(t, kernel, operands, None,
+    buffer or None)`` or ``(None, None, roots, None, None)``; ``t``, ``a`` and
+    ``b`` index the block's values, which start as the constants (None where
+    a step computes the value).
     """
     order: list = []  # nodes in post-order, each group's roots after its last new node
     done: set = set()
@@ -157,21 +156,24 @@ def _compile(groups: Sequence[Sequence["Expr"]], kinds: Mapping[str, int],
         order.append(tuple(roots))
 
     slot: dict = {}  # node -> its value
-    kind: list = []  # per value
-    klass: list = []  # per value; a constant's is that of its complex value
+    klass: list = []  # per value
     consts: dict = {}  # value -> its constant
     parts: dict = {}  # complex constant's value -> the value of its float64 part
     wide: dict = {}  # real or imaginary array value -> the value of its complex128 copy
-    buffered: set = set()  # the values written into a buffer
+    reads: set = set()  # the variables' values: the env's own arrays, in no buffer
     # (value, callable, operands, None) per step, (value, ufunc, a, b) for a
     # ufunc step; the value is None for a group's step.
     ops: list = []
     folds: dict = {Add: {}, Mul: {}}  # class -> {(a, b): the value of their step}
 
-    def new(k: int, c: int) -> int:
-        kind.append(k)
+    def new(c: int) -> int:
         klass.append(c)
-        return len(kind) - 1
+        return len(klass) - 1
+
+    def constant(value: complex) -> int:
+        t = new(_class_of(value))
+        consts[t] = value
+        return t
 
     def operands(args: Sequence[int], typed: bool) -> list:
         """The values a float64 (``typed``) or complex128 step reads for ``args``."""
@@ -181,14 +183,13 @@ def _compile(groups: Sequence[Sequence["Expr"]], kinds: Mapping[str, int],
                 if typed:
                     p = parts.get(j)
                     if p is None:
-                        p = parts[j] = new(_SCALAR, klass[j])
+                        p = parts[j] = new(klass[j])
                         consts[p] = consts[j].real if klass[j] == _REAL else consts[j].imag
                     j = p
             elif not typed and klass[j] != _COMPLEX:
                 w = wide.get(j)
                 if w is None:
-                    w = wide[j] = new(_BLOCK, _COMPLEX)
-                    buffered.add(w)
+                    w = wide[j] = new(_COMPLEX)
                     widen = _real_to_complex if klass[j] == _REAL else _imag_to_complex
                     ops.append((w, widen, (j,), None))
                 j = w
@@ -202,56 +203,45 @@ def _compile(groups: Sequence[Sequence["Expr"]], kinds: Mapping[str, int],
             roots = [operands((j,), False)[0] if klass[j] == _IMAG else j for j in roots]
             ops.append((None, None, tuple(roots), None))
         elif cls is Const:
-            consts[len(kind)] = node.value
-            slot[node] = new(_SCALAR, _FLOAT64_KERNELS[Const](node, ())[0])
+            slot[node] = constant(node.value)
+        elif cls is Var:
+            t = slot[node] = new(_REAL)
+            reads.add(t)
+            ops.append((t, node._read, (), None))
         elif cls is Add or cls is Mul:
             pairs = folds[cls]
             rule = _FLOAT64_KERNELS[cls]
             args = node.args
             t = slot[args[0]]
-            for c in args[1:]:
-                b = slot[c]
+            for arg in args[1:]:
+                b = slot[arg]
                 key = (t, b)
                 hit = pairs.get(key)
                 if hit is None:
-                    k = kind[t] if kind[t] > kind[b] else kind[b]
-                    ct, cb = klass[t], klass[b]
-                    typed = rule(node, (ct, cb)) if k == _BLOCK and ct != _COMPLEX != cb else None
-                    x, y = key if ct == cb == _COMPLEX else operands(key, typed is not None)
-                    if typed is not None:
-                        hit = new(k, typed[0])
-                        ops.append((hit, typed[1], x, y))
-                    elif k == _BLOCK:
-                        hit = new(k, _COMPLEX)
-                        ops.append((hit, cls._ufunc, x, y))
+                    if t in consts and b in consts:
+                        hit = constant(cls._op(consts[t], consts[b]))
                     else:
-                        hit = new(k, _COMPLEX)
-                        ops.append((hit, node._eval, (x, y), None))
-                    if k == _BLOCK:
-                        buffered.add(hit)
+                        ct, cb = klass[t], klass[b]
+                        typed = rule(node, (ct, cb)) if ct != _COMPLEX != cb else None
+                        x, y = operands(key, typed is not None)
+                        c, f = typed or (_COMPLEX, cls._ufunc)
+                        hit = new(c)
+                        ops.append((hit, f, x, y))
                     pairs[key] = hit
                 t = hit
             slot[node] = t
         else:
-            rule = None if cls in _COMPLEX_ONLY else _FLOAT64_KERNELS[cls]
-            if cls is Var:
-                # A variable's value is the env's own array, not a buffer.
-                k = kinds.get(node.name, _OTHER)
-                args, classes = (), (_REAL if node.name in real else _COMPLEX,)
-            else:
-                args = tuple([slot[c] for c in node.children()])
-                k = max([kind[j] for j in args])
-                classes = tuple([klass[j] for j in args])
-            typed = (rule(node, classes) if k == _BLOCK and rule is not None
-                     and _COMPLEX not in classes else None)
-            if classes.count(_COMPLEX) < len(args):  # not all operands complex
-                args = tuple(operands(args, typed is not None))
-            if typed is None:
-                typed = (_COMPLEX, node._eval)
-            t = slot[node] = new(k, typed[0])
-            if k == _BLOCK and cls is not Var:
-                buffered.add(t)
-            ops.append((t, typed[1], args, None))
+            args = tuple([slot[c] for c in node.children()])
+            if all(j in consts for j in args):
+                slot[node] = constant(node._eval([consts[j] for j in args], {}, None))
+                continue
+            classes = tuple([klass[j] for j in args])
+            typed = (None if cls in _COMPLEX_ONLY or _COMPLEX in classes
+                     else _FLOAT64_KERNELS[cls](node, classes))
+            args = tuple(operands(args, typed is not None))
+            c, f = typed or (_COMPLEX, node._eval)
+            t = slot[node] = new(c)
+            ops.append((t, f, args, None))
 
     # Buffers are planned from the last step back: a value takes a free buffer
     # of its dtype at its last use and gives it back at the step that
@@ -269,7 +259,7 @@ def _compile(groups: Sequence[Sequence["Expr"]], kinds: Mapping[str, int],
         for j in a if b is None else (a, b):
             if j in live:
                 continue
-            if j not in buffered:
+            if j in consts or j in reads:
                 live[j] = None
                 continue
             pool = free[klass[j] == _COMPLEX]
@@ -281,13 +271,13 @@ def _compile(groups: Sequence[Sequence["Expr"]], kinds: Mapping[str, int],
             free[cplx[out]].append(out)
         steps.append((t, f, a, b, out))
     steps.reverse()
-    initial = [None] * len(kind)
+    initial = [None] * len(klass)
     for t, value in consts.items():
         initial[t] = value
     return steps, initial, [np.complex128 if w else np.float64 for w in cplx]
 
 
-def _run(steps: list, block: Mapping[str, EnvValue], vals: list):
+def _run(steps: list, block: Mapping[str, np.ndarray], vals: list):
     """Run ``steps`` on ``block`` from the initial ``vals``, yielding each group's root values."""
     for t, f, a, b, out in steps:
         if b is not None:
@@ -320,7 +310,7 @@ def _imag_to_complex(vals: list, env, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _every_root(block: Mapping[str, EnvValue], values: Iterator[tuple]) -> Iterator:
+def _every_root(block: Mapping[str, np.ndarray], values: Iterator[tuple]) -> Iterator:
     """The ``evaluate`` of a sweep that reduces every root value as it is."""
     for group in values:
         yield from group
@@ -333,7 +323,7 @@ def _node_count(root: "Expr") -> int:
     return len(order)
 
 
-def _roots_max(env: Mapping[str, EnvValue], roots: Sequence["Expr"]) -> List[Tuple[float, int]]:
+def _roots_max(env: Mapping[str, np.ndarray], roots: Sequence["Expr"]) -> List[Tuple[float, int]]:
     """``_sweep_max`` of each of ``roots`` alone, sweeping each distinct root once.
 
     The distinct roots are compiled fewest nodes first, one to a group, so a
@@ -350,41 +340,42 @@ def _roots_max(env: Mapping[str, EnvValue], roots: Sequence["Expr"]) -> List[Tup
 
 
 def _sweep_max(
-    env: Mapping[str, EnvValue],
+    env: Mapping[str, np.ndarray],
     groups: Sequence[Sequence["Expr"]],
     evaluate: Callable[[dict, Iterator[tuple]], Iterable],
 ) -> List[Tuple[float, int]]:
     """Max modulus of every value ``evaluate`` yields, and the sample index of that maximum.
 
-    ``groups`` are the sweep's root expressions, compiled once into a tape
-    (``_compile``) whose buffers are allocated here, as wide as the first block.
-    ``evaluate(block_env, values)`` is called once per block of
-    ``_BLOCK_POINTS`` samples of ``env`` (scalar entries broadcast); each
+    Every entry of ``env`` is a 1-D float64 array of the sweep's samples, all
+    of one length: the sampler's real momenta.  Any other entry raises
+    TypeError, naming it.  ``groups`` are the sweep's root expressions,
+    compiled once into a tape (``_compile``) whose buffers are allocated here,
+    as wide as the first block.  ``evaluate(block_env, values)`` is called
+    once per block of ``_BLOCK_POINTS`` samples of ``env``; each
     ``next(values)`` computes the next group's new nodes, raising what
     ``Expr.eval`` would, and returns its root values, valid until the next
-    ``next``.  A root is a complex value, as ``Expr.eval`` gives it, except
-    where ``env`` holds float64 arrays: a root that is real there comes as its
-    float64 array (an imaginary one is widened to complex128).  ``evaluate``
-    must yield the same values each time, each a 1-D array over the block's
-    samples or a scalar.  Each is reduced as it arrives, its modulus taken
-    into one float64 array of the block's width, to the value and sample index
-    (for ``sample_at(env, idx)``) that ``np.argmax`` over the whole array
-    gives.  With no samples there are no blocks, and the result is empty.
+    ``next``.  A root comes as its true value: one that is real comes as its
+    float64 array, any other as complex128, and a constant root as the
+    scalar ``Expr.eval`` gives.  ``evaluate`` must yield the same values each
+    time, each a 1-D array over the block's samples or a scalar.  Each is
+    reduced as it arrives, its modulus taken into one float64 array of the
+    block's width, to the value and sample index (for ``sample_at(env,
+    idx)``) that ``np.argmax`` over the whole array gives.  With no samples
+    there are no blocks, and the result is empty.
     """
     n = max((np.size(v) for v in env.values()), default=1)
-    sliced = {name for name, v in env.items() if np.ndim(v) == 1 and v.size == n}
-    kinds = {name: _BLOCK if name in sliced else
-             _OTHER if isinstance(v, np.ndarray) else _SCALAR for name, v in env.items()}
-    real = {name for name in sliced if env[name].dtype == np.float64}
-    steps, consts, dtypes = _compile(groups, kinds, real)
+    for name, v in env.items():
+        if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (n,)):
+            raise TypeError(f"env entry {name!r} is not a 1-D float64 array of the sweep's "
+                            f"{n} samples")
+    steps, consts, dtypes = _compile(groups)
     width = min(n, _BLOCK_POINTS)
     buffers = [np.empty(width, dtype) for dtype in dtypes]
     moduli = np.empty(width)
     bound = None  # the steps with each buffer's view for the block; a short last block rebinds
     tracked: list = []  # per value yielded: (max modulus, sample index)
     for start in range(0, n, _BLOCK_POINTS):
-        block = {name: v[start:start + _BLOCK_POINTS] if name in sliced else v
-                 for name, v in env.items()}
+        block = {name: v[start:start + _BLOCK_POINTS] for name, v in env.items()}
         m = min(width, n - start)
         if bound is None or m < width:
             outs = [buf[:m] for buf in buffers]
@@ -395,7 +386,7 @@ def _sweep_max(
             for t, arr in enumerate(evaluate(block, values)):
                 if arr.__class__ is np.ndarray and arr.shape == row.shape:
                     a = np.abs(arr, out=row)
-                else:  # a scalar, or an array from an entry that is not sliced
+                else:  # a scalar: a constant root
                     a = np.abs(np.asarray(arr))
                 i = int(a.argmax())
                 value = float(a.flat[i])
@@ -408,7 +399,7 @@ def _sweep_max(
     return tracked
 
 
-def _worst_points(env: Mapping[str, EnvValue], maxima, sizes) -> List[tuple]:
+def _worst_points(env: Mapping[str, np.ndarray], maxima, sizes) -> List[tuple]:
     """Fold ``_sweep_max`` results, ``sizes[k]`` at a time, into (worst, point).
 
     Within a group the first NaN wins, else the first value above all
@@ -575,7 +566,7 @@ class Var(Expr):
         return complex(val)
 
     def _read(self, vals, env, out):
-        # A real variable's tape value: the env's float64 array itself.
+        # A variable's tape value: the env's float64 array itself.
         return env[self.name]
 
     def _repr(self):
@@ -772,22 +763,13 @@ class ExpNode(_Unary):
 
 # Float64 kernels of a tape (``_compile``).  For operands that are all real or
 # imaginary, a rule(node, operand classes) gives the node's class and its
-# step's kernel where the node runs in float64, else None; a variable's one
-# operand is its env array, and a constant has no step.  Each kernel
+# step's kernel where the node runs in float64, else None; constants and
+# variables are the compiler's leaves and have no rule.  Each kernel
 # computes, bit for bit, the real or imaginary part of what the node's
 # complex128 kernel does on the same values (tests/test_sweeps.py checks
 # this).  A node kind of ``_COMPLEX_ONLY`` always runs its complex128 kernel:
 # NumPy's float64 exp, arctan and power differ from the complex ones in the
 # last bits.
-
-def _const_rule(node: Const, classes):
-    v = node.value
-    return (_REAL if v.imag == 0 else _IMAG if v.real == 0 else _COMPLEX), None
-
-
-def _var_rule(node: Var, classes):
-    return _REAL, node._read
-
 
 def _add_rule(node: Add, classes):
     a, b = classes
@@ -815,8 +797,8 @@ def _cot_rule(node: Cot, classes):
 
 
 _FLOAT64_KERNELS = {
-    Const: _const_rule, Var: _var_rule, Add: _add_rule, Mul: _mul_rule, Quot: _quot_rule,
-    Sin: _sin_cos_rule, Cos: _sin_cos_rule, Cot: _cot_rule,
+    Add: _add_rule, Mul: _mul_rule, Quot: _quot_rule, Sin: _sin_cos_rule, Cos: _sin_cos_rule,
+    Cot: _cot_rule,
 }
 _COMPLEX_ONLY = frozenset({Pow, ExpNode, Arccot})
 

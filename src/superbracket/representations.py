@@ -291,7 +291,7 @@ def ode_solution_check(kappa: float, gamma_exp: float, s: Sampler) -> Consistenc
         return report
     f, df = ratio_momentum_map(kappa, gamma_exp)
     pl = var("pL")
-    env = {"pL": s.momenta() + 0j}
+    env = {"pL": s.momenta()}
     rhs = mul(const(gamma_exp),
               quot(ex.sin(mul(const(0.5), f)), ex.sin(mul(const(0.5), pl))))
     g = gamma_exp

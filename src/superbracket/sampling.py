@@ -133,31 +133,23 @@ class Sampler:
         pr = np.concatenate(collected_r)[: self.count]
         return pl, pr
 
-    def replace(self, **kw) -> "Sampler":
-        data = {
-            "seed": self.seed,
-            "count": self.count,
-            "domain": self.domain,
-            "tolerance": self.tolerance,
-        }
-        data.update(kw)
-        return Sampler(**data)
-
 
 def _env_for(e: Expr, s: Sampler, constraint=None) -> dict:
     names = sorted(e.variables())
     if set(names) <= {"pL", "pR"}:
         pl, pr = s.pairs(constraint)
-        return {"pL": pl + 0j, "pR": pr + 0j}
+        return {"pL": pl, "pR": pr}
     rng = np.random.default_rng(s.seed)
-    return {name: s._draw(rng, s.count) + 0j for name in names}
+    return {name: s._draw(rng, s.count) for name in names}
 
 
 def is_zero(e: Expr, s: Sampler, constraint=None) -> ConsistencyReport:
     """Statistically test whether an expression vanishes on the domain.
 
-    The report has one condition, "zero", at the sample of the maximum
-    modulus; with no samples it has none and reads vacuous.
+    The expression is swept over the sampler's real (float64) momenta, as
+    ``_sweep_max`` requires.  The report has one condition, "zero", at the
+    sample of the maximum modulus; with no samples it has none and reads
+    vacuous.
     """
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:

@@ -190,7 +190,7 @@ def test_criterion_6_coproduct_homomorphism():
 
     lhs = op_bracket(delta[Gen.J_L], delta[Gen.p_L])
     rhs = tensor_scalar(mul(const(1j), ex.sin(mul(const(0.5), add(P1, P2)))))
-    env = {"p1": np.array([0.7 + 0j]), "p2": np.array([1.3 + 0j])}
+    env = {"p1": np.array([0.7]), "p2": np.array([1.3])}
     angle, _ = op_sub(lhs, rhs).max_abs(env)
     assert angle <= 1e-12
     # forcing a wrong tail sign, the convention search finds exactly one fix

@@ -72,7 +72,7 @@ def test_boost_momentum_row_by_angle_addition(short_rep, braided):
     dp = braided[Gen.p_L]
     lhs = op_bracket(dj, dp)
     rhs = tensor_scalar(mul(const(1j), ex.sin(mul(const(0.5), add(P1, P2)))))
-    env = {"p1": np.array([0.7 + 0j]), "p2": np.array([1.3 + 0j])}
+    env = {"p1": np.array([0.7]), "p2": np.array([1.3])}
     res, _ = op_sub(lhs, rhs).max_abs(env)
     assert res <= 1e-13
     a, b = 0.7, 1.3
@@ -195,7 +195,7 @@ def test_unbraided_g_term_annihilates_opposite_fermions(short_rep):
     # right fermions carry the opposite charge of the left ones they equal.
     delta = build_coproduct(short_rep.spec, "unbraided", short_rep)
     dj = delta[Gen.J_L]
-    env = {"p1": np.array([0.7, 2.11]) + 0j, "p2": np.array([1.55, 0.95]) + 0j}
+    env = {"p1": np.array([0.7, 2.11]), "p2": np.array([1.55, 0.95])}
     # the full Delta J applied against Delta H must close (H is primitive):
     lhs = op_bracket(dj, delta[Gen.H_L])
     assert lhs.max_abs(env)[0] < 1e2  # finite; detailed closure not asserted

@@ -40,7 +40,7 @@ def test_leibniz_on_a_monomial():
     x = d_op("pL")
     y = scalar_op(CTX, PL, 2)
     prod = op_product(x, y)
-    env = {"pL": np.array([0.7 + 0j]), "pR": np.array([1.1 + 0j])}
+    env = {"pL": np.array([0.7]), "pR": np.array([1.1])}
     assert isinstance(prod, type(x))
     res, _ = op_sub(prod, first_order_op(
         CTX, mat_eye(2), {"pL": mat_scale(PL, mat_eye(2))})).max_abs(env)
@@ -62,7 +62,7 @@ def test_product_with_identity():
     x = first_order_op(CTX, mat([[PL, ex.ONE], [ex.ZERO, PR]]),
                        {"pR": mat_scale(ex.sin(PL), mat_eye(2))})
     prod = op_product(x, scalar_op(CTX, ex.ONE, 2))
-    env = {"pL": np.array([0.9 + 0j]), "pR": np.array([1.7 + 0j])}
+    env = {"pL": np.array([0.9]), "pR": np.array([1.7])}
     assert op_sub(prod, x).max_abs(env)[0] <= 1e-14
 
 
@@ -71,7 +71,7 @@ def test_bracket_examples():
     j = d_op("pL", coeff=mul(ex.I, h))
     p_op = scalar_op(CTX, PL, 2)
     br = op_bracket(j, p_op)
-    env = {"pL": np.array([0.8 + 0j]), "pR": np.array([2.0 + 0j])}
+    env = {"pL": np.array([0.8]), "pR": np.array([2.0])}
     res, _ = op_sub(br, scalar_op(CTX, mul(ex.I, h), 2)).max_abs(env)
     assert res <= 1e-14
     assert op_bracket(j, j).max_abs(env)[0] <= 1e-14  # [X, X] = 0 for even X
@@ -81,7 +81,7 @@ def test_hatted_anticommutator():
     qhat = multiplication_op(CTX, mat([[0, 0], [1, 0]]), parity=1)
     shat = multiplication_op(CTX, mat([[0, 1], [0, 0]]), parity=1)
     br = op_bracket(qhat, shat)
-    env = {"pL": np.array([1.0 + 0j]), "pR": np.array([1.0 + 0j])}
+    env = {"pL": np.array([1.0]), "pR": np.array([1.0])}
     assert op_sub(br, scalar_op(CTX, ex.ONE, 2)).max_abs(env)[0] <= 1e-14
 
 
@@ -119,7 +119,7 @@ def _random_first_order(rng, ctx, parity=None):
 
 def test_graded_jacobi_for_op_bracket_fuzz():
     rng = np.random.default_rng(4)
-    env = {"pL": np.array([0.7, 1.9, 2.6]) + 0j, "pR": np.array([1.2, 0.5, 2.1]) + 0j}
+    env = {"pL": np.array([0.7, 1.9, 2.6]), "pR": np.array([1.2, 0.5, 2.1])}
     checked = 0
     for _ in range(20):
         x = _random_first_order(rng, CTX)
@@ -169,8 +169,8 @@ def dense_max_abs(op, env):
 def test_ops_max_abs_of_live_entries_equals_dense_argmax():
     b = ex._BLOCK_POINTS
     rng = np.random.default_rng(11)
-    env = {"pL": rng.uniform(0.2, 0.9, 2 * b + 17) + 0j,
-           "pR": rng.uniform(0.2, 0.9, 2 * b + 17) + 0j}
+    env = {"pL": rng.uniform(0.2, 0.9, 2 * b + 17),
+           "pR": rng.uniform(0.2, 0.9, 2 * b + 17)}
     env["pL"][2 * b + 5] = 3.0  # entry (0, 0) in the short last block
     env["pR"][7] = 3.0          # entry (1, 0) in block 0: a tie, lost in flat order
     tie = multiplication_op(CTX, mat([[PL, ex.ZERO], [PR, ex.ZERO]]))

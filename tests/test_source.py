@@ -120,13 +120,17 @@ def unread_public_names(sources: dict) -> list:
     """Public functions, classes and methods of ``sources`` (module -> text) that none of them
     reads.
 
-    A method counts as read when any attribute of its name is loaded, whatever the object.
+    A method counts as read when any attribute of its name is loaded, whatever the object,
+    and only then: a bare name or an import of the same name does not read it.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = _reads(trees.values())
+    attributes = {n.attr for tree in trees.values() for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     return sorted(f"{module}: {qualified} (line {line})"
                   for module, tree in trees.items()
-                  for qualified, name, line in _public_defs(tree) if name not in read)
+                  for qualified, name, line in _public_defs(tree)
+                  if name not in (attributes if "." in qualified else read))
 
 
 def test_detector_flags_only_unread_imports():
@@ -202,17 +206,20 @@ def test_detector_flags_only_unread_public_names():
             "    def _hook(self): return 3\n"
             "    @property\n"
             "    def size(self): return 4\n"
+            "    def replace(self): return 7\n"
             "def build(): return Node().eval()\n"
             "def helper(): return 5\n"
             "def _private(): return 6\n"
         ),
         "b": (
             "from .a import build\n"
-            "def run(n): return build() + n.size\n"
+            "from dataclasses import replace\n"
+            "def run(n): return build() + n.size + replace(n)\n"
             "run(None)\n"
         ),
     }
-    assert unread_public_names(sources) == ["a: Node.probe (line 3)", "a: helper (line 8)"]
+    assert unread_public_names(sources) == ["a: Node.probe (line 3)", "a: Node.replace (line 7)",
+                                            "a: helper (line 9)"]
 
 
 # Public names that no package module reads, each kept for the reason given.
@@ -221,6 +228,7 @@ UNREAD_PUBLIC_KEPT = {
     "transformed_algebra_spec": "the algebra side of the paper's family relationships, "
                                 "which ROADMAP item 7 turns into a check",
     "Expr.eval_at": "the one-point form of Expr.eval",
+    "ConsistencyReport.summary": "bench/workloads.py::report_ok calls it",
 }
 
 
@@ -249,7 +257,9 @@ def unclassed_node_kinds(source: str) -> list:
     The tables are ``_FLOAT64_KERNELS`` and ``_COMPLEX_ONLY``.
 
     A concrete node class is one that sets its ``kind``; the abstract bases
-    (``_NAry``, ``_Unary``, ...) do not.
+    (``_NAry``, ``_Unary``, ...) do not.  ``Const`` and ``Var`` are the
+    compiler's leaves, in neither table: a constant's class is its value's,
+    and a variable is real.
     """
     tree = ast.parse(source)
     classes = [n for n in tree.body if isinstance(n, ast.ClassDef)]
@@ -257,7 +267,8 @@ def unclassed_node_kinds(source: str) -> list:
     for cls in classes:  # bases come before their subclasses
         if any(getattr(b, "id", None) in nodes for b in cls.bases):
             nodes.add(cls.name)
-    concrete = [cls.name for cls in classes if cls.name in nodes and cls.name != "Expr" and any(
+    leaves = {"Expr", "Const", "Var"}
+    concrete = [cls.name for cls in classes if cls.name in nodes and cls.name not in leaves and any(
         isinstance(s, ast.Assign) and [getattr(t, "id", None) for t in s.targets] == ["kind"]
         for s in cls.body)]
     kernels = _assigned_names(tree, "_FLOAT64_KERNELS")
@@ -269,6 +280,7 @@ def test_detector_flags_node_kinds_outside_or_in_both_tables():
     source = (
         "class Expr: kind = '?'\n"
         "class _Base(Expr): pass\n"
+        "class Const(Expr): kind = 'const'\n"
         "class Leaf(Expr): kind = 'leaf'\n"
         "class Both(_Base): kind = 'both'\n"
         "class New(_Base): kind = 'new'\n"

@@ -47,7 +47,7 @@ def test_disjoint_sites_supercommute():
     # [a (x) 1, 1 (x) b] = 0 for homogeneous a, b of any parities
     rng = np.random.default_rng(3)
     eye = mat([[1, 0], [0, 1]])
-    env = {"p1": np.array([0.4 + 0j]), "p2": np.array([1.9 + 0j])}
+    env = {"p1": np.array([0.4]), "p2": np.array([1.9])}
     for pa in (0, 1):
         for pb in (0, 1):
             a = _rand_site_matrix(rng, pa)
@@ -71,7 +71,7 @@ def test_odd_square_supercommutator():
         mat([[phase(P2, 2), ex.ZERO], [ex.ZERO, phase(P2, 2)]]),
         0, 0, coeff=const(2.0),
     )
-    env = {"p1": np.array([0.8 + 0j]), "p2": np.array([1.3 + 0j])}
+    env = {"p1": np.array([0.8]), "p2": np.array([1.3])}
     res, _ = op_sub(lhs, expected).max_abs(env)
     assert res <= 1e-13
 
@@ -81,7 +81,7 @@ def test_graded_flip_is_an_involution_and_swaps_sites():
     a = _rand_site_matrix(rng, 1)
     b = _rand_site_matrix(rng, 1)
     t = tensor_mult(a, b, 1, 1, coeff=ex.sin(P1))
-    env = {"p1": np.array([0.7 + 0j]), "p2": np.array([1.1 + 0j])}
+    env = {"p1": np.array([0.7]), "p2": np.array([1.1])}
     flipped_twice = graded_flip(graded_flip(t))
     res, _ = op_sub(flipped_twice, t).max_abs(env)
     assert res <= 1e-13
