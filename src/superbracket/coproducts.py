@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -107,7 +107,6 @@ class CoproductMap:
     rep: Representation
     data: IdentifiedData
     ops: Dict[Gen, DiffOperator]
-    convention: Tuple[int, int] = (1, 1)  # (tail phase orientation, tail sign)
     boost_skipped: str = ""  # why J_L and J_R have no coproduct here, if they have none
 
     def __getitem__(self, g: Gen) -> DiffOperator:
@@ -158,12 +157,7 @@ def _require_identified_momenta(family: FamilyTag) -> None:
         raise UnsupportedFamily(f"no coproduct construction for {family!r}")
 
 
-def build_coproduct(
-    spec: AlgebraSpec,
-    braiding: str,
-    rep: Representation,
-    convention: Tuple[int, int] = (1, 1),
-) -> CoproductMap:
+def build_coproduct(spec: AlgebraSpec, braiding: str, rep: Representation) -> CoproductMap:
     """Coproducts of all representable generators for one braiding choice.
 
     J_L and J_R get theirs where ``build_boost_coproduct`` materialises one;
@@ -204,7 +198,7 @@ def build_coproduct(
 
     boost_skipped = ""
     try:
-        dj = build_boost_coproduct(spec, braiding, rep, convention=convention, data=data)
+        dj = build_boost_coproduct(spec, braiding, rep, data=data)
     except InvalidParams as err:
         boost_skipped = str(err)
     else:
@@ -212,8 +206,7 @@ def build_coproduct(
         ops[Gen.J_R] = op_scale(const(rep.spec.params.h_R / rep.spec.params.h_L), dj)
 
     return CoproductMap(
-        braiding=braiding, spec=spec, rep=rep, data=data, ops=ops, convention=convention,
-        boost_skipped=boost_skipped,
+        braiding=braiding, spec=spec, rep=rep, data=data, ops=ops, boost_skipped=boost_skipped,
     )
 
 
@@ -282,7 +275,6 @@ def build_boost_coproduct(
     spec: AlgebraSpec,
     braiding: str,
     rep: Representation,
-    convention: Tuple[int, int] = (1, 1),
     data: Optional[IdentifiedData] = None,
 ) -> DiffOperator:
     """Two-site boost coproduct evaluated on the short representation.
@@ -298,7 +290,6 @@ def build_boost_coproduct(
             "d = -1 variant is covered by the symbolic tails"
         )
     data = data or identify_momentum(rep)
-    orient, tail_sign = convention
     q, s = _short_rep_bilinears(data)
     j_coeff = data.boost_coeff[Gen.J_L]
 
@@ -310,9 +301,9 @@ def build_boost_coproduct(
 
     if braiding == "braided":
         phase = mul(
-            const(tail_sign * 0.25),
-            site_scalar(_phase(-orient), 1),
-            site_scalar(_phase(orient), 2),
+            const(0.25),
+            site_scalar(_phase(-1), 1),
+            site_scalar(_phase(1), 2),
         )
         tail = op_add(
             tensor_mult(_sub(s, 1), _sub(q, 2), 1, 1, coeff=phase),
@@ -365,41 +356,14 @@ def homomorphism_check(
     quasi-cocommutativity construction and are not claimed to be a
     homomorphism here, so those rows are excluded.  A map built without
     boost coproducts cannot have its boost rows checked; the note then says
-    so and why.
-
-    If a boost-tail-dependent row fails under the map's sign convention, the
-    discrete convention switches are retried and the (unique) passing
-    convention is recorded in the report.
+    so and why.  The map is checked as built: a failing row fails the report.
+    ``spec`` and ``rep`` repeat ``delta.spec`` and ``delta.rep``; ``rep`` is unread.
     """
     boost_rows = delta.braiding == "braided"
-    report = _hom_check_once(delta, spec, s, boost_rows)
-    report.note = f"convention {delta.convention}"
+    report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
+    report.note = "convention (1, 1)"  # the tail's phase orientation and sign, fixed
     if boost_rows and delta.boost_skipped:
         report.note += f"; J_L and J_R rows not checked ({delta.boost_skipped})"
-    tail_failures = [c for c in report.failures() if "J_" in c.name]
-    if tail_failures:
-        passing = []
-        for orientation in (1, -1):
-            for tail_sign in (1, -1):
-                conv = (orientation, tail_sign)
-                if conv == delta.convention:
-                    continue
-                candidate = build_coproduct(spec, delta.braiding, rep, convention=conv)
-                attempt = _hom_check_once(candidate, spec, s, boost_rows)
-                if attempt.passed:
-                    passing.append((conv, attempt))
-        if len(passing) == 1:
-            conv, attempt = passing[0]
-            attempt.note = f"convention search settled on {conv}"
-            return attempt
-        report.note += f"; convention search found {len(passing)} passing alternatives"
-    return report
-
-
-def _hom_check_once(
-    delta: CoproductMap, spec: AlgebraSpec, s: Sampler, boost_rows: bool
-) -> ConsistencyReport:
-    report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
         return report
     names, ops = [], []
@@ -464,7 +428,6 @@ def short_rep_reduction_check(
     spec: AlgebraSpec,
     rep: Representation,
     s: Sampler,
-    with_t_terms: bool = True,
 ) -> ConsistencyReport:
     """[2S(x)Q + 2Q(x)S - alpha H(x)T - beta T(x)H, Delta X] = [S(x)Q + Q(x)S, Delta X].
 
@@ -474,8 +437,7 @@ def short_rep_reduction_check(
     so [c T_site, Delta X] = c ad_T(Delta X) (``_ad_t``) and the T-carrying
     part of the commutator, c Delta X - Delta X c, vanishes identically.  Each
     residual is therefore one 4x4 expression matrix, swept as the
-    homomorphism rows are.  With ``with_t_terms=False`` the two sides differ
-    by the energy-proportional terms (negative control).
+    homomorphism rows are.
     """
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
@@ -492,22 +454,12 @@ def short_rep_reduction_check(
     residuals = []
     for g, _ in gens:
         # the braided coproduct of the fermion image (no T content)
-        dx = mat_add(*delta_fermion_mats(data.matrices[g]))
-        parts = [_commutator(tail, dx)]
-        if with_t_terms:
-            parts += [mat_scale(neg(mul(beta, h2)), _ad_t(dx, 1)),
-                      mat_scale(neg(mul(alpha, h1)), _ad_t(dx, 2))]
-        parts.append(mat_scale(const(-1), _commutator(reference, dx)))
-        residuals.append(mat_add(*parts))
+        dx = _braided_fermion(data.matrices[g], 1, 1).A
+        residuals.append(mat_add(_commutator(tail, dx),
+                                 mat_scale(neg(mul(beta, h2)), _ad_t(dx, 1)),
+                                 mat_scale(neg(mul(alpha, h1)), _ad_t(dx, 2)),
+                                 mat_scale(const(-1), _commutator(reference, dx))))
     maxima = mats_max_abs(residuals, TWO_SITE.sample_env(s))
     for (_, name), (worst, _) in zip(gens, maxima):
         report.add(f"short-reduction[{name}]", worst, None)
     return report
-
-
-def delta_fermion_mats(matrix) -> Tuple[Matrix, Matrix]:
-    """The two graded-Kronecker terms of the braided coproduct of a fermion image."""
-    eye = mat_eye(2)
-    t1 = graded_kron(_sub(matrix, 1), _sub(mat_scale(_phase(1), eye), 2), 0)
-    t2 = graded_kron(_sub(mat_scale(_phase(-1), eye), 1), _sub(matrix, 2), 1)
-    return t1, t2

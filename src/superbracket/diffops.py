@@ -9,10 +9,7 @@ context:
   their cross-momentum Jacobian terms explicitly in the B matrices;
 * constrained momenta (one independent variable): there is a single symbol,
   the total derivative along the constraint, and composition differentiates
-  coefficients convectively, d/dp_L = @/@p_L + (dp_R/dp_L) @/@p_R.  The
-  ``convective`` flag exists as a negative control: switching it off drops
-  the Jacobian term from the coefficient derivative, which must break the
-  vanishing of [J_L, J_R] for the momentum-coupled families.
+  coefficients convectively, d/dp_L = @/@p_L + (dp_R/dp_L) @/@p_R.
 
 Odd operators are purely multiplicative (no differential part) with
 block-off-diagonal matrices in the (boson, fermion) basis.
@@ -141,7 +138,6 @@ class OneVarContext:
     constraint: Expr          # p_R = f(p_L)
     jac_dep: Expr             # d p_R / d p_L
     jac_inv: Expr             # d p_L / d p_R
-    convective: bool = True
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -150,10 +146,7 @@ class OneVarContext:
     def d_coeff(self, e: Expr, v: str) -> Expr:
         if v != "pL":
             raise DimensionMismatch(f"{v!r} is not the independent momentum")
-        out = diff(e, "pL")
-        if self.convective:
-            out = add(out, mul(self.jac_dep, diff(e, "pR")))
-        return out
+        return add(diff(e, "pL"), mul(self.jac_dep, diff(e, "pR")))
 
     def sample_env(self, s: Sampler) -> dict:
         pl, pr = s.pairs((self.constraint, self.jac_dep))

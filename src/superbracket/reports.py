@@ -53,13 +53,12 @@ class ConsistencyReport:
     def failures(self) -> list[ConditionResult]:
         return [c for c in self.conditions if not c.passed]
 
-    def add(self, name, max_residual, worst_point, note="") -> ConditionResult:
+    def add(self, name, max_residual, worst_point) -> ConditionResult:
         cond = ConditionResult(
             name=name,
             max_residual=float(max_residual),
             worst_point=worst_point,
             passed=float(max_residual) <= self.tolerance,
-            note=note,
         )
         self.conditions.append(cond)
         return cond

@@ -141,7 +141,6 @@ def build_representation(
     family: FamilyTag,
     params: AlgebraParams | None = None,
     eta: complex = 1.0,
-    convective: bool = True,
     spec: AlgebraSpec | None = None,
 ) -> Representation:
     """Two-dimensional representation of one of the boost families.
@@ -165,14 +164,9 @@ def build_representation(
     else:
         # The inverse Jacobian is taken from the constraint derivative
         # (inverse function theorem), so the folded J_R coefficient keeps its
-        # genuine p_R dependence and the convective negative control bites.
+        # genuine p_R dependence and [J_L, J_R] needs d_coeff's Jacobian term.
         f, df = spec.constraint
-        ctx = OneVarContext(
-            constraint=f,
-            jac_dep=df,
-            jac_inv=quot(ex.ONE, df),
-            convective=convective,
-        )
+        ctx = OneVarContext(constraint=f, jac_dep=df, jac_inv=quot(ex.ONE, df))
 
     hats = hatted_matrices(complex(eta))
     H_L, H_R = spec.H["L"], spec.H["R"]

@@ -103,8 +103,8 @@ CHECK_DESCRIPTIONS: Dict[str, str] = {
     ),
     "coproduct_hom": (
         "Verifies the graded bracket [Delta x, Delta y] = Delta z for every "
-        "bracket-table row on the short representation, retrying the "
-        "discrete tail sign conventions if a tail-dependent row fails."
+        "bracket-table row on the short representation, for the one map "
+        "the braiding builds."
     ),
     "cocommutativity": (
         "Checks invariance of the central elements' coproducts under the "

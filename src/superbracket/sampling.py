@@ -89,9 +89,8 @@ class Sampler:
             raise InvalidParams("sampling domain is too thin around the singular loci")
         return arr[:n]
 
-    def momenta(self, n: Optional[int] = None) -> np.ndarray:
-        n = self.count if n is None else n
-        return self._draw(np.random.default_rng(self.seed), n)
+    def momenta(self) -> np.ndarray:
+        return self._draw(np.random.default_rng(self.seed), self.count)
 
     def pairs(self, constraint: Optional[Tuple[Expr, Expr]] = None):
         """Sample (p_L, p_R) arrays; with a constraint, p_R = f(p_L).
@@ -134,16 +133,16 @@ class Sampler:
         return pl, pr
 
 
-def _env_for(e: Expr, s: Sampler, constraint=None) -> dict:
+def _env_for(e: Expr, s: Sampler) -> dict:
     names = sorted(e.variables())
     if set(names) <= {"pL", "pR"}:
-        pl, pr = s.pairs(constraint)
+        pl, pr = s.pairs()
         return {"pL": pl, "pR": pr}
     rng = np.random.default_rng(s.seed)
     return {name: s._draw(rng, s.count) for name in names}
 
 
-def is_zero(e: Expr, s: Sampler, constraint=None) -> ConsistencyReport:
+def is_zero(e: Expr, s: Sampler) -> ConsistencyReport:
     """Statistically test whether an expression vanishes on the domain.
 
     The expression is swept over the sampler's real (float64) momenta, as
@@ -155,7 +154,7 @@ def is_zero(e: Expr, s: Sampler, constraint=None) -> ConsistencyReport:
     if s.count == 0:
         report.note = "no samples"
         return report
-    env = _env_for(e, s, constraint)
+    env = _env_for(e, s)
     [(max_res, worst)] = _sweep_max(env, [(e,)], _every_root)
     report.add("zero", max_res, sample_at(env, worst))
     return report

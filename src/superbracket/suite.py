@@ -183,11 +183,11 @@ class CheckInvocation:
     name: str
     args: Tuple[Tuple[str, float], ...] = ()
 
-    def arg(self, key: str, default=None):
+    def arg(self, key: str):
         for k, v in self.args:
             if k == key:
                 return v
-        return default
+        return None
 
 
 @dataclass(frozen=True)

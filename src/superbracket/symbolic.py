@@ -38,6 +38,8 @@ _SLOT_VARS = ("pL1", "pR1", "pL2", "pR2")
 
 _MINUS_ONE = complex(-1.0)
 
+_STEP_BUDGET = 20000  # rewriting steps per word before NormalFormDivergence
+
 
 def _phase_product(left, right) -> Dict[PhaseKey, complex]:
     """The terms of the product of two phase maps, dropping exact zeros."""
@@ -77,16 +79,16 @@ class PhaseCoef:
         return PhaseCoef({_ZERO_PHASE: complex(c)})
 
     @staticmethod
-    def phase(site: int, momentum: str, quarters: int, c: complex = 1.0) -> "PhaseCoef":
-        """c * exp(i * quarters * p_momentum^(site) / 4)."""
+    def phase(site: int, momentum: str, quarters: int) -> "PhaseCoef":
+        """exp(i * quarters * p_momentum^(site) / 4)."""
         vec = [0, 0, 0, 0]
         slot = {("L", 1): 0, ("R", 1): 1, ("L", 2): 2, ("R", 2): 3}[(momentum, site)]
         vec[slot] = quarters
-        return PhaseCoef({(vec[0], vec[1], vec[2], vec[3], ()): complex(c)})
+        return PhaseCoef({(vec[0], vec[1], vec[2], vec[3], ()): 1 + 0j})
 
     @staticmethod
-    def symbol(name: str, c: complex = 1.0) -> "PhaseCoef":
-        return PhaseCoef({(0, 0, 0, 0, (name,)): complex(c)})
+    def symbol(name: str) -> "PhaseCoef":
+        return PhaseCoef({(0, 0, 0, 0, (name,)): 1 + 0j})
 
     def __add__(self, other: "PhaseCoef") -> "PhaseCoef":
         out = dict(self.terms)
@@ -219,9 +221,8 @@ def symbolic_table(spec: AlgebraSpec) -> SymTable:
 class SymbolicEngine:
     """Word rewriting against a fixed constant-coefficient bracket table."""
 
-    def __init__(self, table: SymTable, step_budget: int = 20000):
+    def __init__(self, table: SymTable):
         self.table = table
-        self.step_budget = step_budget
         self._normal_forms: Dict[Word, list] = {}  # word -> normal_order_word(word)
 
     def row(self, a: Gen, b: Gen) -> Dict[Optional[Gen], complex]:
@@ -246,14 +247,14 @@ class SymbolicEngine:
         return hit
 
     def _rewrite(self, w: Word):
-        budget = [self.step_budget]
+        budget = [_STEP_BUDGET]
         out: Dict[Word, complex] = {}
 
         def work(c: complex, word: Word):
             budget[0] -= 1
             if budget[0] < 0:
                 raise NormalFormDivergence(
-                    f"word rewriting exceeded {self.step_budget} steps"
+                    f"word rewriting exceeded {_STEP_BUDGET} steps"
                 )
             i = 0
             word = list(word)

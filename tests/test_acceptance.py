@@ -2,6 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
+import dataclasses
 import json
 import math
 import time
@@ -29,7 +30,8 @@ from superbracket.coproducts import (
     homomorphism_check,
     short_rep_reduction_check,
 )
-from superbracket.expressions import add, const, mul
+from superbracket.diffops import OneVarContext, mat_scale
+from superbracket.expressions import add, const, diff, mul
 from superbracket.families import (
     Rejection,
     classify_family,
@@ -120,16 +122,17 @@ def _representation_for(family):
     return build_representation(family)
 
 
-def test_criterion_3_boost_commutator():
+def test_criterion_3_boost_commutator(monkeypatch):
     worst = 0.0
     for family in SIX_FAMILIES:
         rep = _representation_for(family)
         report = boost_commutator_zero(rep, S100)
         assert report.passed, (family, report.failures())
         worst = max(worst, report.max_residual)
+    # d_coeff without the Jacobian term: the plain partial in p_L
+    monkeypatch.setattr(OneVarContext, "d_coeff", lambda self, e, v: diff(e, v))
     for family in (DPlusOne(), DMinusOne(), Ratio(2.0)):
-        crippled = build_representation(family, convective=False)
-        report = boost_commutator_zero(crippled, S100)
+        report = boost_commutator_zero(build_representation(family), S100)
         assert not report.passed, family
     _report(3, worst <= TOL,
             f"[J_L, J_R] vanishes for all six families (max {worst:.2e}); "
@@ -193,14 +196,18 @@ def test_criterion_6_coproduct_homomorphism():
     env = {"p1": np.array([0.7]), "p2": np.array([1.3])}
     angle, _ = op_sub(lhs, rhs).max_abs(env)
     assert angle <= 1e-12
-    # forcing a wrong tail sign, the convention search finds exactly one fix
-    broken = build_coproduct(rep.spec, "braided", rep, convention=(1, -1))
-    searched = homomorphism_check(broken, rep.spec, rep, S100)
-    assert searched.passed and "settled on (1, 1)" in searched.note
+    # the map with its boost tail negated (J - 2 tail; the tail is J's
+    # multiplicative part) fails its boost rows
+    negated = {g: dataclasses.replace(delta[g], A=mat_scale(const(-1), delta[g].A))
+               for g in (Gen.J_L, Gen.J_R)}
+    broken = homomorphism_check(dataclasses.replace(delta, ops={**delta.ops, **negated}),
+                                rep.spec, rep, S100)
+    failed = [c.name for c in broken.failures()]
+    assert failed and all("J_" in name for name in failed), failed
     _report(6, report.max_residual <= TOL,
             f"braided short-representation homomorphism, max residual "
-            f"{report.max_residual:.2e}; convention {delta.convention} "
-            "(search recovers it when broken)")
+            f"{report.max_residual:.2e}; negating the boost tail fails "
+            f"{len(failed)} J rows")
 
 
 def test_criterion_7_tail_cancellation_exact():

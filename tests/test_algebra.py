@@ -100,7 +100,7 @@ def test_phi_sum_constraint():
             resid = ex.add(
                 spec.phiQ[side], spec.phiS[side], mul(const(-1j), spec.Phi[side])
             )
-            assert is_zero(resid, Sampler(count=30), spec.constraint).passed
+            assert is_zero(resid, Sampler(count=30)).passed
 
 
 def test_outer_action_examples():

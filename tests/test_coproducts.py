@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +20,7 @@ from superbracket.algebra import (
 from superbracket.coproducts import (
     CENTRAL_GENS,
     UnbraidedCoefficients,
+    _braided_fermion,
     _phase,
     _rows_for_hom_check,
     _short_rep_bilinears,
@@ -25,16 +28,17 @@ from superbracket.coproducts import (
     build_boost_coproduct,
     build_coproduct,
     cocommutativity_check,
-    delta_fermion_mats,
     homomorphism_check,
     identify_momentum,
     short_rep_reduction_check,
 )
-from superbracket.diffops import mat_eval, op_bracket, op_sub
+from superbracket.diffops import mat_eval, mat_scale, mat_zero, op_bracket, op_sub
 from superbracket.errors import IncompatibleCentrals, InvalidParams, UnsupportedFamily
 from superbracket.expressions import add, const, mul, var
 from superbracket.representations import build_representation
+from superbracket.runner import run_suite, suite_failed
 from superbracket.sampling import Sampler, is_zero
+from superbracket.suite import parse_suite
 from superbracket.tensorops import P1, P2, TWO_SITE, graded_kron, site_scalar, tensor_scalar
 
 S = Sampler(count=100)
@@ -218,20 +222,40 @@ def test_boost_coproduct_family_guards(short_rep):
         build_coproduct(spec_zero, "braided", build_representation(DZero()))
 
 
-def test_convention_search_finds_unique_convention(short_rep):
-    # Deliberately build the map with a wrong tail sign; the runner's search
-    # must find exactly the default convention.
-    spec = short_rep.spec
-    broken = build_coproduct(spec, "braided", short_rep, convention=(1, -1))
-    report = homomorphism_check(broken, spec, short_rep, S)
-    assert report.passed
-    assert "settled on (1, 1)" in report.note
+def negated_tail(dj):
+    """J - 2 tail: the braided boost coproduct with its fermion-bilinear tail negated.
+
+    The untailed part is purely differential, so the tail is J's multiplicative part.
+    """
+    return dataclasses.replace(dj, A=mat_scale(const(-1), dj.A))
 
 
-def test_short_rep_reduction_and_negative_control(short_rep):
+def test_a_negated_boost_tail_fails_the_homomorphism(monkeypatch, short_rep, braided):
+    negated = {g: negated_tail(braided[g]) for g in (Gen.J_L, Gen.J_R)}
+    mutant = dataclasses.replace(braided, ops={**braided.ops, **negated})
+    report = homomorphism_check(mutant, short_rep.spec, short_rep, S)
+    failed = [c.name for c in report.failures()]
+    assert failed and all("J_" in name for name in failed), failed
+    # The runner checks the map it built, so the suite reads failed.
+    real = coproducts.build_boost_coproduct
+    monkeypatch.setattr(coproducts, "build_boost_coproduct",
+                        lambda *args, **kwargs: negated_tail(real(*args, **kwargs)))
+    text = resources.files("superbracket").joinpath("suites/d_plus_one.suite").read_text()
+    records = run_suite(parse_suite(text))
+    assert suite_failed(records)
+    assert [r.check for r in records if r.status == "fail"] == ["coproduct_hom"]
+
+
+def no_t(m, site):
+    """A mutant ``_ad_t``: [T, m] = 0, which drops the energy-proportional terms."""
+    return mat_zero(4)
+
+
+def test_short_rep_reduction_and_negative_control(monkeypatch, short_rep):
     report = short_rep_reduction_check(short_rep.spec, short_rep, S)
     assert report.passed and report.max_residual <= 1e-12
-    negative = short_rep_reduction_check(short_rep.spec, short_rep, S, with_t_terms=False)
+    monkeypatch.setattr(coproducts, "_ad_t", no_t)
+    negative = short_rep_reduction_check(short_rep.spec, short_rep, S)
     assert not negative.passed and negative.max_residual > 1e-2
 
 
@@ -254,7 +278,7 @@ def dense_short_reduction(rep, env, with_t_terms):
     m1, m2 = (((differ & bit) != 0)[:, :, None] for bit in (2, 1))
     out = []
     for g in (Gen.Q_L, Gen.S_L):
-        d = sum(mat_eval(t, env) for t in delta_fermion_mats(data.matrices[g]))
+        d = mat_eval(_braided_fermion(data.matrices[g], 1, 1).A, env)
         res = np.einsum("ijn,jkn->ikn", r, d) - np.einsum("ijn,jkn->ikn", d, r)
         if with_t_terms:
             res += -(beta * h2) * m1 * d - (alpha * h1) * m2 * d
@@ -264,21 +288,24 @@ def dense_short_reduction(rep, env, with_t_terms):
 
 @pytest.mark.parametrize("count", [2 * ex._BLOCK_POINTS + 17, 100])
 @pytest.mark.parametrize("with_t_terms", [True, False])
-def test_short_reduction_matches_a_dense_numpy_model(short_rep, count, with_t_terms):
+def test_short_reduction_matches_a_dense_numpy_model(monkeypatch, short_rep, count, with_t_terms):
     s = Sampler(seed=11, count=count)
-    report = short_rep_reduction_check(short_rep.spec, short_rep, s, with_t_terms=with_t_terms)
+    if not with_t_terms:
+        monkeypatch.setattr(coproducts, "_ad_t", no_t)
+    report = short_rep_reduction_check(short_rep.spec, short_rep, s)
     want = dense_short_reduction(short_rep, TWO_SITE.sample_env(s), with_t_terms)
     for cond, value in zip(report.conditions, want, strict=True):
         assert abs(cond.max_residual - value) <= 1e-13, (cond.name, cond.max_residual, value)
     assert report.passed is with_t_terms
 
 
-@pytest.mark.parametrize("wrong", ["other-site", "identity"])
+@pytest.mark.parametrize("wrong", ["other-site", "identity", "none"])
 def test_short_reduction_fails_a_wrong_model_of_t(monkeypatch, short_rep, wrong):
     ad_t = coproducts._ad_t
     mutants = {
         "other-site": lambda m, site: ad_t(m, 3 - site),  # T counts the other site's charge
         "identity": lambda m, site: m,  # [T, M] = M on every entry
+        "none": no_t,
     }
     monkeypatch.setattr(coproducts, "_ad_t", mutants[wrong])
     report = short_rep_reduction_check(short_rep.spec, short_rep, S)
@@ -297,15 +324,15 @@ def test_nan_sample_fails_the_short_reduction(monkeypatch, short_rep):
 
 
 def test_nan_matrix_entry_fails_the_short_reduction(monkeypatch, short_rep):
-    real = coproducts.delta_fermion_mats
+    real = coproducts._braided_fermion
 
-    def with_nan_entry(matrix):
-        t1, t2 = real(matrix)
-        rows = [list(row) for row in t1]
+    def with_nan_entry(matrix, parity, orientation):
+        op = real(matrix, parity, orientation)
+        rows = [list(row) for row in op.A]
         rows[0][3] = mul(const(np.nan), P1)  # a ZERO entry: NaN in one entry only
-        return tuple(map(tuple, rows)), t2
+        return dataclasses.replace(op, A=tuple(map(tuple, rows)))
 
-    monkeypatch.setattr(coproducts, "delta_fermion_mats", with_nan_entry)
+    monkeypatch.setattr(coproducts, "_braided_fermion", with_nan_entry)
     report = short_rep_reduction_check(short_rep.spec, short_rep, S)
     assert not report.passed and np.isnan(report.max_residual)
 

@@ -14,9 +14,9 @@ from superbracket.algebra import (
     Ratio,
     RightSeparable,
 )
-from superbracket.diffops import mat_eval, op_bracket, op_scale, op_sub
+from superbracket.diffops import OneVarContext, mat_eval, op_bracket, op_scale, op_sub
 from superbracket.errors import InvalidParams
-from superbracket.expressions import const
+from superbracket.expressions import const, diff
 from superbracket.representations import (
     boost_commutator_zero,
     build_representation,
@@ -99,9 +99,11 @@ def test_boost_commutator_vanishes(family):
     assert report.passed and report.max_residual <= 1e-9
 
 
-def test_boost_commutator_negative_control():
+def test_boost_commutator_negative_control(monkeypatch):
+    # d_coeff without the Jacobian term: the plain partial in p_L
+    monkeypatch.setattr(OneVarContext, "d_coeff", lambda self, e, v: diff(e, v))
     for family in (DPlusOne(), DMinusOne(), Ratio(2.0)):
-        rep = build_representation(family, convective=False)
+        rep = build_representation(family)
         report = boost_commutator_zero(rep, S)
         assert not report.passed, family
         assert report.max_residual > 1e-3

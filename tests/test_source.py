@@ -356,3 +356,107 @@ def test_the_names_the_benchmark_reads_exist():
     files = {f for f, _ in reads}
     defined = {f: _defined_names(ast.parse((PACKAGE / f).read_text())) for f in files}
     assert sorted(f"{f}: {name}" for f, name in reads if name not in defined[f]) == []
+
+
+def _defaulted(fn, bound: bool) -> list:
+    """(position, name) of each parameter of ``fn`` that has a default.
+
+    Positions count the arguments a caller passes (``self`` or ``cls`` left out when
+    ``bound``); a keyword-only parameter has position None.
+    """
+    a = fn.args
+    positional = [*a.posonlyargs, *a.args][1 if bound else 0:]
+    first = len(positional) - len(a.defaults)
+    return ([(i, p.arg) for i, p in enumerate(positional) if i >= first]
+            + [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
+
+
+def _options(tree):
+    """(called name, qualified name, defaulted parameters) for each public top-level function
+    and each public method and ``__init__`` of a public top-level class.
+
+    An ``__init__`` is called by its class's name.
+    """
+    for node in tree.body:
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, _FUNCTIONS):
+            yield node.name, node.name, _defaulted(node, bound=False)
+            continue
+        for m in node.body:
+            if isinstance(m, _FUNCTIONS) and m.name == "__init__":
+                yield node.name, node.name, _defaulted(m, bound=True)
+            elif isinstance(m, _FUNCTIONS) and not m.name.startswith("_"):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
+                yield m.name, f"{node.name}.{m.name}", _defaulted(m, bound=not static)
+
+
+def unset_options(sources: dict, callers: list) -> list:
+    """``name(parameter)`` for each defaulted parameter of ``sources`` (module -> text) that no
+    call in ``callers`` (texts) passes.
+
+    A call passes a parameter by keyword, by position, or through a ``*`` or ``**`` splat.
+    Calls are matched by the called name alone, whatever the object, so two blind spots
+    remain: a parameter the package passes only on to itself, and one that a same-named
+    call with more arguments seems to pass (``ex.add`` with four addends hides
+    ``ConsistencyReport.add``'s ``note``).
+    """
+    calls = {}
+    for text in callers:
+        for call in ast.walk(ast.parse(text)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            splat = (any(isinstance(a, ast.Starred) for a in call.args)
+                     or any(k.arg is None for k in call.keywords))
+            keywords = {k.arg for k in call.keywords}
+            calls.setdefault(name, []).append((len(call.args), keywords, splat))
+
+    def passed(called, position, param):
+        return any(splat or param in keywords or position is not None and position < n
+                   for n, keywords, splat in calls.get(called, ()))
+
+    return sorted(f"{qualified}({param})"
+                  for text in sources.values()
+                  for called, qualified, params in _options(ast.parse(text))
+                  for position, param in params if not passed(called, position, param))
+
+
+def test_detector_flags_only_options_no_caller_sets():
+    sources = {
+        "a": (
+            "def build(x, scale=1.0, *, strict=False, tag=None): return x\n"
+            "def run(argv=None): return argv\n"
+            "def _private(flag=True): return flag\n"
+            "class Engine:\n"
+            "    def __init__(self, table, budget=10): self.table = table\n"
+            "    def step(self, n=1, note=''): return n\n"
+            "    def _hook(self, flag=True): return flag\n"
+            "    @staticmethod\n"
+            "    def make(c=1.0): return c\n"
+        ),
+    }
+    callers = [
+        "build(1, 2.0, tag='t')\n"
+        "e = Engine(t)\n"
+        "e.step(note='x')\n"
+        "run(**opts)\n"
+        "Engine.make(2.0)\n"
+    ]
+    assert unset_options(sources, callers) == ["Engine(budget)", "Engine.step(n)",
+                                               "build(strict)"]
+
+
+# Options that no package module and no benchmark call sets, each kept for the reason given.
+UNSET_OPTIONS_KEPT = {
+    "main(argv)": "the console entry point calls main() and argparse reads sys.argv",
+    "mutate_row(factor)": "the mutation tests pass NaN, pole and 1 + 1e-10 factors",
+}
+
+
+def test_no_option_only_tests_set():
+    # An option that only tests set is a negative control or a fixed value: make it a
+    # mutant in the test that uses it, or a constant, or say above why it stays.
+    callers = [p.read_text() for p in [*MODULES, *sorted(BENCH.glob("*.py"))]]
+    found = unset_options({p.name: p.read_text() for p in MODULES}, callers)
+    assert found == sorted(UNSET_OPTIONS_KEPT)

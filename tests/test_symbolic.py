@@ -62,9 +62,10 @@ def test_normal_ordering_resolves_anticommutators(engine):
     assert engine.normal_order_word((Gen.Q_L, Gen.Q_L)) == []
 
 
-def test_normal_form_divergence_budget():
+def test_normal_form_divergence_budget(monkeypatch):
     table = symbolic_table(build_algebra(DPlusOne()))
-    tiny = SymbolicEngine(table, step_budget=1)
+    monkeypatch.setattr(symbolic, "_STEP_BUDGET", 1)
+    tiny = SymbolicEngine(table)
     with pytest.raises(NormalFormDivergence):
         tiny.normal_order_word((Gen.S_R, Gen.Q_R, Gen.S_L, Gen.Q_L))
 
@@ -72,7 +73,7 @@ def test_normal_form_divergence_budget():
 def folded_product(engine, e1, e2):
     """e1 e2 as a fold of one-term elements, each word normal-ordered by a fresh engine."""
     def normal_form(word):
-        return SymbolicEngine(engine.table, engine.step_budget).normal_order_word(word)
+        return SymbolicEngine(engine.table).normal_order_word(word)
 
     def parity(word):
         return sum(g.parity for g in word) % 2
@@ -163,14 +164,16 @@ def test_engine_coefficients_are_small_dyadic_gaussian_integers(monkeypatch):
             assert (part * 256).is_integer() and abs(part) < 2.0**44, x
 
 
-def test_memoised_normal_forms_keep_the_step_budget():
+def test_memoised_normal_forms_keep_the_step_budget(monkeypatch):
     table = symbolic_table(build_algebra(DPlusOne()))
-    tiny = SymbolicEngine(table, step_budget=5)
+    tiny = SymbolicEngine(table)
     x = SymbolicElement.of(PhaseCoef.number(1.0), (Gen.S_R, Gen.Q_R), ())
     y = SymbolicElement.of(PhaseCoef.number(1.0), (Gen.S_L, Gen.Q_L), ())
-    for _ in range(2):  # a diverging word is not remembered
-        with pytest.raises(NormalFormDivergence):
-            tiny.product(x, y)
+    with monkeypatch.context() as m:
+        m.setattr(symbolic, "_STEP_BUDGET", 5)
+        for _ in range(2):  # a diverging word is not remembered
+            with pytest.raises(NormalFormDivergence):
+                tiny.product(x, y)
     wide = SymbolicEngine(table)
     assert wide.normal_order_word((Gen.Q_R, Gen.Q_L)) is wide.normal_order_word((Gen.Q_R, Gen.Q_L))
 
