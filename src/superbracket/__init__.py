@@ -5,8 +5,8 @@ The package verifies, numerically and (where exactness matters) symbolically:
 * graded Jacobi identities of the six consistent bracket tables,
 * the classification of the cross-handed Jacobian functions,
 * first-order differential-operator representations of the boosts,
-* braided and unbraided coproducts of the boost, including the exact
-  cancellation of the outer-automorphism tails.
+* braided and unbraided coproducts, and the braided coproduct of the boost,
+  including the exact cancellation of the outer-automorphism tails.
 
 Everything is driven by seeded sampling; reports record their seed.
 """
@@ -42,7 +42,6 @@ from .errors import (
 )
 from .coproducts import (
     CoproductMap,
-    UnbraidedCoefficients,
     build_boost_coproduct,
     build_coproduct,
     cocommutativity_check,

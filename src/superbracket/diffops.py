@@ -293,17 +293,13 @@ class SecondOrderResult:
     first: DiffOperator
     second: Dict[Tuple[str, str], Matrix]
 
-    @property
-    def is_first_order(self) -> bool:
-        return all(mat_is_zero(m) for m in self.second.values())
 
-
-def op_product(x: DiffOperator, y: DiffOperator):
+def op_product(x: DiffOperator, y: DiffOperator) -> SecondOrderResult:
     """Compose two operators; coefficients of the right factor are
     differentiated by the left factor's symbols per the context's rule.
 
-    Returns a DiffOperator when the second-order coefficients all vanish
-    structurally, otherwise a SecondOrderResult.
+    ``second`` holds only the second-order coefficients that do not vanish
+    structurally.
     """
     if not _same_context(x.ctx, y.ctx) or x.n != y.n:
         raise DimensionMismatch("operator product over different contexts or dimensions")
@@ -330,17 +326,9 @@ def op_product(x: DiffOperator, y: DiffOperator):
             second[key] = mat_add(second[key], prod) if key in second else prod
 
     parity = (x.parity + y.parity) % 2
-    first_op = first_order_op(ctx, A, first, parity=parity)
-    result = SecondOrderResult(first=first_op, second={
+    return SecondOrderResult(first=first_order_op(ctx, A, first, parity=parity), second={
         k: m for k, m in second.items() if not mat_is_zero(m)
     })
-    return first_op if result.is_first_order else result
-
-
-def _as_second_order(p) -> SecondOrderResult:
-    if isinstance(p, SecondOrderResult):
-        return p
-    return SecondOrderResult(first=p, second={})
 
 
 _SECOND_ORDER_TOL = 1e-9
@@ -363,8 +351,8 @@ def op_bracket(x: DiffOperator, y: DiffOperator) -> DiffOperator:
             ctx=x.ctx, n=x.n, parity=0,
             A=mat_add(mat_mul(x.A, y.A), mat_mul(y.A, x.A)),
         )
-    p1 = _as_second_order(op_product(x, y))
-    p2 = _as_second_order(op_product(y, x))
+    p1 = op_product(x, y)
+    p2 = op_product(y, x)
     out = op_sub(p1.first, p2.first)
 
     # Second-order coefficients: symmetrise over the (commuting) symbol pair

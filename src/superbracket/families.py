@@ -138,9 +138,7 @@ def product_constraint_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport
         report.add(name, res, ex.sample_at(env, idx))
     if active:
         point = ex.sample_at(env, maxima[-1][1]) if vanish else None
-        cond = report.add("product-trichotomy", float(vanish), point)
-        cond.note = "branch lines vanished together at some sample" if vanish else \
-            "branch lines stay nonzero where the prefactor does"
+        report.add("product-trichotomy", float(vanish), point)
     return report
 
 

@@ -13,7 +13,6 @@ class ConditionResult:
     max_residual: float
     worst_point: Optional[dict]
     passed: bool
-    note: str = ""
 
     def __repr__(self):
         flag = "pass" if self.passed else "FAIL"
@@ -53,15 +52,13 @@ class ConsistencyReport:
     def failures(self) -> list[ConditionResult]:
         return [c for c in self.conditions if not c.passed]
 
-    def add(self, name, max_residual, worst_point) -> ConditionResult:
-        cond = ConditionResult(
+    def add(self, name, max_residual, worst_point) -> None:
+        self.conditions.append(ConditionResult(
             name=name,
             max_residual=float(max_residual),
             worst_point=worst_point,
             passed=float(max_residual) <= self.tolerance,
-        )
-        self.conditions.append(cond)
-        return cond
+        ))
 
     def summary(self) -> str:
         flag = "VACUOUS" if self.vacuous else ("PASS" if self.passed else "FAIL")

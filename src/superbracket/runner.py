@@ -84,9 +84,7 @@ CHECK_DESCRIPTIONS: Dict[str, str] = {
     ),
     "boost_commutator": (
         "Builds the differential representation and verifies that all "
-        "coefficient matrices of [J_L, J_R] vanish; the derivative "
-        "coefficient is reported for inspection against the Jacobian flow "
-        "equation."
+        "coefficient matrices of [J_L, J_R] vanish."
     ),
     "relations": (
         "Verifies every representable bracket-table row against the "
@@ -104,7 +102,8 @@ CHECK_DESCRIPTIONS: Dict[str, str] = {
     "coproduct_hom": (
         "Verifies the graded bracket [Delta x, Delta y] = Delta z for every "
         "bracket-table row on the short representation, for the one map "
-        "the braiding builds."
+        "the braiding builds; the unbraided map has no numeric boost "
+        "coproduct, so its J_L and J_R rows are not checked."
     ),
     "cocommutativity": (
         "Checks invariance of the central elements' coproducts under the "
@@ -267,10 +266,10 @@ def _cocommutativity(ctx, inv):
 
 
 def _tail_cancellation(ctx, inv):
-    failures = tail_cancellation_check(ctx.spec, ctx.cfg.braiding).failures()
-    report = ConsistencyReport(
-        tolerance=0.0, note="exact symbolic check; residual counts failed identities")
-    report.add("failed identities", len(failures), None)
+    tail = tail_cancellation_check(ctx.spec, ctx.cfg.braiding)
+    note = "exact symbolic check; residual counts failed identities"
+    report = ConsistencyReport(tolerance=0.0, note=f"{note}; {tail.note}" if tail.note else note)
+    report.add("failed identities", len(tail.failures()), None)
     yield _Verdict("tail_cancellation", report, 0)
 
 

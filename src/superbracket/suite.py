@@ -18,8 +18,8 @@ Grammar (flat, line-diagnosable, no expression sublanguage):
 Comments start with '#'.  Unknown keys are errors, not warnings, and every
 explicitly set parameter must be consumed by at least one enabled check.
 The ``ratio`` family takes only the ``magnon`` dispersion.
-``seed`` and ``points`` are non-negative integers, and ``points`` is at most
-``MAX_POINTS``.
+Every number is finite.  ``seed`` and ``points`` are non-negative integers,
+and ``points`` is at most ``MAX_POINTS``.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ class SuiteParseError(SuperbracketError):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
-        self.bare_message = message
 
 
 class SuiteSyntaxError(SuiteParseError):
@@ -201,7 +200,6 @@ class CheckSuiteConfig:
     eta: float = 1.0
     checks: Tuple[CheckInvocation, ...] = ()
     sampling: SamplingConfig = SamplingConfig()
-    explicit: Tuple[str, ...] = ()  # explicitly set optional keys
 
     def family_arg(self, key: str, default=None):
         for k, v in self.family_args:
@@ -255,9 +253,12 @@ class _Parser:
                                     tok.line, tok.col)
         self.advance()
         try:
-            return float(tok.text), tok
+            value = float(tok.text)
         except ValueError:
             raise TypeMismatchError(f"malformed number {tok.text!r}", tok.line, tok.col)
+        if not math.isfinite(value):
+            raise TypeMismatchError(f"number {tok.text!r} is not finite", tok.line, tok.col)
+        return value, tok
 
     def maybe_punct(self, ch: str) -> bool:
         tok = self.peek()
@@ -380,7 +381,6 @@ def parse_suite(text: str) -> CheckSuiteConfig:
         eta=eta,
         checks=tuple(checks),
         sampling=sampling,
-        explicit=tuple(sorted(explicit)),
     )
 
 

@@ -66,11 +66,11 @@ def test_koszul_antisymmetry_of_rows():
 
 
 def test_cross_handed_rows_d_plus_one():
-    # [J_L, Q_R] = (h_L/h_R) phi^Q_R Q_R after the energy identification
+    # [J_L, Q_R] = (h_L/h_R) phi^Q_R Q_R after the energy identification,
+    # where [J_R, Q_R] = phi^Q_R Q_R
     spec = build_algebra(DPlusOne(), AlgebraParams(h_L=2.0, h_R=4.0))
-    row = spec.row(Gen.J_L, Gen.Q_R)
-    got = complex(row.terms[Gen.Q_R].eval_at(pL=1.0, pR=1.0))
-    phiQ_R = complex(spec.phiQ["R"].eval_at(pL=1.0, pR=1.0))
+    got = complex(spec.row(Gen.J_L, Gen.Q_R).terms[Gen.Q_R].eval_at(pL=1.0, pR=1.0))
+    phiQ_R = complex(spec.row(Gen.J_R, Gen.Q_R).terms[Gen.Q_R].eval_at(pL=1.0, pR=1.0))
     assert got == pytest.approx((2.0 / 4.0) * phiQ_R)
 
 
@@ -93,12 +93,13 @@ def test_ratio_zeta_one_equal_couplings_identifies_boost_rows():
 
 
 def test_phi_sum_constraint():
-    # phi^Q + phi^S = i Phi for every built family
+    # phi^Q + phi^S = i Phi for every built family, with [J, Q] = phi^Q Q and
+    # [J, S] = phi^S S on each side
     for fam in ALL_FAMILIES:
         spec = build_algebra(fam)
-        for side in ("L", "R"):
+        for side, J, Q, S in (("L", Gen.J_L, Gen.Q_L, Gen.S_L), ("R", Gen.J_R, Gen.Q_R, Gen.S_R)):
             resid = ex.add(
-                spec.phiQ[side], spec.phiS[side], mul(const(-1j), spec.Phi[side])
+                spec.row(J, Q).terms[Q], spec.row(J, S).terms[S], mul(const(-1j), spec.Phi[side])
             )
             assert is_zero(resid, Sampler(count=30)).passed
 

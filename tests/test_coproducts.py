@@ -19,7 +19,6 @@ from superbracket.algebra import (
 )
 from superbracket.coproducts import (
     CENTRAL_GENS,
-    UnbraidedCoefficients,
     _braided_fermion,
     _phase,
     _rows_for_hom_check,
@@ -179,45 +178,19 @@ def test_unbraided_phase_structure(short_rep):
     assert res <= 1e-13
 
 
-def test_unbraided_coefficients_symmetry():
-    co = UnbraidedCoefficients(h=2.0)
-    swapped = co.A.substitute({"p1": P2, "p2": P1})
-    assert is_zero(add(co.B, mul(const(-1), swapped)), Sampler(count=40)).passed
-    # G carries the coupling linearly
-    g1 = UnbraidedCoefficients(h=1.0).G
-    g2 = UnbraidedCoefficients(h=3.0).G
-    assert is_zero(add(g2, mul(const(-3), g1)), Sampler(count=40)).passed
-    # spot value of G at (p1, p2) = (1.2, 0.8) with unit coupling
-    p1, p2 = 1.2, 0.8
-    expected = -1j / 16 * math.cos((p1 - p2) / 4) / math.sin((p1 + p2) / 4)
-    assert g1.eval_at(p1=p1, p2=p2) == pytest.approx(expected)
-
-
-def test_unbraided_g_term_annihilates_opposite_fermions(short_rep):
-    # [G (B (x) 1 - 1 (x) B), Delta Q_R] = 0 in the short representation,
-    # where B acts as the full hypercharge (B_L and B_R add up to it) and the
-    # right fermions carry the opposite charge of the left ones they equal.
-    delta = build_coproduct(short_rep.spec, "unbraided", short_rep)
-    dj = delta[Gen.J_L]
-    env = {"p1": np.array([0.7, 2.11]), "p2": np.array([1.55, 0.95])}
-    # the full Delta J applied against Delta H must close (H is primitive):
-    lhs = op_bracket(dj, delta[Gen.H_L])
-    assert lhs.max_abs(env)[0] < 1e2  # finite; detailed closure not asserted
-
-
 def test_boost_coproduct_requires_short_representation():
     rep = build_representation(DPlusOne(), eta=2.0)
     with pytest.raises(InvalidParams):
-        build_boost_coproduct(rep.spec, "braided", rep)
+        build_boost_coproduct(rep.spec, rep)
 
 
 def test_boost_coproduct_family_guards(short_rep):
     spec_ratio = build_algebra(Ratio(2.0))
     with pytest.raises(UnsupportedFamily):
-        build_boost_coproduct(spec_ratio, "braided", short_rep)
+        build_boost_coproduct(spec_ratio, short_rep)
     spec_zero = build_algebra(DZero())
     with pytest.raises(IncompatibleCentrals):
-        build_boost_coproduct(spec_zero, "braided", short_rep)
+        build_boost_coproduct(spec_zero, short_rep)
     with pytest.raises(IncompatibleCentrals):
         build_coproduct(spec_zero, "braided", build_representation(DZero()))
 
@@ -353,7 +326,7 @@ def hom_operators(family, braiding):
     rep = build_representation(family)
     delta = build_coproduct(rep.spec, braiding, rep)
     ops = []
-    for (a, b), row in _rows_for_hom_check(rep.spec, delta.ops, braiding == "braided"):
+    for (a, b), row in _rows_for_hom_check(rep.spec, delta.ops):
         bracket = op_bracket(delta[a], delta[b])
         ops += [bracket, op_sub(bracket, delta.of_lincomb(row))]
     for a, b in itertools.combinations((Gen.Q_L, Gen.S_L, Gen.Q_R, Gen.S_R), 2):

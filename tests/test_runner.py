@@ -7,6 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from superbracket import symbolic
+from superbracket.algebra import DPlusOne, Gen
+from superbracket.coproducts import build_coproduct
+from superbracket.representations import build_representation
 from superbracket.runner import CHECK_DESCRIPTIONS, CHECKS, emit_report, run_suite, suite_failed
 from superbracket.suite import KNOWN_CHECKS, parse_suite
 
@@ -135,6 +139,28 @@ def test_coproduct_hom_note_names_unchecked_boost_rows():
     omitted = notes["d_minus_one"]["coproduct_hom"]
     assert omitted.startswith("convention (1, 1); J_L and J_R rows not checked")
     assert "materialised for d = +1" in omitted
+
+
+def test_the_unbraided_map_has_no_boost_coproduct_and_says_so():
+    rep = build_representation(DPlusOne())
+    delta = build_coproduct(rep.spec, "unbraided", rep)
+    assert Gen.J_L not in delta.ops and Gen.J_R not in delta.ops
+    [record] = run_suite(parse_suite(
+        'suite "u" { family = d_plus_one; braiding = unbraided; checks = [ coproduct_hom ]; }'))
+    assert record.status == "pass"
+    assert record.note == ("convention (1, 1); J_L and J_R rows not checked "
+                           "(the unbraided map has no numeric boost coproduct)")
+
+
+def test_a_failed_convention_self_test_names_itself_in_the_tail_record(monkeypatch):
+    nonzero = symbolic.delta_fermion_symbolic(Gen.Q_R, "braided")
+    assert not nonzero.is_zero
+    monkeypatch.setattr(symbolic, "convention_self_test", lambda engine: nonzero)
+    [record] = run_suite(parse_suite(
+        'suite "t" { family = d_plus_one; checks = [ tail_cancellation ]; }'))
+    assert record.status == "fail" and record.max_residual == 1.0
+    assert record.note.endswith(
+        "; Koszul convention self-test failed; remaining results unreliable")
 
 
 def test_report_does_not_depend_on_earlier_suites_in_the_process():

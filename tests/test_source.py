@@ -460,3 +460,67 @@ def test_no_option_only_tests_set():
     callers = [p.read_text() for p in [*MODULES, *sorted(BENCH.glob("*.py"))]]
     found = unset_options({p.name: p.read_text() for p in MODULES}, callers)
     assert found == sorted(UNSET_OPTIONS_KEPT)
+
+
+def _fields(tree):
+    """(qualified name, name, line) for each field of a top-level class: an annotated
+    class-level name, or an attribute a method stores on ``self``."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        found = {}
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                found.setdefault(item.target.id, item.lineno)
+            elif isinstance(item, _FUNCTIONS):
+                for n in ast.walk(item):
+                    if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                            and getattr(n.value, "id", None) == "self"):
+                        found.setdefault(n.attr, n.lineno)
+        yield from ((f"{node.name}.{name}", name, line) for name, line in found.items())
+
+
+def unread_fields(sources: dict, readers: list) -> list:
+    """Fields of the classes in ``sources`` (module -> text) whose name no text in
+    ``readers`` loads as an attribute, whatever the object."""
+    loaded = {n.attr for text in readers for n in ast.walk(ast.parse(text))
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{module}: {qualified} (line {line})"
+                  for module, text in sources.items()
+                  for qualified, name, line in _fields(ast.parse(text)) if name not in loaded)
+
+
+def test_detector_flags_only_unread_fields():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class Map:\n"
+            "    ops: dict\n"
+            "    spec: object\n"
+            "    kind = 'map'\n"
+            "    def __init__(self, ops):\n"
+            "        self.ops = ops\n"
+            "        self.cache, self.hits = {}, 0\n"
+            "    def get(self, g):\n"
+            "        self.hits += 1\n"
+            "        return self.ops[g]\n"
+            "def build(m): m.note = 'x'; return m\n"
+        ),
+    }
+    readers = [sources["a"], "def f(m): return m.get(1), m.kind\n"]
+    # a counter that is only incremented is stored, never read
+    assert unread_fields(sources, readers) == ["a: Map.cache (line 9)", "a: Map.hits (line 9)",
+                                               "a: Map.spec (line 5)"]
+
+
+# Fields that nothing reads, each kept for the reason given.
+UNREAD_FIELDS_KEPT: dict = {}
+
+
+def test_no_unread_fields():
+    # A stored value that no module and no benchmark reads is built for nothing:
+    # delete it, or say above why it stays.
+    readers = [p.read_text() for p in [*MODULES, *sorted(BENCH.glob("*.py"))]]
+    found = unread_fields({p.name: p.read_text() for p in MODULES}, readers)
+    assert sorted(f.split(": ")[1].split(" (line")[0] for f in found) == sorted(UNREAD_FIELDS_KEPT)

@@ -11,6 +11,7 @@ from superbracket.suite import (
     SuiteSyntaxError,
     TypeMismatchError,
     UnknownKeyError,
+    _CONSUMES,
     parse_suite,
 )
 
@@ -103,6 +104,26 @@ def test_points_are_bounded(tmp_path, capsys):
     assert "line 1, col" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    'suite "x" { family = d_zero; checks=[jacobi]; sampling { tol=1e999 } }',
+    'suite "x" { family = d_zero; checks=[jacobi]; sampling { domain=[0.1, 1e999] } }',
+    'suite "x" { family = d_zero; dispersion = magnon(hL=1e999, hR=1); checks=[jacobi]; }',
+    'suite "x" { family = ratio(zeta=1e999); checks=[jacobi]; }',
+    'suite "x" { family = d_plus_one; eta = 1e999; checks=[relations]; }',
+    'suite "x" { family = d_zero; checks=[ode(kappa=1, gamma=1e999)]; }',
+], ids=["tol", "domain", "dispersion", "zeta", "eta", "ode"])
+def test_a_number_that_overflows_is_refused_at_its_span(text, tmp_path, capsys):
+    # float("1e999") is inf: an infinite tolerance would pass every check
+    with pytest.raises(TypeMismatchError) as err:
+        parse_suite(text)
+    assert (err.value.line, err.value.col) == (1, text.index("1e999") + 1)
+    assert "not finite" in str(err.value)
+    path = tmp_path / "inf.suite"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert "line 1, col" in capsys.readouterr().err
+
+
 def test_unconsumed_parameters_are_errors():
     with pytest.raises(UnknownKeyError):
         parse_suite('suite "x" { family = d_zero; eta = 2; checks = [ jacobi ]; }')
@@ -179,9 +200,10 @@ def print_suite(cfg: CheckSuiteConfig) -> str:
         inner = ", ".join(f"{k}={_fmt_num(v)}" for k, v in cfg.dispersion_args)
         disp += f"({inner})"
     lines.append(f"  dispersion = {disp};")
-    if "braiding" in cfg.explicit:
+    enabled = {c.name for c in cfg.checks}
+    if _CONSUMES["braiding"] & enabled:
         lines.append(f"  braiding = {cfg.braiding};")
-    if "eta" in cfg.explicit:
+    if _CONSUMES["eta"] & enabled:
         lines.append(f"  eta = {_fmt_num(cfg.eta)};")
     checks = []
     for c in cfg.checks:
@@ -224,13 +246,11 @@ _check_strategy = st.lists(
     eta=st.integers(min_value=1, max_value=5),
 )
 def test_round_trip_property(family, seed, points, checks, eta):
-    explicit = ("eta",) if "relations" in checks or "shortening" in checks else ()
     cfg = CheckSuiteConfig(
         name="prop",
         family=family,
         checks=tuple(CheckInvocation(c) for c in checks),
         sampling=SamplingConfig(seed=seed, points=points),
-        eta=float(eta) if explicit else 1.0,
-        explicit=explicit,
+        eta=float(eta) if _CONSUMES["eta"] & set(checks) else 1.0,
     )
     assert parse_suite(print_suite(cfg)) == cfg

@@ -664,7 +664,7 @@ def mats_max_abs_per_occurrence(mats, env):
 
 
 def hexed_report(report):
-    return report.note, [(c.name, float(c.max_residual).hex(), c.passed, c.worst_point, c.note)
+    return report.note, [(c.name, float(c.max_residual).hex(), c.passed, c.worst_point)
                          for c in report.conditions]
 
 
