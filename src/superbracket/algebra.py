@@ -129,12 +129,6 @@ class LinComb:
             mul(factor, self.scalar),
         )
 
-    def __neg__(self) -> "LinComb":
-        return self.scale(-1)
-
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + other.scale(-1)
-
     @property
     def structurally_zero(self) -> bool:
         return not self.terms and ex.is_const(self.scalar, 0)
@@ -241,7 +235,7 @@ class AlgebraSpec:
 
     The spec is frozen and its mappings are read-only copies, so what it
     derives lazily (``jacobi_residuals``) cannot go stale; a changed table is
-    a new spec (``replace_table``, ``dataclasses.replace``).
+    a new spec (``dataclasses.replace``).
     """
 
     family: FamilyTag
@@ -251,7 +245,7 @@ class AlgebraSpec:
     dLR: Expr
     dRL: Expr
     table: Mapping[Tuple[Gen, Gen], LinComb]
-    constraint: Optional[Tuple[Expr, Expr]]  # (p_R = f(p_L), df/dp_L)
+    constraint: Optional[Expr]  # f in p_R = f(p_L)
     values: Mapping[Gen, Expr] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -259,10 +253,6 @@ class AlgebraSpec:
             value = getattr(self, f.name)
             if isinstance(value, Mapping):
                 object.__setattr__(self, f.name, MappingProxyType(dict(value)))
-
-    @property
-    def zeta(self):
-        return getattr(self.family, "zeta", None)
 
     def row(self, a: Gen, b: Gen) -> LinComb:
         """Table row [a, b]; reversed pairs pick up the Koszul sign."""
@@ -286,9 +276,6 @@ class AlgebraSpec:
     def sample_env(self, s: Sampler) -> dict:
         pl, pr = s.pairs(self.constraint)
         return {"pL": pl, "pR": pr}
-
-    def replace_table(self, table: Mapping[Tuple[Gen, Gen], LinComb]) -> "AlgebraSpec":
-        return replace(self, table=table)
 
     @cached_property
     def jacobi_residuals(self) -> Tuple[Tuple[Tuple[str, str, str], tuple], ...]:
@@ -324,34 +311,25 @@ class AlgebraSpec:
 # Bracket machinery
 # --------------------------------------------------------------------------
 
-def bracket(spec: AlgebraSpec, x: Element, y: Element) -> LinComb:
-    """Bilinear graded bracket of two linear combinations.
+def bracket(spec: AlgebraSpec, a: Gen, y: Element) -> LinComb:
+    """Graded bracket of a generator with a linear combination.
 
-    [f*a, g*b] = f g [a,b] + f (a|>g) b - (-1)^{|a||b|} g (b|>f) a,
+    [a, g*b] = g [a,b] + (a|>g) b, and [a, s] = a|>s for the scalar term s,
     with |> the boost derivation (zero for every other generator).
     """
-    lx, ly = _as_lincomb(x), _as_lincomb(y)
+    ly = _as_lincomb(y)
+    boost = a in BOOSTS
     out = LinComb()
-    for gx, cx in lx.terms.items():
-        for gy, cy in ly.terms.items():
-            row = spec.row(gx, gy)
-            if not row.structurally_zero:
-                out = out + row.scale(mul(cx, cy))
-            if gx in BOOSTS:
-                d = spec.derive(gx, cy)
-                if not ex.is_const(d, 0):
-                    out = out + LinComb.of(gy, mul(cx, d))
-            if gy in BOOSTS:
-                d = spec.derive(gy, cx)
-                if not ex.is_const(d, 0):
-                    sign = -koszul(gx.parity, gy.parity)
-                    out = out + LinComb.of(gx, mul(const(sign), cy, d))
-        if gx in BOOSTS and not ex.is_const(ly.scalar, 0):
-            out = out + LinComb(scalar=mul(cx, spec.derive(gx, ly.scalar)))
-    if not ex.is_const(lx.scalar, 0):
-        for gy, cy in ly.terms.items():
-            if gy in BOOSTS:
-                out = out + LinComb(scalar=mul(const(-1.0), cy, spec.derive(gy, lx.scalar)))
+    for b, g in ly.terms.items():
+        row = spec.row(a, b)
+        if not row.structurally_zero:
+            out = out + row.scale(g)
+        if boost:
+            d = spec.derive(a, g)
+            if not ex.is_const(d, 0):
+                out = out + LinComb.of(b, d)
+    if boost and not ex.is_const(ly.scalar, 0):
+        out = out + LinComb(scalar=spec.derive(a, ly.scalar))
     return out
 
 
@@ -416,7 +394,7 @@ def jacobi_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
             found[r] = len(found)
         groups.append(fresh)
 
-    def arrays(block: dict, values):
+    def arrays(values):
         for labels, _ in triples:
             try:
                 yield from next(values)
@@ -445,21 +423,19 @@ def jacobi_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
 # Family construction
 # --------------------------------------------------------------------------
 
-def ratio_momentum_map(kappa: float, gamma_exp: float) -> Tuple[Expr, Expr]:
-    """p_R(p_L) = 4 arccot(kappa cot^gamma_exp(p_L/4)) and its p_L-derivative.
+def ratio_momentum_map(kappa: float, gamma_exp: float) -> Expr:
+    """p_R(p_L) = 4 arccot(kappa cot^gamma_exp(p_L/4)).
 
     With kappa > 0 and p_L in (0, 2pi) the arccot argument stays positive, so
     p_R stays in (0, 2pi) and sin(p_R/2) keeps the positive branch.
     """
     pl = var("pL")
-    f = mul(const(4.0),
-            ex.arccot(mul(const(kappa), ex.pow_(ex.cot(mul(const(0.25), pl)), gamma_exp))))
-    return f, ex.diff(f, "pL")
+    return mul(const(4.0),
+               ex.arccot(mul(const(kappa), ex.pow_(ex.cot(mul(const(0.25), pl)), gamma_exp))))
 
 
-def _validate_energy_identification(H: Dict[str, Expr], constraint, d_sign, h_L, h_R):
+def _validate_energy_identification(H: Dict[str, Expr], f: Expr, d_sign, h_L, h_R):
     """The d = +-1 families only exist when H_R(p_R(p_L)) = d (h_R/h_L) H_L(p_L)."""
-    f, _ = constraint
     probes = np.linspace(0.3, math.pi - 0.3, 7) + 0j
     env = {"pL": probes, "pR": np.asarray(f.eval({"pL": probes}))}
     lhs = np.asarray(H["R"].eval(env))
@@ -493,11 +469,11 @@ def build_algebra(family: FamilyTag, params: AlgebraParams | None = None) -> Alg
         dLR, dRL = mul(const(zeta), H_R), ex.ZERO
     elif isinstance(family, DPlusOne):
         dLR = dRL = ex.ONE
-        constraint = (pl, ex.ONE)
+        constraint = pl
         _validate_energy_identification({"L": H_L, "R": H_R}, constraint, +1.0, hL, hR)
     elif isinstance(family, DMinusOne):
         dLR = dRL = const(-1.0)
-        constraint = (neg(pl), const(-1.0))
+        constraint = neg(pl)
         # On the branch p_L in (0, 2pi) the reflected magnon energy
         # h_R sin(p_R/2) is itself negative, which is exactly the d_LR-signed
         # energy; the square-root dispersions need the sign put in by hand.
@@ -513,8 +489,7 @@ def build_algebra(family: FamilyTag, params: AlgebraParams | None = None) -> Alg
         if params.kappa <= 0:
             raise InconsistentParams("the momentum-map integration constant must be positive")
         gamma_exp = (hR / hL) * float(zeta)
-        f, df = ratio_momentum_map(params.kappa, gamma_exp)
-        constraint = (f, df)
+        constraint = ratio_momentum_map(params.kappa, gamma_exp)
         dLR = mul(const(zeta), quot(H_R, H_L))
         dRL = quot(H_L, mul(const(zeta), H_R))
     else:
@@ -530,7 +505,7 @@ def _spec_for_jacobians(
     values: Dict[Gen, Expr],
     dLR: Expr,
     dRL: Expr,
-    constraint: Optional[Tuple[Expr, Expr]],
+    constraint: Optional[Expr],
 ) -> AlgebraSpec:
     """Bracket table for given energies, momenta and cross-handed Jacobians.
 
@@ -673,4 +648,4 @@ def mutate_row(spec: AlgebraSpec, key: Tuple[Gen, Gen], factor=2.0) -> AlgebraSp
         raise KeyError(f"no table row {key}")
     table = dict(spec.table)
     table[key] = table[key].scale(factor)
-    return spec.replace_table(table)
+    return replace(spec, table=table)

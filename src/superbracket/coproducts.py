@@ -81,8 +81,7 @@ def identify_momentum(rep: Representation) -> IdentifiedData:
     spec = rep.spec
     if spec is None or spec.constraint is None:
         raise InvalidParams("coproducts need an identified-momentum representation")
-    f, _ = spec.constraint
-    subst = {"pL": P, "pR": f.substitute({"pL": P})}
+    subst = {"pL": P, "pR": spec.constraint.substitute({"pL": P})}
     matrices: Dict[Gen, tuple] = {}
     scalars: Dict[Gen, Expr] = {}
     for g, op in rep.images.items():

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -136,8 +137,11 @@ class OneVarContext:
     """One independent momentum; the symbol is the total derivative along it."""
 
     constraint: Expr          # p_R = f(p_L)
-    jac_dep: Expr             # d p_R / d p_L
-    jac_inv: Expr             # d p_L / d p_R
+
+    @cached_property
+    def jac_dep(self) -> Expr:
+        """d p_R / d p_L."""
+        return diff(self.constraint, "pL")
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -149,7 +153,7 @@ class OneVarContext:
         return add(diff(e, "pL"), mul(self.jac_dep, diff(e, "pR")))
 
     def sample_env(self, s: Sampler) -> dict:
-        pl, pr = s.pairs((self.constraint, self.jac_dep))
+        pl, pr = s.pairs(self.constraint)
         return {"pL": pl, "pR": pr}
 
     def probe_env(self) -> dict:

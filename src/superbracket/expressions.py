@@ -310,7 +310,7 @@ def _imag_to_complex(vals: list, env, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _every_root(block: Mapping[str, np.ndarray], values: Iterator[tuple]) -> Iterator:
+def _every_root(values: Iterator[tuple]) -> Iterator:
     """The ``evaluate`` of a sweep that reduces every root value as it is."""
     for group in values:
         yield from group
@@ -342,7 +342,7 @@ def _roots_max(env: Mapping[str, np.ndarray], roots: Sequence["Expr"]) -> List[T
 def _sweep_max(
     env: Mapping[str, np.ndarray],
     groups: Sequence[Sequence["Expr"]],
-    evaluate: Callable[[dict, Iterator[tuple]], Iterable],
+    evaluate: Callable[[Iterator[tuple]], Iterable],
 ) -> List[Tuple[float, int]]:
     """Max modulus of every value ``evaluate`` yields, and the sample index of that maximum.
 
@@ -350,8 +350,8 @@ def _sweep_max(
     of one length: the sampler's real momenta.  Any other entry raises
     TypeError, naming it.  ``groups`` are the sweep's root expressions,
     compiled once into a tape (``_compile``) whose buffers are allocated here,
-    as wide as the first block.  ``evaluate(block_env, values)`` is called
-    once per block of ``_BLOCK_POINTS`` samples of ``env``; each
+    as wide as the first block.  ``evaluate(values)`` is called once per
+    block of ``_BLOCK_POINTS`` samples of ``env``; each
     ``next(values)`` computes the next group's new nodes, raising what
     ``Expr.eval`` would, and returns its root values, valid until the next
     ``next``.  A root comes as its true value: one that is real comes as its
@@ -383,7 +383,7 @@ def _sweep_max(
             row = moduli[:m]
         values = _run(bound, block, list(consts))
         try:
-            for t, arr in enumerate(evaluate(block, values)):
+            for t, arr in enumerate(evaluate(values)):
                 if arr.__class__ is np.ndarray and arr.shape == row.shape:
                     a = np.abs(arr, out=row)
                 else:  # a scalar: a constant root
@@ -450,37 +450,6 @@ class Expr:
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
 
-    # -- construction sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, coerce(other))
-
-    def __radd__(self, other):
-        return add(coerce(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(coerce(other)))
-
-    def __rsub__(self, other):
-        return add(coerce(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, coerce(other))
-
-    def __rmul__(self, other):
-        return mul(coerce(other), self)
-
-    def __truediv__(self, other):
-        return quot(self, coerce(other))
-
-    def __rtruediv__(self, other):
-        return quot(coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return pow_(self, exponent)
-
     # -- interface ----------------------------------------------------------
     def children(self) -> tuple:
         return ()
@@ -503,10 +472,6 @@ class Expr:
         val = self._eval([c.eval(env, memo) for c in self.children()], env, None)
         memo[self] = val
         return val
-
-    def eval_at(self, **point: Number) -> complex:
-        env = {k: complex(v) for k, v in point.items()}
-        return complex(self.eval(env))
 
     def variables(self) -> FrozenSet[str]:
         out: set[str] = set()

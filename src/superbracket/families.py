@@ -119,7 +119,7 @@ def product_constraint_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport
     branch = (mul(prod, one_minus), line1, line2)
     roots = tuple(dict.fromkeys(distinct + list(branch)))
 
-    def arrays(block: dict, values):
+    def arrays(values):
         nonlocal active, vanish
         vals = dict(zip(roots, next(values)))
         for e in distinct:

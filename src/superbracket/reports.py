@@ -49,9 +49,6 @@ class ConsistencyReport:
         found = [(c.max_residual, c) for c in self.conditions]
         return _worst(found, found[0])[1] if found else None
 
-    def failures(self) -> list[ConditionResult]:
-        return [c for c in self.conditions if not c.passed]
-
     def add(self, name, max_residual, worst_point) -> None:
         self.conditions.append(ConditionResult(
             name=name,

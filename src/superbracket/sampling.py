@@ -92,8 +92,8 @@ class Sampler:
     def momenta(self) -> np.ndarray:
         return self._draw(np.random.default_rng(self.seed), self.count)
 
-    def pairs(self, constraint: Optional[Tuple[Expr, Expr]] = None):
-        """Sample (p_L, p_R) arrays; with a constraint, p_R = f(p_L).
+    def pairs(self, constraint: Optional[Expr] = None):
+        """Sample (p_L, p_R) arrays; with a constraint f, p_R = f(p_L).
 
         Without one the two arrays are independent draws, which also serve
         as the (p1, p2) site momenta of two-site operators.  With no samples
@@ -109,7 +109,6 @@ class Sampler:
         rng = np.random.default_rng(self.seed)
         if constraint is None or self.count == 0:
             return self._draw(rng, self.count), self._draw(rng, self.count)
-        f, _ = constraint
         collected_l: list[np.ndarray] = []
         collected_r: list[np.ndarray] = []
         have = 0
@@ -119,7 +118,7 @@ class Sampler:
             batch = self._draw(rng, max(self.count, 16))
             for i in range(0, batch.size, _BLOCK_POINTS):
                 pl = batch[i:i + _BLOCK_POINTS]
-                pr = np.asarray(f.eval({"pL": pl + 0j}))
+                pr = np.asarray(constraint.eval({"pL": pl + 0j}))
                 ok = _clear_of_loci(pr.real) & (np.abs(pr.imag) < 1e-9)
                 collected_l.append(pl[ok])
                 collected_r.append(pr.real[ok])

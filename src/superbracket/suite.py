@@ -430,7 +430,8 @@ def _parse_sampling(p: _Parser) -> SamplingConfig:
             if key.text == "points" and value > MAX_POINTS:
                 raise TypeMismatchError(f"points must be at most {MAX_POINTS}",
                                         tok.line, tok.col)
-            values[key.text] = int(value)
+            # An integer literal is read exactly, past the 2**53 where floats skip integers.
+            values[key.text] = int(tok.text) if tok.text.lstrip("+-").isdecimal() else int(value)
         elif key.text == "tol":
             value, tok = p.expect_number()
             if value <= 0:

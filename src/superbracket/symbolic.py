@@ -602,19 +602,12 @@ def short_rep_reduction_symbolic(spec: AlgebraSpec) -> SymbolicReport:
     engine = SymbolicEngine(table)
     report = SymbolicReport()
     alpha, beta = alpha_coef("L"), beta_coef("L")
-    full = (
-        SymbolicElement.of(PhaseCoef.number(2.0), (S,), (Q,))
-        + SymbolicElement.of(PhaseCoef.number(2.0), (Q,), (S,))
-        + SymbolicElement.of(alpha.scaled(-1.0), (H,), (T,))
-        + SymbolicElement.of(beta.scaled(-1.0), (T,), (H,))
-    )
-    reduced = (SymbolicElement.of(one(), (S,), (Q,))
-               + SymbolicElement.of(one(), (Q,), (S,)))
+    reduced = fermionic_tail("L", include_outer_terms=False)  # S(x)Q + Q(x)S
     t_terms = (SymbolicElement.of(alpha.scaled(-1.0), (H,), (T,))
                + SymbolicElement.of(beta.scaled(-1.0), (T,), (H,)))
+    full = reduced.scaled(2.0) + t_terms
     for g, name in ((Q, "Q"), (S, "S")):
-        dx = (SymbolicElement.of(PhaseCoef.phase(2, "L", 1), (g,), ())
-              + SymbolicElement.of(PhaseCoef.phase(1, "L", -1), (), (g,)))
+        dx = delta_fermion_symbolic(g, "braided")
         res = engine.bracket(full, dx) - engine.bracket(reduced, dx)
         report.add(f"short-reduction[{name}]", res)
         res_neg = engine.bracket(full - t_terms, dx) - engine.bracket(reduced, dx)

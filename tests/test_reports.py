@@ -32,7 +32,7 @@ def test_report_with_no_conditions_is_vacuous():
 def test_a_condition_passes_up_to_the_tolerance_and_a_nan_fails():
     report = _report(1e-9, 2e-9, NAN)
     assert [c.passed for c in report.conditions] == [True, False, False]
-    assert [c.name for c in report.failures()] == ["c1", "c2"]
+    assert not report.passed
 
 
 def test_worst_is_the_first_nan_else_the_first_largest():

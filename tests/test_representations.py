@@ -37,7 +37,7 @@ BUILDABLE = [DPlusOne(), DMinusOne(), Ratio(2.0), DZero()]
 def test_relations_all_buildable_families(family):
     rep = build_representation(family)
     report = verify_relations(rep, rep.spec, S)
-    assert report.passed, report.failures()[:5]
+    assert report.passed, [c for c in report.conditions if not c.passed][:5]
 
 
 def test_relations_vacuous_with_empty_sampler():
@@ -60,7 +60,7 @@ def test_eta_one_is_short():
 def test_eta_not_one_fails_exactly_the_shortening_rows():
     rep = build_representation(DPlusOne(), eta=2.0)
     report = verify_relations(rep, rep.spec, S)
-    failing = {c.name for c in report.failures()}
+    failing = {c.name for c in report.conditions if not c.passed}
     assert failing == {"[Q_L,S_R]", "[S_L,Q_R]"}
 
 
@@ -127,7 +127,7 @@ def test_boost_identification():
 
 def test_ratio_kappa_gamma_one_is_identity_map():
     rep = build_representation(Ratio(1.0), params=AlgebraParams(kappa=1.0))
-    f, _ = rep.spec.constraint
+    f = rep.spec.constraint
     pts = np.linspace(0.2, 3.0, 50) + 0j
     vals = np.asarray(f.eval({"pL": pts}))
     assert float(np.max(np.abs(vals - pts))) <= 1e-12
@@ -154,7 +154,7 @@ def test_ode_against_numerical_integration(kappa, gamma):
                     rtol=1e-12, atol=1e-12, dense_output=True)
     assert sol.success
     from superbracket.algebra import ratio_momentum_map
-    f, _ = ratio_momentum_map(kappa, gamma)
+    f = ratio_momentum_map(kappa, gamma)
     closed = np.asarray(f.eval({"pL": targets + 0j})).real
     numeric = sol.sol(targets)[0]
     assert float(np.max(np.abs(closed - numeric))) <= 1e-9

@@ -193,6 +193,16 @@ def test_seed_override_changes_the_report():
     assert all(r["seed"] == 1 for r in payload["records"])
 
 
+def test_the_record_seed_is_the_files():
+    # above 2**53 a seed read through a float would change
+    cfg = parse_suite('suite "s" { family = d_zero; checks = [jacobi, relations]; '
+                      'sampling { seed=9007199254740993, points=20 } }')
+    records = run_suite(cfg)
+    assert [r.seed for r in records] == [2**53 + 1] * 2
+    payload = json.loads(emit_report(records, "json"))
+    assert [r["seed"] for r in payload["records"]] == [9007199254740993] * 2
+
+
 def test_record_field_names():
     cfg = parse_suite(bundled_text("d_zero"))
     payload = json.loads(emit_report(run_suite(cfg), "json"))

@@ -25,21 +25,21 @@ def test_sampler_deterministic_and_clear_of_loci():
 def test_constrained_pairs_respect_the_map():
     f = mul(const(-1.0), PL)
     s = Sampler(seed=5, count=50)
-    pl, pr = s.pairs((f, const(-1.0)))
+    pl, pr = s.pairs(f)
     assert np.allclose(pr, -pl)
     for locus in sm._SINGULAR_LOCI:
         assert np.all(np.abs(pr - locus) >= 0.05)
 
 
 def test_zero_samples_draw_empty_pairs():
-    for constraint in (None, (mul(const(-1.0), PL), const(-1.0))):
+    for constraint in (None, mul(const(-1.0), PL)):
         pl, pr = Sampler(count=0).pairs(constraint)
         assert pl.shape == pr.shape == (0,)
 
 
 def test_constrained_pairs_evaluate_the_map_in_blocks_bit_for_bit():
-    f, df = ratio_momentum_map(1.0, 2.0)
-    pl, pr = Sampler(seed=3, count=3 * ex._BLOCK_POINTS + 17).pairs((f, df))
+    f = ratio_momentum_map(1.0, 2.0)
+    pl, pr = Sampler(seed=3, count=3 * ex._BLOCK_POINTS + 17).pairs(f)
     assert pl.size == pr.size == 3 * ex._BLOCK_POINTS + 17
     assert np.array_equal(pr, np.asarray(f.eval({"pL": pl + 0j})).real)
 
@@ -57,7 +57,7 @@ class CountedMap:
 
 @pytest.mark.parametrize("count", [100, 3 * ex._BLOCK_POINTS + 17])
 def test_constrained_pairs_stop_evaluating_once_enough_are_accepted(count):
-    f, df = ratio_momentum_map(1.0, 2.0)
+    f = ratio_momentum_map(1.0, 2.0)
     s = Sampler(seed=3, count=count)
     # Reference: every batch drawn and its map evaluated whole.  The blocks
     # that must be evaluated are all of each batch but the last, and of the
@@ -78,7 +78,7 @@ def test_constrained_pairs_stop_evaluating_once_enough_are_accepted(count):
         have = int(accepted[-1])
     assert len(want_l) == 2  # the first batch always falls short on the ratio map
     counted = CountedMap(f)
-    pl, pr = s.pairs((counted, df))
+    pl, pr = s.pairs(counted)
     assert np.array_equal(pl, np.concatenate(want_l)[:count])
     assert np.array_equal(pr, np.concatenate(want_r)[:count])
     assert counted.blocks == blocks

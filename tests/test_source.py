@@ -227,7 +227,6 @@ UNREAD_PUBLIC_KEPT = {
     "mutate_row": "bench and the mutation tests build their negative controls with it",
     "transformed_algebra_spec": "the algebra side of the paper's family relationships, "
                                 "which ROADMAP item 7 turns into a check",
-    "Expr.eval_at": "the one-point form of Expr.eval",
     "ConsistencyReport.summary": "bench/workloads.py::report_ok calls it",
 }
 

@@ -104,6 +104,20 @@ def test_points_are_bounded(tmp_path, capsys):
     assert "line 1, col" in capsys.readouterr().err
 
 
+def test_integer_literals_are_read_exactly():
+    def sampling(text):
+        return parse_suite('suite "x" { family = d_zero; checks=[jacobi]; sampling { '
+                           + text + ' } }').sampling
+
+    # 2**53 + 1 is the first integer a float cannot hold
+    assert sampling("seed=9007199254740993").seed == 2**53 + 1
+    assert sampling("seed=+18446744073709551617").seed == 2**64 + 1
+    assert sampling("seed=-0, points=+12").seed == 0 and sampling("points=+12").points == 12
+    # a literal that is not an integer's is read as a float, as before
+    assert sampling("seed=7.0, points=1e3") == SamplingConfig(seed=7, points=1000)
+    assert sampling("seed=1e20").seed == 10**20
+
+
 @pytest.mark.parametrize("text", [
     'suite "x" { family = d_zero; checks=[jacobi]; sampling { tol=1e999 } }',
     'suite "x" { family = d_zero; checks=[jacobi]; sampling { domain=[0.1, 1e999] } }',
