@@ -5,8 +5,9 @@ Conventions
 * The supercommutator is [x,y] = xy - (-1)^{|x||y|} yx; tables are stored for
   canonically ordered pairs and read backwards with the Koszul sign
   bracket(y,x) = -(-1)^{|x||y|} bracket(x,y).
-* A bracket result is a LinComb: generator terms with expression coefficients
-  plus an optional pure-scalar term.
+* A bracket result is a LinComb: generator terms with expression
+  coefficients, and nothing else.  The central extension makes H, P and K
+  generators, so no bracket of the algebra lands on a scalar.
 * Boosts act on momentum-dependent coefficients as derivations,
   [J_A, f] = i H_A * (convective derivative of f along p_A); every other
   generator commutes with coefficient functions.
@@ -98,17 +99,19 @@ def koszul(p: int, q: int) -> float:
 
 
 class LinComb:
-    """Finite map generator -> coefficient expression, plus a scalar term."""
+    """Finite read-only map generator -> coefficient expression."""
 
-    __slots__ = ("terms", "scalar")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Mapping[Gen, Expr]] = None, scalar: Expr = ex.ZERO):
+    # Read by bench/layers.py only; delete once it stops (ROADMAP item 1).
+    scalar = ex.ZERO
+
+    def __init__(self, terms: Optional[Mapping[Gen, Expr]] = None):
         clean: Dict[Gen, Expr] = {}
         for g, c in (terms or {}).items():
             if not ex.is_const(c, 0):
                 clean[g] = c
-        self.terms = clean
-        self.scalar = scalar
+        self.terms = MappingProxyType(clean)
 
     @staticmethod
     def of(g: Gen, coeff=ex.ONE) -> "LinComb":
@@ -118,28 +121,22 @@ class LinComb:
         terms = dict(self.terms)
         for g, c in other.terms.items():
             terms[g] = add(terms[g], c) if g in terms else c
-        return LinComb(terms, add(self.scalar, other.scalar))
+        return LinComb(terms)
 
     def scale(self, factor) -> "LinComb":
         factor = ex.coerce(factor)
         if ex.is_const(factor, 0):
             return LinComb()
-        return LinComb(
-            {g: mul(factor, c) for g, c in self.terms.items()},
-            mul(factor, self.scalar),
-        )
+        return LinComb({g: mul(factor, c) for g, c in self.terms.items()})
 
     @property
     def structurally_zero(self) -> bool:
-        return not self.terms and ex.is_const(self.scalar, 0)
+        return not self.terms
 
     def __repr__(self):
         if self.structurally_zero:
             return "0"
-        parts = [f"({c!r})*{g.label}" for g, c in self.terms.items()]
-        if not ex.is_const(self.scalar, 0):
-            parts.append(repr(self.scalar))
-        return " + ".join(parts)
+        return " + ".join(f"({c!r})*{g.label}" for g, c in self.terms.items())
 
 
 Element = Union[Gen, LinComb]
@@ -314,8 +311,8 @@ class AlgebraSpec:
 def bracket(spec: AlgebraSpec, a: Gen, y: Element) -> LinComb:
     """Graded bracket of a generator with a linear combination.
 
-    [a, g*b] = g [a,b] + (a|>g) b, and [a, s] = a|>s for the scalar term s,
-    with |> the boost derivation (zero for every other generator).
+    [a, g*b] = g [a,b] + (a|>g) b, with |> the boost derivation (zero for
+    every other generator).  The result has generator terms only.
     """
     ly = _as_lincomb(y)
     boost = a in BOOSTS
@@ -328,8 +325,6 @@ def bracket(spec: AlgebraSpec, a: Gen, y: Element) -> LinComb:
             d = spec.derive(a, g)
             if not ex.is_const(d, 0):
                 out = out + LinComb.of(b, d)
-    if boost and not ex.is_const(ly.scalar, 0):
-        out = out + LinComb(scalar=spec.derive(a, ly.scalar))
     return out
 
 
@@ -338,8 +333,8 @@ def _residual_exprs(spec: AlgebraSpec, lc: LinComb) -> tuple:
 
     Each coefficient of a generator that carries no value comes first, in
     term order, then one sum of the value carriers' terms, coefficient times
-    value, and the scalar part unless it is zero.  The sum is built from raw
-    ``Mul``/``Add`` nodes, which keep its operands and their order as given.
+    value.  The sum is built from raw ``Mul``/``Add`` nodes, which keep its
+    operands and their order as given.
     """
     plain, carried = [], []
     for g, c in lc.terms.items():
@@ -347,8 +342,6 @@ def _residual_exprs(spec: AlgebraSpec, lc: LinComb) -> tuple:
             carried.append(ex.Mul((c, spec.values[g])))
         else:
             plain.append(c)
-    if not ex.is_const(lc.scalar, 0):
-        carried.append(lc.scalar)
     if carried:
         plain.append(carried[0] if len(carried) == 1 else ex.Add(carried))
     return tuple(plain)

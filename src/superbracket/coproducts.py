@@ -115,10 +115,6 @@ class CoproductMap:
             c_ident = c.substitute(self.data.subst)
             term = op_scale(scalar_lift(c_ident), self.ops[g])
             out = term if out is None else op_add(out, term)
-        if not ex.is_const(lc.scalar, 0):
-            s_ident = lc.scalar.substitute(self.data.subst)
-            term = tensor_scalar(scalar_lift(s_ident))
-            out = term if out is None else op_add(out, term)
         return out if out is not None else zero_op(TWO_SITE, 4)
 
 

@@ -109,8 +109,6 @@ class Representation:
             if img is None:
                 raise InvalidParams(f"{g.label} has no image in this representation")
             out = op_add(out, op_scale(c, img))
-        if not ex.is_const(lc.scalar, 0):
-            out = op_add(out, scalar_op(self.ctx, lc.scalar, 2))
         return out
 
     def representable(self, g: Gen) -> bool:

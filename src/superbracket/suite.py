@@ -15,9 +15,10 @@ Grammar (flat, line-diagnosable, no expression sublanguage):
       sampling { seed=<int>, points=<int>, tol=<num>, domain=[<num>, <num>] }
     }
 
-Comments start with '#'.  Unknown keys are errors, not warnings, and every
-explicitly set parameter must be consumed by at least one enabled check.
-The ``ratio`` family takes only the ``magnon`` dispersion.
+Comments start with '#'.  Unknown and repeated keys are errors, not
+warnings, and every explicitly set parameter must be consumed by at least
+one enabled check.  The ``ratio`` family takes only the ``magnon``
+dispersion, and the couplings ``hL`` and ``hR`` are positive.
 Every number is finite.  ``seed`` and ``points`` are non-negative integers,
 and ``points`` is at most ``MAX_POINTS``.
 """
@@ -273,6 +274,8 @@ class _Parser:
         out = []
         while True:
             key = self.expect_ident()
+            if any(k == key.text for k, _ in out):
+                raise UnknownKeyError(f"duplicate key {key.text!r}", key.line, key.col)
             self.expect_punct("=")
             value, _ = self.expect_number()
             out.append((key.text, value))
@@ -421,6 +424,8 @@ def _parse_sampling(p: _Parser) -> SamplingConfig:
         if p.maybe_punct("}"):
             break
         key = p.expect_ident()
+        if key.text in values:
+            raise UnknownKeyError(f"duplicate key {key.text!r}", key.line, key.col)
         p.expect_punct("=")
         if key.text == "seed" or key.text == "points":
             value, tok = p.expect_number()
@@ -481,6 +486,9 @@ def _validate_dispersion_args(dispersion: str, args, tok: Token):
         raise UnknownKeyError(
             f"dispersion {dispersion} takes exactly {sorted(required)}", tok.line, tok.col
         )
+    if any(k in ("hL", "hR") and v <= 0 for k, v in args):
+        raise TypeMismatchError(f"dispersion {dispersion} requires positive hL and hR",
+                                tok.line, tok.col)
 
 
 def _validate_consumption(explicit, checks, tok: Token):

@@ -188,7 +188,7 @@ class SymbolicElement:
         return "  +  ".join(bits)
 
 
-SymTable = Dict[Tuple[Gen, Gen], Dict[Optional[Gen], complex]]
+SymTable = Dict[Tuple[Gen, Gen], Dict[Gen, complex]]
 
 
 def symbolic_table(spec: AlgebraSpec) -> SymTable:
@@ -201,20 +201,8 @@ def symbolic_table(spec: AlgebraSpec) -> SymTable:
     for (a, b), row in spec.table.items():
         if a in (Gen.J_L, Gen.J_R) or b in (Gen.J_L, Gen.J_R):
             continue
-        entry: Dict[Optional[Gen], complex] = {}
-        ok = True
-        for g, c in row.terms.items():
-            if not isinstance(c, ex.Const):
-                ok = False
-                break
-            entry[g] = c.value
-        if not ex.is_const(row.scalar, 0):
-            if not isinstance(row.scalar, ex.Const):
-                ok = False
-            else:
-                entry[None] = row.scalar.value
-        if ok and entry:
-            table[(a, b)] = entry
+        if all(isinstance(c, ex.Const) for c in row.terms.values()):
+            table[(a, b)] = {g: c.value for g, c in row.terms.items()}
     return table
 
 
@@ -225,7 +213,7 @@ class SymbolicEngine:
         self.table = table
         self._normal_forms: Dict[Word, list] = {}  # word -> normal_order_word(word)
 
-    def row(self, a: Gen, b: Gen) -> Dict[Optional[Gen], complex]:
+    def row(self, a: Gen, b: Gen) -> Dict[Gen, complex]:
         hit = self.table.get((a, b))
         if hit is not None:
             return hit
@@ -268,16 +256,14 @@ class SymbolicEngine:
                     # x x = (1/2){x,x}: replace by half the table row
                     row = self.row(a, b)
                     for g, rc in row.items():
-                        neww = word[:i] + ([g] if g is not None else []) + word[i + 2:]
-                        work(c * 0.5 * rc, tuple(neww))
+                        work(c * 0.5 * rc, tuple(word[:i] + [g] + word[i + 2:]))
                     return
                 if b < a:
                     # x y = (-1)^{|x||y|} y x + [x, y]
                     swap = koszul(a.parity, b.parity)
                     row = self.row(a, b)
                     for g, rc in row.items():
-                        neww = word[:i] + ([g] if g is not None else []) + word[i + 2:]
-                        work(c * rc, tuple(neww))
+                        work(c * rc, tuple(word[:i] + [g] + word[i + 2:]))
                     word[i], word[i + 1] = b, a
                     c *= swap
                     i = max(i - 1, 0)

@@ -223,6 +223,10 @@ def test_expansion_is_cached_per_spec_and_never_stale():
         spec.dLR = const(2.0)
     with pytest.raises(TypeError):
         spec.table[(Gen.Q_L, Gen.S_L)] = LinComb.of(Gen.H_R)
+    # a row is read-only too: editing its terms would leave the residuals stale
+    with pytest.raises(TypeError):
+        spec.table[(Gen.Q_L, Gen.S_L)].terms[Gen.H_L] = const(2.0)
+    assert jacobi_check(spec, s).passed
 
 
 def test_jacobi_pole_names_its_triple_and_point_once():

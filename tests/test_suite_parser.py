@@ -188,6 +188,40 @@ def test_duplicate_key_rejected():
         parse_suite('suite "x" { family = d_zero; family = d_zero; checks=[jacobi]; }')
 
 
+@pytest.mark.parametrize("text, key", [
+    # with a repeat, the parser's zeta check and the runner could read different values
+    ('suite "x" { family = ratio(zeta=0, zeta=2); checks=[jacobi]; }', "zeta"),
+    ('suite "x" { family = d_zero; checks=[ode(kappa=1, gamma=2, kappa=3)]; }', "kappa"),
+    ('suite "x" { family = d_zero; checks=[jacobi]; sampling { seed=1, seed=2 } }', "seed"),
+], ids=["family", "ode", "sampling"])
+def test_a_key_repeated_inside_a_list_is_refused_at_its_span(text, key, tmp_path, capsys):
+    with pytest.raises(UnknownKeyError) as err:
+        parse_suite(text)
+    assert (err.value.line, err.value.col) == (1, text.rindex(key) + 1)
+    assert f"duplicate key {key!r}" in str(err.value)
+    path = tmp_path / "dup.suite"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert f"line 1, col {text.rindex(key) + 1}: duplicate key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("disp", [
+    "magnon(hL=0, hR=1)",
+    "massive_magnon(hL=1.5, hR=-2, m=0.3)",
+])
+def test_a_non_positive_coupling_is_refused_at_the_dispersion(disp, tmp_path, capsys):
+    text = f'suite "x" {{ family = d_zero; dispersion = {disp}; checks = [ jacobi ]; }}'
+    with pytest.raises(TypeMismatchError) as err:
+        parse_suite(text)
+    assert (err.value.line, err.value.col) == (1, text.index(disp) + 1)
+    assert "requires positive hL and hR" in str(err.value)
+    # the CLI stops at the parse: exit 2, with the span
+    path = tmp_path / "coupling.suite"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert f"line 1, col {text.index(disp) + 1}:" in capsys.readouterr().err
+
+
 def test_ode_argument_validation():
     with pytest.raises(UnknownKeyError):
         parse_suite('suite "x" { family = d_zero; checks = [ ode(kappa=1) ]; }')

@@ -75,9 +75,6 @@ def whole_residual(spec, lc, env):
             combined = term if combined is None else combined + term
         else:
             arrays.append(cval)
-    if not ex.is_const(lc.scalar, 0):
-        sval = np.asarray(lc.scalar.eval(env, memo))
-        combined = sval if combined is None else combined + sval
     if combined is not None:
         arrays.append(combined)
     worst, worst_pt = 0.0, None

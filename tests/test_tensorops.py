@@ -2,12 +2,13 @@ import numpy as np
 
 from superbracket import expressions as ex
 from superbracket.diffops import mat, mat_eval, op_bracket, op_sub
-from superbracket.expressions import const, mul, var
+from superbracket.expressions import add, const, mul, var
 from superbracket.tensorops import (
     P1,
     P2,
     graded_flip,
     graded_kron,
+    tensor_boost_term,
     tensor_mult,
 )
 
@@ -89,6 +90,22 @@ def test_graded_flip_is_an_involution_and_swaps_sites():
     x = tensor_mult(a, mat([[1, 0], [0, 1]]), 1, 0, coeff=ex.sin(P1))
     y = tensor_mult(mat([[1, 0], [0, 1]]), a, 0, 1, coeff=ex.sin(P2))
     res, _ = op_sub(graded_flip(x), y).max_abs(env)
+    assert res <= 1e-13
+
+
+def test_graded_flip_moves_a_derivative_to_the_other_site():
+    # tau(h(p1, p2) D_1) = h(p2, p1) D_2: the derivative part of a flipped
+    # boost coproduct, which Delta^op reads
+    def h(x, y):
+        return mul(ex.sin(x), add(y, const(2.0)))
+
+    t = tensor_boost_term(h(P1, P2), 1)
+    flipped = graded_flip(t)
+    assert set(flipped.B) == {"p2"}
+    env = {"p1": np.array([0.7, 0.2]), "p2": np.array([1.1, 2.5])}
+    res, _ = op_sub(flipped, tensor_boost_term(h(P2, P1), 2)).max_abs(env)
+    assert res <= 1e-13
+    res, _ = op_sub(graded_flip(flipped), t).max_abs(env)
     assert res <= 1e-13
 
 
