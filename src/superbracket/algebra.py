@@ -157,17 +157,24 @@ class DZero:
 
 
 @dataclass(frozen=True)
-class LeftSeparable:
+class _ZetaFamily:
+    """A family tag with a coupling ratio zeta, which must be nonzero."""
+
     zeta: float
 
+    def __post_init__(self):
+        if self.zeta == 0:
+            raise InconsistentParams(f"{self!r} requires a nonzero zeta")
+
+
+@dataclass(frozen=True)
+class LeftSeparable(_ZetaFamily):
     def __repr__(self):
         return f"left_separable(zeta={self.zeta})"
 
 
 @dataclass(frozen=True)
-class RightSeparable:
-    zeta: float
-
+class RightSeparable(_ZetaFamily):
     def __repr__(self):
         return f"right_separable(zeta={self.zeta})"
 
@@ -185,9 +192,7 @@ class DMinusOne:
 
 
 @dataclass(frozen=True)
-class Ratio:
-    zeta: float
-
+class Ratio(_ZetaFamily):
     def __repr__(self):
         return f"ratio(zeta={self.zeta})"
 
@@ -201,13 +206,16 @@ class AlgebraParams:
     h_R: float = 1.0
     dispersion: str = "magnon"  # magnon | relativistic | massive_magnon
     mass: float = 0.0
-    kappa: float = 1.0  # integration constant of the ratio-family momentum map
+    kappa: float = 1.0  # integration constant of the ratio-family momentum map; > 0
 
     def __post_init__(self):
         if self.dispersion not in ("magnon", "relativistic", "massive_magnon"):
             raise InconsistentParams(f"unknown dispersion {self.dispersion!r}")
         if self.h_L <= 0 or self.h_R <= 0:
             raise InconsistentParams("coupling constants h_L, h_R must be positive")
+        if self.kappa <= 0:
+            raise InconsistentParams("kappa, the momentum-map integration constant, "
+                                     "must be positive")
 
 
 def dispersion_shape(kind: str, h: float, mass: float, p: Expr) -> Expr:
@@ -451,8 +459,6 @@ def build_algebra(family: FamilyTag, params: AlgebraParams | None = None) -> Alg
     H_R = dispersion_shape(kind, hR, m, pr)
     constraint = None
     zeta = getattr(family, "zeta", None)
-    if zeta is not None and zeta == 0:
-        raise InconsistentParams(f"{family!r} requires a nonzero zeta")
 
     if isinstance(family, DZero):
         dLR, dRL = ex.ZERO, ex.ZERO
@@ -479,8 +485,6 @@ def build_algebra(family: FamilyTag, params: AlgebraParams | None = None) -> Alg
                 "the constant-energy-ratio family uses the closed-form arccot "
                 "momentum map, which is specific to the magnon dispersion"
             )
-        if params.kappa <= 0:
-            raise InconsistentParams("the momentum-map integration constant must be positive")
         gamma_exp = (hR / hL) * float(zeta)
         constraint = ratio_momentum_map(params.kappa, gamma_exp)
         dLR = mul(const(zeta), quot(H_R, H_L))

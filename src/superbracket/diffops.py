@@ -150,7 +150,7 @@ class OneVarContext:
     def d_coeff(self, e: Expr, v: str) -> Expr:
         if v != "pL":
             raise DimensionMismatch(f"{v!r} is not the independent momentum")
-        return add(diff(e, "pL"), mul(self.jac_dep, diff(e, "pR")))
+        return ex.convective_diff(e, "pL", self.jac_dep)
 
     def sample_env(self, s: Sampler) -> dict:
         pl, pr = s.pairs(self.constraint)

@@ -16,24 +16,13 @@ from __future__ import annotations
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import (
-    AlgebraParams,
-    DMinusOne,
-    DPlusOne,
-    DZero,
-    Gen,
-    LeftSeparable,
-    Ratio,
-    RightSeparable,
-    build_algebra,
-    jacobi_check,
-)
+from .algebra import DZero, Gen, LeftSeparable, RightSeparable, build_algebra, jacobi_check
 from .coproducts import (
     CENTRAL_GENS,
     build_coproduct,
@@ -52,7 +41,6 @@ from .representations import (
     verify_relations,
 )
 from .reports import ConditionResult, ConsistencyReport
-from .sampling import Sampler
 from .suite import CheckInvocation, CheckSuiteConfig
 from .symbolic import short_rep_reduction_symbolic, tail_cancellation_check
 
@@ -123,58 +111,25 @@ CHECK_DESCRIPTIONS: Dict[str, str] = {
 }
 
 
-def _family_tag(cfg: CheckSuiteConfig):
-    zeta = cfg.family_arg("zeta")
-    return {
-        "d_zero": lambda: DZero(),
-        "d_plus_one": lambda: DPlusOne(),
-        "d_minus_one": lambda: DMinusOne(),
-        "ratio": lambda: Ratio(zeta),
-        "left_separable": lambda: LeftSeparable(zeta),
-        "right_separable": lambda: RightSeparable(zeta),
-    }[cfg.family]()
-
-
-def _params(cfg: CheckSuiteConfig) -> AlgebraParams:
-    return AlgebraParams(
-        h_L=cfg.dispersion_arg("hL", 1.0),
-        h_R=cfg.dispersion_arg("hR", 1.0),
-        dispersion=cfg.dispersion,
-        mass=cfg.dispersion_arg("m", 0.0),
-        kappa=cfg.family_arg("kappa", 1.0),
-    )
-
-
-def _sampler(cfg: CheckSuiteConfig, seed_override: Optional[int]) -> Sampler:
-    s = cfg.sampling
-    return Sampler(
-        seed=s.seed if seed_override is None else seed_override,
-        count=s.points,
-        domain=s.domain,
-        tolerance=s.tol,
-    )
-
-
 class _SuiteContext:
     """Shared lazily-built objects for one suite run."""
 
     def __init__(self, cfg: CheckSuiteConfig, seed_override: Optional[int]):
         self.cfg = cfg
-        self.family = _family_tag(cfg)
-        self.params = _params(cfg)
-        self.sampler = _sampler(cfg, seed_override)
+        self.sampler = (cfg.sampler if seed_override is None
+                        else replace(cfg.sampler, seed=seed_override))
 
     @cached_property
     def spec(self):
-        return build_algebra(self.family, self.params)
+        return build_algebra(self.cfg.family, self.cfg.params)
 
     @cached_property
     def representation(self):
-        eta = self.cfg.eta
-        if isinstance(self.family, (LeftSeparable, RightSeparable)):
-            base = build_representation(DZero(), self.params, eta=eta)
-            return transformed_representation(base, self.family)
-        return build_representation(self.family, self.params, eta=eta, spec=self.spec)
+        cfg = self.cfg
+        if isinstance(cfg.family, (LeftSeparable, RightSeparable)):
+            base = build_representation(DZero(), cfg.params, eta=cfg.eta)
+            return transformed_representation(base, cfg.family)
+        return build_representation(cfg.family, cfg.params, eta=cfg.eta, spec=self.spec)
 
     @cached_property
     def coproduct(self):
@@ -208,10 +163,10 @@ def _classify(ctx, inv):
             seed=s.seed, tolerance=s.tolerance, note="no samples"), 0)
         return
     tag = classify_family(spec.dLR, spec.dRL, spec, s)
-    roundtrip_ok = repr(tag) == repr(ctx.family)
+    roundtrip_ok = repr(tag) == repr(ctx.cfg.family)
     note = f"classified as {tag!r}"
     if not roundtrip_ok:
-        note += f" (expected {ctx.family!r})"
+        note += f" (expected {ctx.cfg.family!r})"
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance, note=note)
     report.conditions = (cross_jacobian_report(spec, s).conditions
                          + product_constraint_check(spec, s).conditions)

@@ -67,9 +67,13 @@ class Sampler:
 
     def __post_init__(self):
         if self.count < 0:
-            raise ValueError("count must be non-negative")
+            raise InvalidParams("count must be non-negative")
         if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+            raise InvalidParams("tolerance must be positive")
+        lo, hi = self.domain
+        if not math.isfinite(hi - lo):
+            raise InvalidParams(f"sampling domain [{lo}, {hi}] is too wide: its width "
+                                "overflows a float")
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         lo, hi = self.domain

@@ -15,20 +15,40 @@ Grammar (flat, line-diagnosable, no expression sublanguage):
       sampling { seed=<int>, points=<int>, tol=<num>, domain=[<num>, <num>] }
     }
 
-Comments start with '#'.  Unknown and repeated keys are errors, not
+Comments start with '#'.  ``parse_suite`` returns the objects the runner
+runs: the family tag, the ``AlgebraParams`` and the ``Sampler``.
+
+The parser owns the structure.  Unknown and repeated keys are errors, not
 warnings, and every explicitly set parameter must be consumed by at least
-one enabled check.  The ``ratio`` family takes only the ``magnon``
-dispersion, and the couplings ``hL`` and ``hR`` are positive.
-Every number is finite.  ``seed`` and ``points`` are non-negative integers,
-and ``points`` is at most ``MAX_POINTS``.
+one enabled check.  Every number is finite.  ``seed`` and ``points`` are
+non-negative integers, ``points`` is at most ``MAX_POINTS``, ``tol`` is
+positive and ``domain`` increases.  The ``ratio`` family takes only the
+``magnon`` dispersion.
+
+Each rule on a value belongs to the constructor of the object it
+constrains, and the parser reports that constructor's refusal at the
+value's token: ``Ratio``, ``LeftSeparable`` and ``RightSeparable`` refuse
+``zeta = 0``; ``AlgebraParams`` refuses a non-positive ``hL``, ``hR`` or
+``kappa``; ``Sampler`` refuses a domain whose width overflows a float.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
-from .errors import SuperbracketError
+from .algebra import (
+    AlgebraParams,
+    DMinusOne,
+    DPlusOne,
+    DZero,
+    FamilyTag,
+    LeftSeparable,
+    Ratio,
+    RightSeparable,
+)
+from .errors import InconsistentParams, InvalidParams, SuperbracketError
+from .sampling import Sampler
 
 
 class SuiteParseError(SuperbracketError):
@@ -151,31 +171,31 @@ _CONSUMES = {
     "braiding": {"coproduct_hom", "cocommutativity", "tail_cancellation"},
 }
 
-FAMILY_NAMES = (
-    "d_zero",
-    "d_plus_one",
-    "d_minus_one",
-    "ratio",
-    "left_separable",
-    "right_separable",
-)
+# family name -> (its tag's constructor, the AlgebraParams fields it also
+# takes); the tag's own fields are the keys it requires
+_FAMILIES = {
+    "d_zero": (DZero, ()),
+    "d_plus_one": (DPlusOne, ()),
+    "d_minus_one": (DMinusOne, ()),
+    "ratio": (Ratio, ("kappa",)),
+    "left_separable": (LeftSeparable, ()),
+    "right_separable": (RightSeparable, ()),
+}
 
-DISPERSION_NAMES = ("magnon", "relativistic", "massive_magnon")
+# dispersion name -> {its key: the AlgebraParams field the key sets}
+_DISPERSIONS = {
+    "magnon": {"hL": "h_L", "hR": "h_R"},
+    "relativistic": {"m": "mass"},
+    "massive_magnon": {"hL": "h_L", "hR": "h_R", "m": "mass"},
+}
 
-DEFAULT_DOMAIN = (0.1, math.pi - 0.1)
+# sampling key -> the Sampler field it sets
+_SAMPLING = {"seed": "seed", "points": "count", "tol": "tolerance", "domain": "domain"}
 
 # The most samples a suite may ask for.  Each sampled momentum array then
 # holds at most 160 MB of complex128; without a bound, a count numpy cannot
 # allocate would only fail once the run starts.
 MAX_POINTS = 10**7
-
-
-@dataclass(frozen=True)
-class SamplingConfig:
-    seed: int = 42
-    points: int = 100
-    tol: float = 1e-9
-    domain: Tuple[float, float] = DEFAULT_DOMAIN
 
 
 @dataclass(frozen=True)
@@ -193,26 +213,12 @@ class CheckInvocation:
 @dataclass(frozen=True)
 class CheckSuiteConfig:
     name: str
-    family: str
-    family_args: Tuple[Tuple[str, float], ...] = ()
-    dispersion: str = "magnon"
-    dispersion_args: Tuple[Tuple[str, float], ...] = (("hL", 1.0), ("hR", 1.0))
+    family: FamilyTag
+    params: AlgebraParams = AlgebraParams()
     braiding: str = "braided"
     eta: float = 1.0
     checks: Tuple[CheckInvocation, ...] = ()
-    sampling: SamplingConfig = SamplingConfig()
-
-    def family_arg(self, key: str, default=None):
-        for k, v in self.family_args:
-            if k == key:
-                return v
-        return default
-
-    def dispersion_arg(self, key: str, default=None):
-        for k, v in self.dispersion_args:
-            if k == key:
-                return v
-        return default
+    sampler: Sampler = Sampler()
 
 
 # --------------------------------------------------------------------------
@@ -269,8 +275,9 @@ class _Parser:
         return False
 
     def parse_kwargs(self) -> Tuple[Tuple[str, float], ...]:
-        """( key=value, ... )"""
-        self.expect_punct("(")
+        """An optional ( key=value, ... ); without one, no pairs."""
+        if not self.maybe_punct("("):
+            return ()
         out = []
         while True:
             key = self.expect_ident()
@@ -287,7 +294,7 @@ class _Parser:
 
 
 def parse_suite(text: str) -> CheckSuiteConfig:
-    """Parse a suite file into a validated configuration."""
+    """Parse a suite file into the objects ``run_suite`` runs."""
     p = _Parser(tokenize(text))
     head = p.expect_ident()
     if head.text != "suite":
@@ -300,17 +307,16 @@ def parse_suite(text: str) -> CheckSuiteConfig:
     p.advance()
     p.expect_punct("{")
 
-    family: Optional[str] = None
-    family_args: Tuple[Tuple[str, float], ...] = ()
-    family_tok: Optional[Token] = None
+    family: Optional[FamilyTag] = None
+    family_tok = disp_tok = head
+    family_fields: dict = {}
     dispersion = "magnon"
-    dispersion_args: Tuple[Tuple[str, float], ...] = (("hL", 1.0), ("hR", 1.0))
-    disp_tok: Optional[Token] = None
+    disp_fields: dict = {}
     braiding = "braided"
     eta = 1.0
     checks: list[CheckInvocation] = []
-    sampling = SamplingConfig()
-    explicit: list[str] = []
+    sampler = Sampler()
+    explicit: dict[str, Token] = {}  # optional top-level key -> its token
     seen: set[str] = set()
 
     while True:
@@ -324,37 +330,28 @@ def parse_suite(text: str) -> CheckSuiteConfig:
         seen.add(key.text)
 
         if key.text == "sampling":
-            sampling = _parse_sampling(p)
+            sampler = _parse_sampling(p, key)
             p.maybe_punct(";")
             continue
 
         p.expect_punct("=")
         if key.text == "family":
-            fam = p.expect_ident()
-            if fam.text not in FAMILY_NAMES:
-                raise UnknownKeyError(f"unknown family {fam.text!r}", fam.line, fam.col)
-            family, family_tok = fam.text, fam
-            if p.peek().kind == "punct" and p.peek().text == "(":
-                family_args = p.parse_kwargs()
+            family_tok = p.expect_ident()
+            family, family_fields = _parse_family(p, family_tok)
         elif key.text == "dispersion":
-            disp = p.expect_ident()
-            if disp.text not in DISPERSION_NAMES:
-                raise UnknownKeyError(f"unknown dispersion {disp.text!r}", disp.line, disp.col)
-            dispersion, disp_tok = disp.text, disp
-            dispersion_args = ()
-            if p.peek().kind == "punct" and p.peek().text == "(":
-                dispersion_args = p.parse_kwargs()
-            _validate_dispersion_args(dispersion, dispersion_args, disp)
+            disp_tok = p.expect_ident()
+            dispersion = disp_tok.text
+            disp_fields = _parse_dispersion(p, disp_tok)
         elif key.text == "braiding":
             b = p.expect_ident()
             if b.text not in ("braided", "unbraided"):
                 raise TypeMismatchError(f"braiding must be braided or unbraided, got {b.text!r}",
                                         b.line, b.col)
             braiding = b.text
-            explicit.append("braiding")
+            explicit["braiding"] = key
         elif key.text == "eta":
             eta, _ = p.expect_number()
-            explicit.append("eta")
+            explicit["eta"] = key
         elif key.text == "checks":
             checks = _parse_checks(p)
         else:
@@ -367,24 +364,65 @@ def parse_suite(text: str) -> CheckSuiteConfig:
 
     if family is None:
         raise UnknownKeyError("a suite must declare its family", head.line, head.col)
-    _validate_family_args(family, family_args, family_tok)
-    if family == "ratio" and dispersion != "magnon":
+    params = _construct(disp_tok, AlgebraParams, dispersion=dispersion, **disp_fields)
+    params = _construct(family_tok, replace, params, **family_fields)
+    if isinstance(family, Ratio) and dispersion != "magnon":
         raise TypeMismatchError(
             f"family ratio needs the magnon dispersion, not {dispersion}: its arccot "
             "momentum map exists only for the magnon dispersion", disp_tok.line, disp_tok.col)
-    _validate_consumption(explicit, checks, family_tok or head)
+    enabled = {c.name for c in checks}
+    for key, tok in explicit.items():
+        if not _CONSUMES[key] & enabled:
+            raise UnknownKeyError(f"parameter {key!r} is set but consumed by no enabled check",
+                                  tok.line, tok.col)
 
     return CheckSuiteConfig(
         name=name_tok.text,
         family=family,
-        family_args=family_args,
-        dispersion=dispersion,
-        dispersion_args=dispersion_args,
+        params=params,
         braiding=braiding,
         eta=eta,
         checks=tuple(checks),
-        sampling=sampling,
+        sampler=sampler,
     )
+
+
+def _construct(tok: Token, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a refusal of the values is a parse error at ``tok``."""
+    try:
+        return build(*args, **kwargs)
+    except (InconsistentParams, InvalidParams) as err:
+        raise TypeMismatchError(str(err), tok.line, tok.col) from err
+
+
+def _parse_family(p: _Parser, tok: Token) -> Tuple[FamilyTag, dict]:
+    """The tag of the family ``tok`` names, and the AlgebraParams fields its list sets."""
+    if tok.text not in _FAMILIES:
+        raise UnknownKeyError(f"unknown family {tok.text!r}", tok.line, tok.col)
+    tag, param_keys = _FAMILIES[tok.text]
+    tag_keys = [f.name for f in fields(tag)]
+    args = dict(p.parse_kwargs())
+    for key in tag_keys:
+        if key not in args:
+            raise UnknownKeyError(f"{tok.text} requires {key}", tok.line, tok.col)
+    extra = sorted(set(args).difference(tag_keys, param_keys))
+    if extra:
+        raise UnknownKeyError(f"unknown {tok.text} parameter {extra[0]!r}" if tag_keys
+                              else f"family {tok.text} takes no parameters", tok.line, tok.col)
+    family = _construct(tok, tag, **{k: args[k] for k in tag_keys})
+    return family, {k: args[k] for k in param_keys if k in args}
+
+
+def _parse_dispersion(p: _Parser, tok: Token) -> dict:
+    """The AlgebraParams fields the dispersion ``tok`` names sets; none without a list."""
+    keys = _DISPERSIONS.get(tok.text)
+    if keys is None:
+        raise UnknownKeyError(f"unknown dispersion {tok.text!r}", tok.line, tok.col)
+    args = dict(p.parse_kwargs())
+    if args and set(args) != set(keys):
+        raise UnknownKeyError(f"dispersion {tok.text} takes exactly {sorted(keys)}",
+                              tok.line, tok.col)
+    return {keys[k]: v for k, v in args.items()}
 
 
 def _parse_checks(p: _Parser) -> list[CheckInvocation]:
@@ -396,9 +434,7 @@ def _parse_checks(p: _Parser) -> list[CheckInvocation]:
         name = p.expect_ident()
         if name.text not in KNOWN_CHECKS:
             raise UnknownKeyError(f"unknown check {name.text!r}", name.line, name.col)
-        args: Tuple[Tuple[str, float], ...] = ()
-        if p.peek().kind == "punct" and p.peek().text == "(":
-            args = p.parse_kwargs()
+        args = p.parse_kwargs()
         if name.text == "ode":
             keys = {k for k, _ in args}
             if keys != {"kappa", "gamma"}:
@@ -417,14 +453,16 @@ def _parse_checks(p: _Parser) -> list[CheckInvocation]:
     return out
 
 
-def _parse_sampling(p: _Parser) -> SamplingConfig:
+def _parse_sampling(p: _Parser, block: Token) -> Sampler:
     p.expect_punct("{")
     values = {}
+    domain_tok = block
     while True:
         if p.maybe_punct("}"):
             break
         key = p.expect_ident()
-        if key.text in values:
+        field = _SAMPLING.get(key.text)
+        if field in values:
             raise UnknownKeyError(f"duplicate key {key.text!r}", key.line, key.col)
         p.expect_punct("=")
         if key.text == "seed" or key.text == "points":
@@ -436,13 +474,14 @@ def _parse_sampling(p: _Parser) -> SamplingConfig:
                 raise TypeMismatchError(f"points must be at most {MAX_POINTS}",
                                         tok.line, tok.col)
             # An integer literal is read exactly, past the 2**53 where floats skip integers.
-            values[key.text] = int(tok.text) if tok.text.lstrip("+-").isdecimal() else int(value)
+            values[field] = int(tok.text) if tok.text.lstrip("+-").isdecimal() else int(value)
         elif key.text == "tol":
             value, tok = p.expect_number()
             if value <= 0:
                 raise TypeMismatchError("tol must be positive", tok.line, tok.col)
-            values["tol"] = value
+            values[field] = value
         elif key.text == "domain":
+            domain_tok = key
             p.expect_punct("[")
             lo, _ = p.expect_number()
             p.expect_punct(",")
@@ -451,52 +490,9 @@ def _parse_sampling(p: _Parser) -> SamplingConfig:
             if hi <= lo:
                 raise TypeMismatchError("domain must be an increasing interval",
                                         tok.line, tok.col)
-            values["domain"] = (lo, hi)
+            values[field] = (lo, hi)
         else:
             raise UnknownKeyError(f"unknown sampling key {key.text!r}", key.line, key.col)
         p.maybe_punct(",")
-    return SamplingConfig(**values)
-
-
-def _validate_family_args(family: str, args, tok: Optional[Token]):
-    line = tok.line if tok else 0
-    col = tok.col if tok else 0
-    keys = {k for k, _ in args}
-    if family in ("ratio", "left_separable", "right_separable"):
-        if "zeta" not in keys:
-            raise UnknownKeyError(f"{family} requires zeta", line, col)
-        extra = keys - ({"zeta", "kappa"} if family == "ratio" else {"zeta"})
-        if extra:
-            raise UnknownKeyError(f"unknown {family} parameter {sorted(extra)[0]!r}", line, col)
-        zeta = dict(args)["zeta"]
-        if zeta == 0:
-            raise TypeMismatchError(f"{family} requires a nonzero zeta", line, col)
-    elif keys:
-        raise UnknownKeyError(f"family {family} takes no parameters", line, col)
-
-
-def _validate_dispersion_args(dispersion: str, args, tok: Token):
-    keys = {k for k, _ in args}
-    required = {
-        "magnon": {"hL", "hR"},
-        "relativistic": {"m"},
-        "massive_magnon": {"hL", "hR", "m"},
-    }[dispersion]
-    if args and keys != required:
-        raise UnknownKeyError(
-            f"dispersion {dispersion} takes exactly {sorted(required)}", tok.line, tok.col
-        )
-    if any(k in ("hL", "hR") and v <= 0 for k, v in args):
-        raise TypeMismatchError(f"dispersion {dispersion} requires positive hL and hR",
-                                tok.line, tok.col)
-
-
-def _validate_consumption(explicit, checks, tok: Token):
-    enabled = {c.name for c in checks}
-    for key in explicit:
-        consumers = _CONSUMES.get(key, set())
-        if consumers and not (consumers & enabled):
-            raise UnknownKeyError(
-                f"parameter {key!r} is set but consumed by no enabled check",
-                tok.line, tok.col,
-            )
+    # The keys are checked as they are read; what the Sampler can still refuse is the domain.
+    return _construct(domain_tok, Sampler, **values)

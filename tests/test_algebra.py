@@ -252,8 +252,22 @@ def test_energy_identification_validation():
 
 
 def test_zeta_must_be_nonzero():
-    with pytest.raises(InconsistentParams):
-        build_algebra(Ratio(0.0))
+    # each tag that carries zeta refuses zero when constructed, before any algebra is built
+    for tag in (Ratio, LeftSeparable, RightSeparable):
+        for zero in (0, 0.0, -0.0):
+            with pytest.raises(InconsistentParams, match="requires a nonzero zeta"):
+                tag(zero)
+        assert tag(-0.5).zeta == -0.5
+
+
+def test_algebra_params_refuse_a_non_positive_kappa_for_every_family():
+    for kappa in (0, -1.0):
+        with pytest.raises(InconsistentParams, match="kappa, the momentum-map integration "
+                                                     "constant, must be positive"):
+            AlgebraParams(kappa=kappa)
+        with pytest.raises(InconsistentParams):
+            dataclasses.replace(AlgebraParams(dispersion="relativistic"), kappa=kappa)
+    assert build_algebra(Ratio(2.0), AlgebraParams(kappa=0.5)).params.kappa == 0.5
 
 
 def test_massive_magnon_jacobi():

@@ -6,6 +6,7 @@ import pytest
 from superbracket import expressions as ex
 from superbracket import sampling as sm
 from superbracket.algebra import ratio_momentum_map
+from superbracket.errors import InvalidParams
 from superbracket.expressions import add, const, mul, var
 from superbracket.sampling import Sampler, constancy, is_zero
 
@@ -20,6 +21,14 @@ def test_sampler_deterministic_and_clear_of_loci():
     assert np.array_equal(a, b)
     for locus in sm._SINGULAR_LOCI:
         assert np.all(np.abs(a - locus) >= 0.05)
+
+
+@pytest.mark.parametrize("domain", [(-1e308, 1e308), (0.1, math.inf)], ids=str)
+def test_a_domain_whose_width_overflows_is_refused_when_constructed(domain):
+    # rng.uniform cannot draw from it: numpy raises OverflowError at the first draw
+    with pytest.raises(InvalidParams, match="width overflows a float"):
+        Sampler(domain=domain)
+    assert Sampler(domain=(-1e307, 1e307)).momenta().size == 100
 
 
 def test_constrained_pairs_respect_the_map():

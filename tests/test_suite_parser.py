@@ -1,17 +1,30 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superbracket.algebra import (
+    AlgebraParams,
+    DMinusOne,
+    DPlusOne,
+    DZero,
+    LeftSeparable,
+    Ratio,
+    RightSeparable,
+)
 from superbracket.cli import main
+from superbracket.sampling import Sampler
 from superbracket.suite import (
     MAX_POINTS,
     CheckInvocation,
     CheckSuiteConfig,
-    SamplingConfig,
     SuiteSyntaxError,
     TypeMismatchError,
     UnknownKeyError,
     _CONSUMES,
+    _DISPERSIONS,
+    _FAMILIES,
     parse_suite,
 )
 
@@ -21,10 +34,11 @@ MINIMAL = 'suite "m" { family = d_plus_one; checks = [ jacobi ]; }'
 def test_minimal_suite_gets_defaults():
     cfg = parse_suite(MINIMAL)
     assert cfg.name == "m"
-    assert cfg.family == "d_plus_one"
+    assert cfg.family == DPlusOne()
+    assert cfg.params == AlgebraParams()
     assert cfg.braiding == "braided"
     assert cfg.eta == 1.0
-    assert cfg.sampling == SamplingConfig()
+    assert cfg.sampler == Sampler()
     assert cfg.checks == (CheckInvocation("jacobi"),)
 
 
@@ -41,12 +55,12 @@ def test_full_suite():
     }
     '''
     cfg = parse_suite(text)
-    assert cfg.family == "ratio" and cfg.family_arg("zeta") == 2
-    assert cfg.dispersion_arg("hR") == 2
+    assert cfg.family == Ratio(2)
+    assert cfg.params == AlgebraParams(h_L=1, h_R=2, kappa=1)
     assert cfg.braiding == "unbraided"
     ode = [c for c in cfg.checks if c.name == "ode"][0]
     assert ode.arg("kappa") == 2 and ode.arg("gamma") == 1
-    assert cfg.sampling.seed == 7 and cfg.sampling.domain == (0.2, 2.9)
+    assert cfg.sampler == Sampler(seed=7, count=50, tolerance=1e-8, domain=(0.2, 2.9))
 
 
 def test_empty_checks_allowed():
@@ -92,7 +106,7 @@ def test_points_are_bounded(tmp_path, capsys):
     def suite(points):
         return 'suite "x" { family = d_zero; checks=[jacobi]; sampling { points=' + points + ' } }'
 
-    assert parse_suite(suite(str(MAX_POINTS))).sampling.points == MAX_POINTS
+    assert parse_suite(suite(str(MAX_POINTS))).sampler.count == MAX_POINTS
     for bad in ("1e20", str(MAX_POINTS + 1)):
         with pytest.raises(TypeMismatchError) as err:
             parse_suite(suite(bad))
@@ -107,14 +121,14 @@ def test_points_are_bounded(tmp_path, capsys):
 def test_integer_literals_are_read_exactly():
     def sampling(text):
         return parse_suite('suite "x" { family = d_zero; checks=[jacobi]; sampling { '
-                           + text + ' } }').sampling
+                           + text + ' } }').sampler
 
     # 2**53 + 1 is the first integer a float cannot hold
     assert sampling("seed=9007199254740993").seed == 2**53 + 1
     assert sampling("seed=+18446744073709551617").seed == 2**64 + 1
-    assert sampling("seed=-0, points=+12").seed == 0 and sampling("points=+12").points == 12
+    assert sampling("seed=-0, points=+12").seed == 0 and sampling("points=+12").count == 12
     # a literal that is not an integer's is read as a float, as before
-    assert sampling("seed=7.0, points=1e3") == SamplingConfig(seed=7, points=1000)
+    assert sampling("seed=7.0, points=1e3") == Sampler(seed=7, count=1000)
     assert sampling("seed=1e20").seed == 10**20
 
 
@@ -180,7 +194,7 @@ def test_syntax_errors_have_spans():
 
 def test_semicolons_are_optional():
     cfg = parse_suite('suite "x" { family = d_zero\n checks = [jacobi] }')
-    assert cfg.family == "d_zero"
+    assert cfg.family == DZero()
 
 
 def test_duplicate_key_rejected():
@@ -214,12 +228,66 @@ def test_a_non_positive_coupling_is_refused_at_the_dispersion(disp, tmp_path, ca
     with pytest.raises(TypeMismatchError) as err:
         parse_suite(text)
     assert (err.value.line, err.value.col) == (1, text.index(disp) + 1)
-    assert "requires positive hL and hR" in str(err.value)
+    assert "coupling constants h_L, h_R must be positive" in str(err.value)
     # the CLI stops at the parse: exit 2, with the span
     path = tmp_path / "coupling.suite"
     path.write_text(text)
     assert main(["run", str(path)]) == 2
     assert f"line 1, col {text.index(disp) + 1}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("eta", "3"), ("braiding", "unbraided")])
+def test_an_unconsumed_parameter_is_refused_at_its_own_key(key, value, tmp_path, capsys):
+    # the key is on line 3; the family, whose token the error used to name, on line 2
+    text = f'suite "x" {{\n  family = d_zero;\n  {key} = {value};\n  checks = [ jacobi ];\n}}\n'
+    with pytest.raises(UnknownKeyError) as err:
+        parse_suite(text)
+    assert (err.value.line, err.value.col) == (3, 3)
+    assert f"parameter {key!r} is set but consumed by no enabled check" in str(err.value)
+    path = tmp_path / "unused.suite"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert f"line 3, col 3: parameter {key!r} is set" in capsys.readouterr().err
+
+
+def test_a_domain_whose_width_overflows_is_refused_at_the_domain(tmp_path, capsys):
+    # each end is finite, but hi - lo is not: numpy cannot draw from it
+    text = 'suite "x" { family = d_zero; checks=[jacobi]; sampling { domain=[-1e308, 1e308] } }'
+    col = text.index("domain") + 1
+    with pytest.raises(TypeMismatchError) as err:
+        parse_suite(text)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert "width overflows a float" in str(err.value)
+    path = tmp_path / "wide.suite"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert f"line 1, col {col}: sampling domain" in capsys.readouterr().err
+
+
+_NONZERO_ZETA = "requires a nonzero zeta"
+_POSITIVE_KAPPA = "kappa, the momentum-map integration constant, must be positive"
+
+
+@pytest.mark.parametrize("family, message", [
+    ("ratio(zeta=2, kappa=0)", _POSITIVE_KAPPA),
+    ("ratio(kappa=-1, zeta=2)", _POSITIVE_KAPPA),
+    ("ratio(zeta=0)", "ratio(zeta=0.0) " + _NONZERO_ZETA),
+    ("left_separable(zeta=0)", "left_separable(zeta=0.0) " + _NONZERO_ZETA),
+    ("right_separable(zeta=-0.0)", "right_separable(zeta=-0.0) " + _NONZERO_ZETA),
+])
+def test_a_family_value_its_constructor_refuses_is_refused_at_the_family(
+        family, message, tmp_path, capsys):
+    # Ratio, LeftSeparable, RightSeparable and AlgebraParams own these rules; the parser
+    # reports their refusal at the family's span, and the CLI stops there with exit 2
+    text = f'suite "x" {{ family = {family}; checks = [ jacobi ]; }}'
+    with pytest.raises(TypeMismatchError) as err:
+        parse_suite(text)
+    assert (err.value.line, err.value.col) == (1, 22)
+    assert message in str(err.value)
+    path = tmp_path / "family.suite"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert f"line 1, col 22: {message}" in capsys.readouterr().err
 
 
 def test_ode_argument_validation():
@@ -235,36 +303,33 @@ def _fmt_num(x: float) -> str:
     return repr(x)
 
 
+def _kwargs(pairs) -> str:
+    inner = ", ".join(f"{k}={_fmt_num(v)}" for k, v in pairs)
+    return f"({inner})" if inner else ""
+
+
 def print_suite(cfg: CheckSuiteConfig) -> str:
-    """Suite text that ``parse_suite`` reads back as ``cfg``."""
+    """Suite text that ``parse_suite`` reads back as ``cfg``, printed from its typed objects."""
     lines = [f'suite "{cfg.name}" {{']
-    fam = cfg.family
-    if cfg.family_args:
-        inner = ", ".join(f"{k}={_fmt_num(v)}" for k, v in cfg.family_args)
-        fam += f"({inner})"
-    lines.append(f"  family = {fam};")
-    disp = cfg.dispersion
-    if cfg.dispersion_args:
-        inner = ", ".join(f"{k}={_fmt_num(v)}" for k, v in cfg.dispersion_args)
-        disp += f"({inner})"
-    lines.append(f"  dispersion = {disp};")
+    [(fam, param_keys)] = [(name, keys) for name, (tag, keys) in _FAMILIES.items()
+                           if type(cfg.family) is tag]
+    args = [(f.name, getattr(cfg.family, f.name)) for f in dataclasses.fields(cfg.family)]
+    args += [(k, getattr(cfg.params, k)) for k in param_keys]
+    lines.append(f"  family = {fam}{_kwargs(args)};")
+    disp = cfg.params.dispersion
+    args = [(k, getattr(cfg.params, f)) for k, f in _DISPERSIONS[disp].items()]
+    lines.append(f"  dispersion = {disp}{_kwargs(args)};")
     enabled = {c.name for c in cfg.checks}
     if _CONSUMES["braiding"] & enabled:
         lines.append(f"  braiding = {cfg.braiding};")
     if _CONSUMES["eta"] & enabled:
         lines.append(f"  eta = {_fmt_num(cfg.eta)};")
-    checks = []
-    for c in cfg.checks:
-        if c.args:
-            inner = ", ".join(f"{k}={_fmt_num(v)}" for k, v in c.args)
-            checks.append(f"{c.name}({inner})")
-        else:
-            checks.append(c.name)
-    lines.append(f"  checks = [ {', '.join(checks)} ];")
-    s = cfg.sampling
+    checks = ", ".join(c.name + _kwargs(c.args) for c in cfg.checks)
+    lines.append(f"  checks = [ {checks} ];")
+    s = cfg.sampler
     lines.append(
         "  sampling { "
-        f"seed={s.seed}, points={s.points}, tol={s.tol!r}, "
+        f"seed={s.seed}, points={s.count}, tol={s.tolerance!r}, "
         f"domain=[{s.domain[0]!r}, {s.domain[1]!r}]"
         " }"
     )
@@ -285,20 +350,46 @@ _check_strategy = st.lists(
 )
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _algebras(draw):
+    """A family tag and its AlgebraParams, as a suite can spell them.
+
+    All six families, with a nonzero zeta where the family takes one and kappa on ratio,
+    and all three dispersions with their parameters; ratio takes only the magnon.
+    """
+    family = draw(st.one_of(
+        st.sampled_from([DZero(), DPlusOne(), DMinusOne()]),
+        st.sampled_from([Ratio, LeftSeparable, RightSeparable]).flatmap(
+            lambda tag: st.builds(tag, zeta=_finite.filter(lambda z: z != 0))),
+    ))
+    ratio = isinstance(family, Ratio)
+    dispersion = "magnon" if ratio else draw(st.sampled_from(sorted(_DISPERSIONS)))
+    values = {f: draw(_finite if f == "mass" else _positive)
+              for f in _DISPERSIONS[dispersion].values()}
+    kappa = draw(_positive) if ratio else 1.0
+    return family, AlgebraParams(dispersion=dispersion, kappa=kappa, **values)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    family=st.sampled_from(["d_zero", "d_plus_one", "d_minus_one"]),
+    algebra=_algebras(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     points=st.integers(min_value=1, max_value=500),
     checks=_check_strategy,
     eta=st.integers(min_value=1, max_value=5),
 )
-def test_round_trip_property(family, seed, points, checks, eta):
+def test_round_trip_property(algebra, seed, points, checks, eta):
+    family, params = algebra
     cfg = CheckSuiteConfig(
         name="prop",
         family=family,
+        params=params,
         checks=tuple(CheckInvocation(c) for c in checks),
-        sampling=SamplingConfig(seed=seed, points=points),
+        sampler=Sampler(seed=seed, count=points),
         eta=float(eta) if _CONSUMES["eta"] & set(checks) else 1.0,
     )
     assert parse_suite(print_suite(cfg)) == cfg

@@ -796,7 +796,7 @@ BUNDLED = ["d_zero", "left_separable", "right_separable", "d_plus_one", "d_minus
 def test_no_sweep_of_a_bundled_suite_compiles_a_root_twice(monkeypatch, name):
     text = resources.files("superbracket").joinpath(f"suites/{name}.suite").read_text()
     cfg = parse_suite(text)
-    cfg = dataclasses.replace(cfg, sampling=dataclasses.replace(cfg.sampling, points=10**4))
+    cfg = dataclasses.replace(cfg, sampler=dataclasses.replace(cfg.sampler, count=10**4))
     tapes = record_compiles(monkeypatch)
     records = runner.run_suite(cfg)
     assert all(r.status in ("pass", "expected-fail") for r in records)
