@@ -57,6 +57,7 @@ from .families import (
     product_constraint_check,
 )
 from .representations import (
+    MomentumMap,
     Representation,
     boost_commutator_zero,
     build_representation,
@@ -65,9 +66,9 @@ from .representations import (
     transformed_representation,
     verify_relations,
 )
-from .runner import ReportRecord, emit_report, run_suite
+from .runner import CheckSuiteConfig, ReportRecord, emit_report, run_suite
 from .sampling import Sampler, is_zero
-from .suite import CheckSuiteConfig, parse_suite
+from .suite import parse_suite
 from .symbolic import (
     SymbolicElement,
     short_rep_reduction_symbolic,

@@ -16,8 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-from .runner import CHECK_DESCRIPTIONS, emit_report, run_suite, suite_failed
-from .suite import KNOWN_CHECKS, SuiteParseError, parse_suite
+from .runner import CHECKS, emit_report, run_suite, suite_failed
+from .suite import SuiteParseError, parse_suite
 
 
 def _seed(text: str) -> int:
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-checks", help="list the available checks")
 
     explain = sub.add_parser("explain", help="describe what a check verifies")
-    explain.add_argument("check", choices=sorted(KNOWN_CHECKS))
+    explain.add_argument("check", choices=sorted(CHECKS))
     return parser
 
 
@@ -57,13 +57,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list-checks":
-        for name in KNOWN_CHECKS:
+        for name in CHECKS:
             print(name)
         return 0
 
     if args.command == "explain":
         print(f"{args.check}:")
-        print("  " + CHECK_DESCRIPTIONS[args.check])
+        print("  " + CHECKS[args.check].explain)
         return 0
 
     try:

@@ -77,7 +77,9 @@ SHAT: Matrix = mat([[0, 1], [0, 0]])
 
 
 def hatted_matrices(eta: complex) -> Dict[str, Matrix]:
-    """2x2 carriers of the hatted anticommutation relations for any eta."""
+    """2x2 carriers of the hatted anticommutation relations for any nonzero eta."""
+    if eta == 0:
+        raise InvalidParams("eta must be nonzero")
     s = cmath.sqrt(1 - eta)
     return {
         "Q_L": QHAT,
@@ -148,8 +150,6 @@ def build_representation(
     central normalisations are fixed to 1 by rescaling.  ``spec``, when
     given, must be the algebra of ``family`` and ``params``.
     """
-    if eta == 0:
-        raise InvalidParams("eta must be nonzero")
     if not isinstance(family, (DPlusOne, DMinusOne, Ratio, DZero)):
         raise InvalidParams(f"no representation builder for family {family!r}")
 
@@ -249,7 +249,21 @@ def boost_commutator_zero(rep: Representation, s: Sampler) -> ConsistencyReport:
     return report
 
 
-def ode_solution_check(kappa: float, gamma_exp: float, s: Sampler) -> ConsistencyReport:
+@dataclass(frozen=True)
+class MomentumMap:
+    """The constants of the arccot momentum map that the ``ode`` check solves."""
+
+    kappa: float
+    gamma: float
+
+    def __post_init__(self):
+        if self.kappa <= 0:
+            raise InvalidParams("kappa must be positive")
+        if self.gamma == 0:
+            raise InvalidParams("gamma must be nonzero")
+
+
+def ode_solution_check(m: MomentumMap, s: Sampler) -> ConsistencyReport:
     """The arccot momentum map must solve dp_R/dp_L = gamma csc(p_L/2) sin(p_R/2).
 
     Also checks the closed form of the right energy pulled back to p_L,
@@ -257,19 +271,14 @@ def ode_solution_check(kappa: float, gamma_exp: float, s: Sampler) -> Consistenc
         sin(p_R(p_L)/2) = kappa 2^(1-gamma) sin^gamma(p_L/2)
                           / (kappa^2 cos^(2 gamma)(p_L/4) + sin^(2 gamma)(p_L/4)).
     """
-    if kappa <= 0:
-        raise InvalidParams("kappa must be positive")
-    if gamma_exp == 0:
-        raise InvalidParams("gamma_exp must be nonzero")
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
         return report
-    f = ratio_momentum_map(kappa, gamma_exp)
+    kappa, g = m.kappa, m.gamma
+    f = ratio_momentum_map(kappa, g)
     pl = var("pL")
     env = {"pL": s.momenta()}
-    rhs = mul(const(gamma_exp),
-              quot(ex.sin(mul(const(0.5), f)), ex.sin(mul(const(0.5), pl))))
-    g = gamma_exp
+    rhs = mul(const(g), quot(ex.sin(mul(const(0.5), f)), ex.sin(mul(const(0.5), pl))))
     denom = add(
         mul(const(kappa**2), ex.pow_(ex.cos(mul(const(0.25), pl)), 2 * g)),
         ex.pow_(ex.sin(mul(const(0.25), pl)), 2 * g),
@@ -293,32 +302,33 @@ def ode_solution_check(kappa: float, gamma_exp: float, s: Sampler) -> Consistenc
     return report
 
 
-def shortening_identities(
-    rep: Representation, x: complex, y: complex, s: Sampler
-) -> ConsistencyReport:
+def shortening_identities(rep: Representation, s: Sampler) -> ConsistencyReport:
     """Two eta-parameterised anticommutators of hatted supercharges vanish.
 
         {(1 + x eta) Qhat_L - (1 + x) Shat_R,  x Shat_L + Qhat_R} = 0
         {y Qhat_L + Shat_R,  (y + 1) Shat_L - (y + eta) Qhat_R} = 0
 
-    These hold for every x, y and eta; the residual is pure floating-point
-    roundoff on 2x2 matrices.
+    These hold for every x, y and eta; they are checked at 20 complex (x, y)
+    drawn from the square [-2, 2]^2 with the sampler's seed.  The residual is
+    pure floating-point roundoff on 2x2 matrices, and a draw with no residual
+    at all names no point.
     """
-    report = ConsistencyReport(seed=s.seed, tolerance=max(s.tolerance, 1e-13))
+    report = ConsistencyReport(seed=s.seed, tolerance=max(s.tolerance, 1e-13),
+                               note=f"eta={rep.eta}")
     eta = complex(rep.eta)
     env: dict = {"pL": np.array([1.0 + 0j]), "pR": np.array([1.0 + 0j])}
-
-    def value(m: Matrix) -> np.ndarray:
-        return mat_eval(m, env)[:, :, 0]
-
-    QL, SL = value(rep.hatted["Q_L"]), value(rep.hatted["S_L"])
-    QR, SR = value(rep.hatted["Q_R"]), value(rep.hatted["S_R"])
+    QL, SL, QR, SR = (mat_eval(rep.hatted[k], env)[:, :, 0] for k in ("Q_L", "S_L", "Q_R", "S_R"))
 
     def acomm(a, b):
         return a @ b + b @ a
 
-    first = acomm((1 + x * eta) * QL - (1 + x) * SR, x * SL + QR)
-    report.add("shortening-identity-1", float(np.max(np.abs(first))), {"x": x, "y": y})
-    second = acomm(y * QL + SR, (y + 1) * SL - (y + eta) * QR)
-    report.add("shortening-identity-2", float(np.max(np.abs(second))), {"x": x, "y": y})
+    rng = np.random.default_rng(s.seed)
+    for _ in range(20):
+        x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        y = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        first = acomm((1 + x * eta) * QL - (1 + x) * SR, x * SL + QR)
+        second = acomm(y * QL + SR, (y + 1) * SL - (y + eta) * QR)
+        for name, m in (("shortening-identity-1", first), ("shortening-identity-2", second)):
+            residual = float(np.max(np.abs(m)))
+            report.add(name, residual, {"x": x, "y": y} if residual else None)
     return report

@@ -18,11 +18,18 @@ import json
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
-from .algebra import DZero, Gen, LeftSeparable, RightSeparable, build_algebra, jacobi_check
+from .algebra import (
+    AlgebraParams,
+    DZero,
+    FamilyTag,
+    Gen,
+    LeftSeparable,
+    RightSeparable,
+    build_algebra,
+    jacobi_check,
+)
 from .coproducts import (
     CENTRAL_GENS,
     build_coproduct,
@@ -33,6 +40,7 @@ from .coproducts import (
 from .errors import SuperbracketError
 from .families import classify_family, cross_jacobian_report, product_constraint_check
 from .representations import (
+    MomentumMap,
     boost_commutator_zero,
     build_representation,
     ode_solution_check,
@@ -41,7 +49,7 @@ from .representations import (
     verify_relations,
 )
 from .reports import ConditionResult, ConsistencyReport
-from .suite import CheckInvocation, CheckSuiteConfig
+from .sampling import Sampler
 from .symbolic import short_rep_reduction_symbolic, tail_cancellation_check
 
 SCHEMA_VERSION = 1
@@ -59,56 +67,23 @@ class ReportRecord:
     note: str = ""
 
 
-CHECK_DESCRIPTIONS: Dict[str, str] = {
-    "jacobi": (
-        "Evaluates the graded Jacobi identity over all admissible generator "
-        "triples of the family's bracket table at seeded momentum samples, "
-        "with the boost acting on coefficients as a convective derivation."
-    ),
-    "classify": (
-        "Round-trips the family's cross-handed Jacobian pair through the "
-        "classifier and evaluates the two-boost consistency residuals and "
-        "the product constraints on d_LR d_RL."
-    ),
-    "boost_commutator": (
-        "Builds the differential representation and verifies that all "
-        "coefficient matrices of [J_L, J_R] vanish."
-    ),
-    "relations": (
-        "Verifies every representable bracket-table row against the "
-        "differential-operator images, including rows required to vanish."
-    ),
-    "ode": (
-        "Checks that the arccot momentum map solves "
-        "dp_R/dp_L = gamma csc(p_L/2) sin(p_R/2) and that the pulled-back "
-        "right energy matches its closed form."
-    ),
-    "shortening": (
-        "Verifies the two eta-parameterised anticommutator identities of the "
-        "hatted supercharges for randomly sampled mixing parameters."
-    ),
-    "coproduct_hom": (
-        "Verifies the graded bracket [Delta x, Delta y] = Delta z for every "
-        "bracket-table row on the short representation, for the one map "
-        "the braiding builds; the unbraided map has no numeric boost "
-        "coproduct, so its J_L and J_R rows are not checked."
-    ),
-    "cocommutativity": (
-        "Checks invariance of the central elements' coproducts under the "
-        "graded flip; the fermionic coproduct is included as an "
-        "expected-fail fixture."
-    ),
-    "tail_cancellation": (
-        "Exact symbolic verification that the boost-coproduct tails commute "
-        "with the opposite-handed fermion coproducts and that their "
-        "outer-automorphism terms annihilate the same-handed ones."
-    ),
-    "short_reduction": (
-        "Verifies, exactly and numerically, that on the short representation "
-        "the full boost-coproduct tail reduces to the fermion-bilinear form "
-        "in all commutators with the fermion coproducts."
-    ),
-}
+@dataclass(frozen=True)
+class CheckInvocation:
+    """An enabled check; ``args`` is the object its argument list fills, if it takes one."""
+
+    name: str
+    args: Optional[object] = None
+
+
+@dataclass(frozen=True)
+class CheckSuiteConfig:
+    name: str
+    family: FamilyTag
+    params: AlgebraParams = AlgebraParams()
+    braiding: str = "braided"
+    eta: float = 1.0
+    checks: Tuple[CheckInvocation, ...] = ()
+    sampler: Sampler = Sampler()
 
 
 class _SuiteContext:
@@ -147,19 +122,20 @@ class _Verdict(NamedTuple):
 
 
 # Each check takes the suite context and its invocation and yields one verdict
-# per report record.  Checks that combine several results fold them into one
-# ConsistencyReport; a condition without a numeric residual (a round trip, an
-# exact symbolic identity) enters with residual 0 and its own pass flag.
+# per report record, under the invocation's name unless it is a fixture.
+# Checks that combine several results fold them into one ConsistencyReport; a
+# condition without a numeric residual (a round trip, an exact symbolic
+# identity) enters with residual 0 and its own pass flag.
 
 def _jacobi(ctx, inv):
-    yield _Verdict("jacobi", jacobi_check(ctx.spec, ctx.sampler), ctx.sampler.count)
+    yield _Verdict(inv.name, jacobi_check(ctx.spec, ctx.sampler), ctx.sampler.count)
 
 
 def _classify(ctx, inv):
     spec, s = ctx.spec, ctx.sampler
     if s.count == 0:
         # with no samples every zero test passes, and any pair looks like d_zero
-        yield _Verdict("classify", ConsistencyReport(
+        yield _Verdict(inv.name, ConsistencyReport(
             seed=s.seed, tolerance=s.tolerance, note="no samples"), 0)
         return
     tag = classify_family(spec.dLR, spec.dRL, spec, s)
@@ -171,41 +147,32 @@ def _classify(ctx, inv):
     report.conditions = (cross_jacobian_report(spec, s).conditions
                          + product_constraint_check(spec, s).conditions)
     report.conditions.append(ConditionResult("family-roundtrip", 0.0, None, roundtrip_ok))
-    yield _Verdict("classify", report, s.count)
+    yield _Verdict(inv.name, report, s.count)
 
 
 def _boost_commutator(ctx, inv):
     report = boost_commutator_zero(ctx.representation, ctx.sampler)
-    yield _Verdict("boost_commutator", report, ctx.sampler.count)
+    yield _Verdict(inv.name, report, ctx.sampler.count)
 
 
 def _relations(ctx, inv):
     report = verify_relations(ctx.representation, ctx.spec, ctx.sampler)
-    yield _Verdict("relations", report, ctx.sampler.count)
+    yield _Verdict(inv.name, report, ctx.sampler.count)
 
 
 def _ode(ctx, inv):
-    report = ode_solution_check(inv.arg("kappa"), inv.arg("gamma"), ctx.sampler)
-    yield _Verdict("ode", report, ctx.sampler.count)
+    yield _Verdict(inv.name, ode_solution_check(inv.args, ctx.sampler), ctx.sampler.count)
 
 
 def _shortening(ctx, inv):
-    s = ctx.sampler
-    rng = np.random.default_rng(s.seed)
-    report = ConsistencyReport(seed=s.seed, tolerance=max(s.tolerance, 1e-13),
-                               note=f"eta={ctx.cfg.eta}")
-    for _ in range(20):
-        x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        y = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        for c in shortening_identities(ctx.representation, x, y, s).conditions:
-            # a draw with no residual at all names no point
-            report.add(c.name, c.max_residual, c.worst_point if c.max_residual else None)
-    yield _Verdict("shortening", report, 20)
+    report = shortening_identities(ctx.representation, ctx.sampler)
+    # two identities per drawn (x, y)
+    yield _Verdict(inv.name, report, len(report.conditions) // 2)
 
 
 def _coproduct_hom(ctx, inv):
     report = homomorphism_check(ctx.coproduct, ctx.spec, ctx.representation, ctx.sampler)
-    yield _Verdict("coproduct_hom", report, ctx.sampler.count)
+    yield _Verdict(inv.name, report, ctx.sampler.count)
 
 
 def _cocommutativity(ctx, inv):
@@ -214,7 +181,7 @@ def _cocommutativity(ctx, inv):
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance, note="all central elements")
     for g in CENTRAL_GENS:
         report.conditions += cocommutativity_check(delta, g, s).conditions
-    yield _Verdict("cocommutativity", report, s.count)
+    yield _Verdict(inv.name, report, s.count)
     fixture = cocommutativity_check(delta, Gen.Q_L, s, expected_fail=True)
     fixture.note = "the fermionic coproduct must not be cocommutative"
     yield _Verdict("cocommutativity_fermion_fixture", fixture, s.count, expect_fail=True)
@@ -225,7 +192,7 @@ def _tail_cancellation(ctx, inv):
     note = "exact symbolic check; residual counts failed identities"
     report = ConsistencyReport(tolerance=0.0, note=f"{note}; {tail.note}" if tail.note else note)
     report.add("failed identities", len(tail.failures()), None)
-    yield _Verdict("tail_cancellation", report, 0)
+    yield _Verdict(inv.name, report, 0)
 
 
 def _short_reduction(ctx, inv):
@@ -237,20 +204,58 @@ def _short_reduction(ctx, inv):
         if symbolic.passed else "symbolic reduction failed"))
     report.conditions = numeric.conditions + [
         ConditionResult("exact reduction", 0.0, None, symbolic.passed)]
-    yield _Verdict("short_reduction", report, s.count)
+    yield _Verdict(inv.name, report, s.count)
 
 
-CHECKS: Dict[str, Callable[[_SuiteContext, CheckInvocation], Iterator[_Verdict]]] = {
-    "jacobi": _jacobi,
-    "classify": _classify,
-    "boost_commutator": _boost_commutator,
-    "relations": _relations,
-    "ode": _ode,
-    "shortening": _shortening,
-    "coproduct_hom": _coproduct_hom,
-    "cocommutativity": _cocommutativity,
-    "tail_cancellation": _tail_cancellation,
-    "short_reduction": _short_reduction,
+class Check(NamedTuple):
+    """One check: what runs it, what ``explain`` says, and what a suite gives it."""
+
+    run: Callable[[_SuiteContext, CheckInvocation], Iterator[_Verdict]]
+    explain: str
+    reads: Tuple[str, ...] = ()  # the optional suite keys it consumes
+    takes: Optional[type] = None  # the class its argument list fills; None takes no list
+
+
+# The checks a suite may enable, in the order ``list-checks`` prints them.
+CHECKS: Dict[str, Check] = {
+    "jacobi": Check(_jacobi, (
+        "Evaluates the graded Jacobi identity over all admissible generator "
+        "triples of the family's bracket table at seeded momentum samples, "
+        "with the boost acting on coefficients as a convective derivation.")),
+    "classify": Check(_classify, (
+        "Round-trips the family's cross-handed Jacobian pair through the "
+        "classifier and evaluates the two-boost consistency residuals and "
+        "the product constraints on d_LR d_RL.")),
+    "boost_commutator": Check(_boost_commutator, (
+        "Builds the differential representation and verifies that all "
+        "coefficient matrices of [J_L, J_R] vanish.")),
+    "relations": Check(_relations, (
+        "Verifies every representable bracket-table row against the "
+        "differential-operator images, including rows required to vanish."), reads=("eta",)),
+    "ode": Check(_ode, (
+        "Checks that the arccot momentum map solves "
+        "dp_R/dp_L = gamma csc(p_L/2) sin(p_R/2) and that the pulled-back "
+        "right energy matches its closed form."), takes=MomentumMap),
+    "shortening": Check(_shortening, (
+        "Verifies the two eta-parameterised anticommutator identities of the "
+        "hatted supercharges for randomly sampled mixing parameters."), reads=("eta",)),
+    "coproduct_hom": Check(_coproduct_hom, (
+        "Verifies the graded bracket [Delta x, Delta y] = Delta z for every "
+        "bracket-table row on the short representation, for the one map "
+        "the braiding builds; the unbraided map has no numeric boost "
+        "coproduct, so its J_L and J_R rows are not checked."), reads=("eta", "braiding")),
+    "cocommutativity": Check(_cocommutativity, (
+        "Checks invariance of the central elements' coproducts under the "
+        "graded flip; the fermionic coproduct is included as an "
+        "expected-fail fixture."), reads=("eta", "braiding")),
+    "tail_cancellation": Check(_tail_cancellation, (
+        "Exact symbolic verification that the boost-coproduct tails commute "
+        "with the opposite-handed fermion coproducts and that their "
+        "outer-automorphism terms annihilate the same-handed ones."), reads=("braiding",)),
+    "short_reduction": Check(_short_reduction, (
+        "Verifies, exactly and numerically, that on the short representation "
+        "the full boost-coproduct tail reduces to the fermion-bilinear form "
+        "in all commutators with the fermion coproducts."), reads=("eta",)),
 }
 
 
@@ -276,7 +281,7 @@ def run_suite(cfg: CheckSuiteConfig, seed_override: Optional[int] = None) -> Lis
         done: List[ReportRecord] = []
         t0 = time.monotonic()
         try:
-            for v in CHECKS[inv.name](ctx, inv):
+            for v in CHECKS[inv.name].run(ctx, inv):
                 t1 = time.monotonic()
                 worst = v.report.worst
                 done.append(ReportRecord(

@@ -9,9 +9,7 @@ Grammar (flat, line-diagnosable, no expression sublanguage):
                  | massive_magnon(hL=<num>, hR=<num>, m=<num>);
       braiding = braided | unbraided;
       eta = <num>;
-      checks = [ jacobi, classify, boost_commutator, relations,
-                 ode(kappa=<num>, gamma=<num>), shortening, coproduct_hom,
-                 cocommutativity, tail_cancellation, short_reduction ];
+      checks = [ <check>[(<key>=<num>, ...)], ... ];   # the names in runner.CHECKS
       sampling { seed=<int>, points=<int>, tol=<num>, domain=[<num>, <num>] }
     }
 
@@ -25,15 +23,25 @@ non-negative integers, ``points`` is at most ``MAX_POINTS``, ``tol`` is
 positive and ``domain`` increases.  The ``ratio`` family takes only the
 ``magnon`` dispersion.
 
+The checks, their argument lists and the optional keys each consumes are
+read from ``runner.CHECKS``.  A check's argument list fills the class its
+entry names (``ode(kappa=<num>, gamma=<num>)`` a ``MomentumMap``), and the
+class's fields are the keys the list requires.
+
 Each rule on a value belongs to the constructor of the object it
 constrains, and the parser reports that constructor's refusal at the
 value's token: ``Ratio``, ``LeftSeparable`` and ``RightSeparable`` refuse
 ``zeta = 0``; ``AlgebraParams`` refuses a non-positive ``hL``, ``hR`` or
-``kappa``; ``Sampler`` refuses a domain whose width overflows a float.
+``kappa``; ``MomentumMap`` refuses an ``ode`` check's non-positive
+``kappa`` or zero ``gamma``; ``hatted_matrices`` refuses ``eta = 0``;
+``Sampler`` refuses a domain whose width overflows a float.  The d = +-1
+energy identification and a domain too thin for its points are refused
+only when the checks run.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
@@ -48,6 +56,8 @@ from .algebra import (
     RightSeparable,
 )
 from .errors import InconsistentParams, InvalidParams, SuperbracketError
+from .representations import hatted_matrices
+from .runner import CHECKS, CheckInvocation, CheckSuiteConfig
 from .sampling import Sampler
 
 
@@ -152,25 +162,6 @@ def tokenize(text: str) -> list[Token]:
 # Configuration model
 # --------------------------------------------------------------------------
 
-KNOWN_CHECKS = (
-    "jacobi",
-    "classify",
-    "boost_commutator",
-    "relations",
-    "ode",
-    "shortening",
-    "coproduct_hom",
-    "cocommutativity",
-    "tail_cancellation",
-    "short_reduction",
-)
-
-# checks that consume the optional top-level parameters
-_CONSUMES = {
-    "eta": {"relations", "shortening", "coproduct_hom", "cocommutativity", "short_reduction"},
-    "braiding": {"coproduct_hom", "cocommutativity", "tail_cancellation"},
-}
-
 # family name -> (its tag's constructor, the AlgebraParams fields it also
 # takes); the tag's own fields are the keys it requires
 _FAMILIES = {
@@ -196,29 +187,6 @@ _SAMPLING = {"seed": "seed", "points": "count", "tol": "tolerance", "domain": "d
 # holds at most 160 MB of complex128; without a bound, a count numpy cannot
 # allocate would only fail once the run starts.
 MAX_POINTS = 10**7
-
-
-@dataclass(frozen=True)
-class CheckInvocation:
-    name: str
-    args: Tuple[Tuple[str, float], ...] = ()
-
-    def arg(self, key: str):
-        for k, v in self.args:
-            if k == key:
-                return v
-        return None
-
-
-@dataclass(frozen=True)
-class CheckSuiteConfig:
-    name: str
-    family: FamilyTag
-    params: AlgebraParams = AlgebraParams()
-    braiding: str = "braided"
-    eta: float = 1.0
-    checks: Tuple[CheckInvocation, ...] = ()
-    sampler: Sampler = Sampler()
 
 
 # --------------------------------------------------------------------------
@@ -351,6 +319,7 @@ def parse_suite(text: str) -> CheckSuiteConfig:
             explicit["braiding"] = key
         elif key.text == "eta":
             eta, _ = p.expect_number()
+            _construct(key, hatted_matrices, eta)
             explicit["eta"] = key
         elif key.text == "checks":
             checks = _parse_checks(p)
@@ -364,15 +333,16 @@ def parse_suite(text: str) -> CheckSuiteConfig:
 
     if family is None:
         raise UnknownKeyError("a suite must declare its family", head.line, head.col)
-    params = _construct(disp_tok, AlgebraParams, dispersion=dispersion, **disp_fields)
+    params = _construct(disp_tok, AlgebraParams, dispersion=dispersion,
+                        keys=_DISPERSIONS[dispersion], **disp_fields)
     params = _construct(family_tok, replace, params, **family_fields)
     if isinstance(family, Ratio) and dispersion != "magnon":
         raise TypeMismatchError(
             f"family ratio needs the magnon dispersion, not {dispersion}: its arccot "
             "momentum map exists only for the magnon dispersion", disp_tok.line, disp_tok.col)
-    enabled = {c.name for c in checks}
+    consumed = {key for c in checks for key in CHECKS[c.name].reads}
     for key, tok in explicit.items():
-        if not _CONSUMES[key] & enabled:
+        if key not in consumed:
             raise UnknownKeyError(f"parameter {key!r} is set but consumed by no enabled check",
                                   tok.line, tok.col)
 
@@ -387,12 +357,37 @@ def parse_suite(text: str) -> CheckSuiteConfig:
     )
 
 
-def _construct(tok: Token, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a refusal of the values is a parse error at ``tok``."""
+def _construct(tok: Token, build, *args, keys=None, **kwargs):
+    """``build(*args, **kwargs)``; a refusal of the values is a parse error at ``tok``.
+
+    ``keys`` maps each suite key to the field it sets, so the error names the key.
+    """
     try:
         return build(*args, **kwargs)
     except (InconsistentParams, InvalidParams) as err:
-        raise TypeMismatchError(str(err), tok.line, tok.col) from err
+        message = str(err)
+        for key, field in (keys or {}).items():
+            message = re.sub(rf"\b{field}\b", key, message)
+        raise TypeMismatchError(message, tok.line, tok.col) from err
+
+
+def _parse_fields(p: _Parser, tok: Token, what: str, cls, extra) -> Tuple[object, dict]:
+    """The ``cls`` that the list after ``tok`` fills, and the values it sets of ``extra``.
+
+    The class's fields are the keys the list requires and ``extra`` the other keys
+    it may set.  Without a class (None), the list must be absent.
+    """
+    keys = [f.name for f in fields(cls)] if cls else []
+    args = dict(p.parse_kwargs())
+    for key in keys:
+        if key not in args:
+            raise UnknownKeyError(f"{tok.text} requires {key}", tok.line, tok.col)
+    unknown = sorted(set(args).difference(keys, extra))
+    if unknown:
+        raise UnknownKeyError(f"unknown {tok.text} parameter {unknown[0]!r}" if keys
+                              else f"{what} {tok.text} takes no parameters", tok.line, tok.col)
+    built = _construct(tok, cls, **{k: args[k] for k in keys}) if cls else None
+    return built, {k: args[k] for k in extra if k in args}
 
 
 def _parse_family(p: _Parser, tok: Token) -> Tuple[FamilyTag, dict]:
@@ -400,17 +395,7 @@ def _parse_family(p: _Parser, tok: Token) -> Tuple[FamilyTag, dict]:
     if tok.text not in _FAMILIES:
         raise UnknownKeyError(f"unknown family {tok.text!r}", tok.line, tok.col)
     tag, param_keys = _FAMILIES[tok.text]
-    tag_keys = [f.name for f in fields(tag)]
-    args = dict(p.parse_kwargs())
-    for key in tag_keys:
-        if key not in args:
-            raise UnknownKeyError(f"{tok.text} requires {key}", tok.line, tok.col)
-    extra = sorted(set(args).difference(tag_keys, param_keys))
-    if extra:
-        raise UnknownKeyError(f"unknown {tok.text} parameter {extra[0]!r}" if tag_keys
-                              else f"family {tok.text} takes no parameters", tok.line, tok.col)
-    family = _construct(tok, tag, **{k: args[k] for k in tag_keys})
-    return family, {k: args[k] for k in param_keys if k in args}
+    return _parse_fields(p, tok, "family", tag, param_keys)
 
 
 def _parse_dispersion(p: _Parser, tok: Token) -> dict:
@@ -432,17 +417,9 @@ def _parse_checks(p: _Parser) -> list[CheckInvocation]:
         return out
     while True:
         name = p.expect_ident()
-        if name.text not in KNOWN_CHECKS:
+        if name.text not in CHECKS:
             raise UnknownKeyError(f"unknown check {name.text!r}", name.line, name.col)
-        args = p.parse_kwargs()
-        if name.text == "ode":
-            keys = {k for k, _ in args}
-            if keys != {"kappa", "gamma"}:
-                raise UnknownKeyError("ode requires exactly kappa and gamma",
-                                      name.line, name.col)
-        elif args:
-            raise UnknownKeyError(f"check {name.text!r} takes no arguments",
-                                  name.line, name.col)
+        args, _ = _parse_fields(p, name, "check", CHECKS[name.text].takes, ())
         out.append(CheckInvocation(name.text, args))
         if p.maybe_punct(","):
             if p.maybe_punct("]"):

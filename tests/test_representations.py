@@ -18,6 +18,7 @@ from superbracket.diffops import OneVarContext, mat_eval, op_bracket, op_scale, 
 from superbracket.errors import InvalidParams
 from superbracket.expressions import const, diff
 from superbracket.representations import (
+    MomentumMap,
     boost_commutator_zero,
     build_representation,
     hatted_matrices,
@@ -136,7 +137,7 @@ def test_ratio_kappa_gamma_one_is_identity_map():
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
 def test_ode_solution_check(kappa, gamma):
-    report = ode_solution_check(kappa, gamma, S)
+    report = ode_solution_check(MomentumMap(kappa, gamma), S)
     assert report.passed and report.max_residual <= 1e-9
 
 
@@ -161,20 +162,24 @@ def test_ode_against_numerical_integration(kappa, gamma):
 
 
 def test_shortening_identities_exact():
-    rng = np.random.default_rng(8)
     for eta in (0.5, 1.0, 3.0):
         rep = build_representation(DPlusOne(), eta=eta)
-        for _ in range(20):
-            x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            y = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            report = shortening_identities(rep, x, y, S)
-            assert report.max_residual <= 1e-13, (eta, x, y)
+        for seed in (8, 9, 10):
+            report = shortening_identities(rep, Sampler(seed=seed))
+            # both identities at each of the 20 drawn (x, y)
+            assert len(report.conditions) == 40 and report.note == f"eta={eta}"
+            assert report.passed and report.max_residual <= 1e-13, (eta, report.worst)
 
 
 def test_shortening_degenerate_parameters():
-    rep = build_representation(DPlusOne(), eta=1.0)
-    report = shortening_identities(rep, 0.0, 0.0, S)
-    assert report.max_residual <= 1e-13
+    # x = y = 0 turns the identities into {Q_L - S_R, Q_R} = 0 and {S_R, S_L - eta Q_R} = 0
+    env = {"pL": np.array([1.0 + 0j]), "pR": np.array([1.0 + 0j])}
+    for eta in (0.5, 1.0, 3.0):
+        hats = hatted_matrices(eta)
+        QL, SL, QR, SR = (mat_eval(hats[k], env)[:, :, 0] for k in ("Q_L", "S_L", "Q_R", "S_R"))
+        first = (QL - SR) @ QR + QR @ (QL - SR)
+        second = SR @ (SL - eta * QR) + (SL - eta * QR) @ SR
+        assert float(np.max(np.abs(first))) <= 1e-13 and float(np.max(np.abs(second))) <= 1e-13
 
 
 def test_invalid_params():
@@ -183,9 +188,13 @@ def test_invalid_params():
     with pytest.raises(InvalidParams):
         build_representation(LeftSeparable(1.0))
     with pytest.raises(InvalidParams):
-        ode_solution_check(-1.0, 1.0, S)
+        hatted_matrices(0.0)
     with pytest.raises(InvalidParams):
-        ode_solution_check(1.0, 0.0, S)
+        MomentumMap(-1.0, 1.0)
+    with pytest.raises(InvalidParams):
+        MomentumMap(0.0, 1.0)
+    with pytest.raises(InvalidParams):
+        MomentumMap(1.0, 0.0)
 
 
 def test_solvable_structure_relativistic():

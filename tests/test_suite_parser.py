@@ -14,15 +14,14 @@ from superbracket.algebra import (
     RightSeparable,
 )
 from superbracket.cli import main
+from superbracket.representations import MomentumMap
+from superbracket.runner import CHECKS, CheckInvocation, CheckSuiteConfig
 from superbracket.sampling import Sampler
 from superbracket.suite import (
     MAX_POINTS,
-    CheckInvocation,
-    CheckSuiteConfig,
     SuiteSyntaxError,
     TypeMismatchError,
     UnknownKeyError,
-    _CONSUMES,
     _DISPERSIONS,
     _FAMILIES,
     parse_suite,
@@ -59,7 +58,7 @@ def test_full_suite():
     assert cfg.params == AlgebraParams(h_L=1, h_R=2, kappa=1)
     assert cfg.braiding == "unbraided"
     ode = [c for c in cfg.checks if c.name == "ode"][0]
-    assert ode.arg("kappa") == 2 and ode.arg("gamma") == 1
+    assert ode.args == MomentumMap(kappa=2, gamma=1)
     assert cfg.sampler == Sampler(seed=7, count=50, tolerance=1e-8, domain=(0.2, 2.9))
 
 
@@ -228,12 +227,14 @@ def test_a_non_positive_coupling_is_refused_at_the_dispersion(disp, tmp_path, ca
     with pytest.raises(TypeMismatchError) as err:
         parse_suite(text)
     assert (err.value.line, err.value.col) == (1, text.index(disp) + 1)
-    assert "coupling constants h_L, h_R must be positive" in str(err.value)
+    # AlgebraParams refuses its fields h_L, h_R; the error names the keys the suite wrote
+    assert "coupling constants hL, hR must be positive" in str(err.value)
     # the CLI stops at the parse: exit 2, with the span
     path = tmp_path / "coupling.suite"
     path.write_text(text)
     assert main(["run", str(path)]) == 2
-    assert f"line 1, col {text.index(disp) + 1}:" in capsys.readouterr().err
+    assert (f"line 1, col {text.index(disp) + 1}: coupling constants hL, hR must be positive"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("key, value", [("eta", "3"), ("braiding", "unbraided")])
@@ -297,6 +298,38 @@ def test_ode_argument_validation():
         parse_suite('suite "x" { family = d_zero; checks = [ jacobi(n=2) ]; }')
 
 
+@pytest.mark.parametrize("args, message", [
+    ("kappa=0, gamma=1", "kappa must be positive"),
+    ("kappa=-1, gamma=1", "kappa must be positive"),
+    ("kappa=1, gamma=0", "gamma must be nonzero"),
+])
+def test_an_ode_argument_its_constructor_refuses_is_refused_at_the_check(
+        args, message, tmp_path, capsys):
+    # MomentumMap owns these rules; the parser reports its refusal at the ode token
+    text = f'suite "x" {{ family = d_zero; checks = [ ode({args}) ]; }}'
+    with pytest.raises(TypeMismatchError) as err:
+        parse_suite(text)
+    assert (err.value.line, err.value.col) == (1, 41)
+    assert message in str(err.value)
+    path = tmp_path / "ode.suite"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert f"line 1, col 41: {message}" in capsys.readouterr().err
+
+
+def test_a_zero_eta_is_refused_at_its_key(tmp_path, capsys):
+    # hatted_matrices owns eta != 0; the checks on the representation never run
+    text = 'suite "x" {\n  family = d_plus_one;\n  eta = 0;\n  checks = [ relations ];\n}\n'
+    with pytest.raises(TypeMismatchError) as err:
+        parse_suite(text)
+    assert (err.value.line, err.value.col) == (3, 3)
+    assert "eta must be nonzero" in str(err.value)
+    path = tmp_path / "eta.suite"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert "line 3, col 3: eta must be nonzero" in capsys.readouterr().err
+
+
 def _fmt_num(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
@@ -308,23 +341,28 @@ def _kwargs(pairs) -> str:
     return f"({inner})" if inner else ""
 
 
+def _fields(obj) -> list:
+    """(field, value) of a dataclass instance, in field order; none for None."""
+    return [] if obj is None else [(f.name, getattr(obj, f.name))
+                                   for f in dataclasses.fields(obj)]
+
+
 def print_suite(cfg: CheckSuiteConfig) -> str:
     """Suite text that ``parse_suite`` reads back as ``cfg``, printed from its typed objects."""
     lines = [f'suite "{cfg.name}" {{']
     [(fam, param_keys)] = [(name, keys) for name, (tag, keys) in _FAMILIES.items()
                            if type(cfg.family) is tag]
-    args = [(f.name, getattr(cfg.family, f.name)) for f in dataclasses.fields(cfg.family)]
-    args += [(k, getattr(cfg.params, k)) for k in param_keys]
+    args = _fields(cfg.family) + [(k, getattr(cfg.params, k)) for k in param_keys]
     lines.append(f"  family = {fam}{_kwargs(args)};")
     disp = cfg.params.dispersion
     args = [(k, getattr(cfg.params, f)) for k, f in _DISPERSIONS[disp].items()]
     lines.append(f"  dispersion = {disp}{_kwargs(args)};")
-    enabled = {c.name for c in cfg.checks}
-    if _CONSUMES["braiding"] & enabled:
+    consumed = {key for c in cfg.checks for key in CHECKS[c.name].reads}
+    if "braiding" in consumed:
         lines.append(f"  braiding = {cfg.braiding};")
-    if _CONSUMES["eta"] & enabled:
+    if "eta" in consumed:
         lines.append(f"  eta = {_fmt_num(cfg.eta)};")
-    checks = ", ".join(c.name + _kwargs(c.args) for c in cfg.checks)
+    checks = ", ".join(c.name + _kwargs(_fields(c.args)) for c in cfg.checks)
     lines.append(f"  checks = [ {checks} ];")
     s = cfg.sampler
     lines.append(
@@ -374,22 +412,31 @@ def _algebras(draw):
     return family, AlgebraParams(dispersion=dispersion, kappa=kappa, **values)
 
 
+# the ode check's argument list: kappa > 0 and gamma != 0, or the check left out
+_ode = st.one_of(st.none(), st.builds(MomentumMap, kappa=_positive,
+                                      gamma=_finite.filter(lambda g: g != 0)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     algebra=_algebras(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     points=st.integers(min_value=1, max_value=500),
     checks=_check_strategy,
+    ode=_ode,
     eta=st.integers(min_value=1, max_value=5),
 )
-def test_round_trip_property(algebra, seed, points, checks, eta):
+def test_round_trip_property(algebra, seed, points, checks, ode, eta):
     family, params = algebra
+    invocations = [CheckInvocation(c) for c in checks]
+    if ode is not None:
+        invocations.insert(len(invocations) // 2, CheckInvocation("ode", ode))
     cfg = CheckSuiteConfig(
         name="prop",
         family=family,
         params=params,
-        checks=tuple(CheckInvocation(c) for c in checks),
+        checks=tuple(invocations),
         sampler=Sampler(seed=seed, count=points),
-        eta=float(eta) if _CONSUMES["eta"] & set(checks) else 1.0,
+        eta=float(eta) if any("eta" in CHECKS[c].reads for c in checks) else 1.0,
     )
     assert parse_suite(print_suite(cfg)) == cfg

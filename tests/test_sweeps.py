@@ -624,8 +624,8 @@ def test_short_reduction_peak_memory_does_not_grow_with_sample_count():
 
 def emitted_record(monkeypatch, report):
     """The JSON record a suite run emits for a ``jacobi`` check that yields ``report``."""
-    monkeypatch.setitem(runner.CHECKS, "jacobi",
-                        lambda ctx, inv: iter([runner._Verdict("jacobi", report, N)]))
+    monkeypatch.setitem(runner.CHECKS, "jacobi", runner.CHECKS["jacobi"]._replace(
+        run=lambda ctx, inv: iter([runner._Verdict("jacobi", report, N)])))
     cfg = parse_suite('suite "nan" { family = d_zero; checks = [ jacobi ]; }')
     [record] = json.loads(runner.emit_report(runner.run_suite(cfg)))["records"]
     return record

@@ -124,7 +124,7 @@ TRAFFIC = f"""
 import tempfile
 from pathlib import Path
 from superbracket.cli import main
-from superbracket.suite import KNOWN_CHECKS
+from superbracket.runner import CHECKS
 
 suites = sorted(Path({str(PACKAGE / "suites")!r}).glob("*.suite"))
 with tempfile.TemporaryDirectory() as tmp:
@@ -135,7 +135,7 @@ with tempfile.TemporaryDirectory() as tmp:
         main(["run", str(suite), "--seed", "7", "--out", str(Path(tmp) / "out.json")])
         main(["run", str(suite), "--format", "text", "--timing"])
 main(["list-checks"])
-for check in KNOWN_CHECKS:
+for check in CHECKS:
     main(["explain", check])
 """
 
