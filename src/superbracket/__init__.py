@@ -57,7 +57,6 @@ from .families import (
     product_constraint_check,
 )
 from .representations import (
-    MomentumMap,
     Representation,
     boost_commutator_zero,
     build_representation,

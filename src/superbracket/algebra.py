@@ -435,6 +435,11 @@ def ratio_momentum_map(kappa: float, gamma_exp: float) -> Expr:
                ex.arccot(mul(const(kappa), ex.pow_(ex.cot(mul(const(0.25), pl)), gamma_exp))))
 
 
+def ratio_gamma(zeta: float, params: AlgebraParams) -> float:
+    """gamma = zeta h_R/h_L, the exponent of the ratio family's arccot momentum map."""
+    return (params.h_R / params.h_L) * float(zeta)
+
+
 def _validate_energy_identification(H: Dict[str, Expr], f: Expr, d_sign, h_L, h_R):
     """The d = +-1 families only exist when H_R(p_R(p_L)) = d (h_R/h_L) H_L(p_L)."""
     probes = np.linspace(0.3, math.pi - 0.3, 7) + 0j
@@ -485,8 +490,7 @@ def build_algebra(family: FamilyTag, params: AlgebraParams | None = None) -> Alg
                 "the constant-energy-ratio family uses the closed-form arccot "
                 "momentum map, which is specific to the magnon dispersion"
             )
-        gamma_exp = (hR / hL) * float(zeta)
-        constraint = ratio_momentum_map(params.kappa, gamma_exp)
+        constraint = ratio_momentum_map(params.kappa, ratio_gamma(zeta, params))
         dLR = mul(const(zeta), quot(H_R, H_L))
         dRL = quot(H_L, mul(const(zeta), H_R))
     else:

@@ -52,7 +52,7 @@ class IncompatibleCentrals(SuperbracketError):
 
 
 class UnsupportedFamily(SuperbracketError):
-    """No boost coproduct is defined for the requested family."""
+    """The requested coproduct or check is not defined for the family."""
 
 
 class NormalFormDivergence(SuperbracketError):

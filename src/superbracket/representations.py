@@ -42,7 +42,7 @@ from .algebra import (
     LinComb,
     Ratio,
     build_algebra,
-    ratio_momentum_map,
+    ratio_gamma,
 )
 from .diffops import (
     DiffOperator,
@@ -66,7 +66,7 @@ from .diffops import (
     scalar_op,
     zero_op,
 )
-from .errors import DomainError, GradeError, InvalidParams
+from .errors import DomainError, GradeError, InvalidParams, UnsupportedFamily
 from .expressions import add, const, mul, neg, quot, var
 from .families import family_transform
 from .reports import ConsistencyReport
@@ -249,33 +249,25 @@ def boost_commutator_zero(rep: Representation, s: Sampler) -> ConsistencyReport:
     return report
 
 
-@dataclass(frozen=True)
-class MomentumMap:
-    """The constants of the arccot momentum map that the ``ode`` check solves."""
+def ode_solution_check(spec: AlgebraSpec, s: Sampler) -> ConsistencyReport:
+    """The ratio family's momentum map must solve dp_R/dp_L = gamma csc(p_L/2) sin(p_R/2).
 
-    kappa: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise InvalidParams("kappa must be positive")
-        if self.gamma == 0:
-            raise InvalidParams("gamma must be nonzero")
-
-
-def ode_solution_check(m: MomentumMap, s: Sampler) -> ConsistencyReport:
-    """The arccot momentum map must solve dp_R/dp_L = gamma csc(p_L/2) sin(p_R/2).
-
-    Also checks the closed form of the right energy pulled back to p_L,
+    The map is ``spec.constraint``, with kappa from ``spec.params`` and
+    gamma = zeta h_R/h_L.  Also checks the closed form of the right energy
+    pulled back to p_L,
 
         sin(p_R(p_L)/2) = kappa 2^(1-gamma) sin^gamma(p_L/2)
                           / (kappa^2 cos^(2 gamma)(p_L/4) + sin^(2 gamma)(p_L/4)).
+
+    Any other family has no arccot momentum map: UnsupportedFamily.
     """
+    if not isinstance(spec.family, Ratio):
+        raise UnsupportedFamily(f"{spec.family!r} has no arccot momentum map")
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance)
     if s.count == 0:
         return report
-    kappa, g = m.kappa, m.gamma
-    f = ratio_momentum_map(kappa, g)
+    kappa, g = spec.params.kappa, ratio_gamma(spec.family.zeta, spec.params)
+    f = spec.constraint
     pl = var("pL")
     env = {"pL": s.momenta()}
     rhs = mul(const(g), quot(ex.sin(mul(const(0.5), f)), ex.sin(mul(const(0.5), pl))))

@@ -40,7 +40,6 @@ from .coproducts import (
 from .errors import SuperbracketError
 from .families import classify_family, cross_jacobian_report, product_constraint_check
 from .representations import (
-    MomentumMap,
     boost_commutator_zero,
     build_representation,
     ode_solution_check,
@@ -68,21 +67,13 @@ class ReportRecord:
 
 
 @dataclass(frozen=True)
-class CheckInvocation:
-    """An enabled check; ``args`` is the object its argument list fills, if it takes one."""
-
-    name: str
-    args: Optional[object] = None
-
-
-@dataclass(frozen=True)
 class CheckSuiteConfig:
     name: str
     family: FamilyTag
     params: AlgebraParams = AlgebraParams()
     braiding: str = "braided"
     eta: float = 1.0
-    checks: Tuple[CheckInvocation, ...] = ()
+    checks: Tuple[str, ...] = ()  # check names, keys of CHECKS
     sampler: Sampler = Sampler()
 
 
@@ -121,21 +112,21 @@ class _Verdict(NamedTuple):
     expect_fail: bool = False
 
 
-# Each check takes the suite context and its invocation and yields one verdict
-# per report record, under the invocation's name unless it is a fixture.
+# Each check takes the suite context and its own name and yields one verdict
+# per report record, under that name unless it is a fixture.
 # Checks that combine several results fold them into one ConsistencyReport; a
 # condition without a numeric residual (a round trip, an exact symbolic
 # identity) enters with residual 0 and its own pass flag.
 
-def _jacobi(ctx, inv):
-    yield _Verdict(inv.name, jacobi_check(ctx.spec, ctx.sampler), ctx.sampler.count)
+def _jacobi(ctx, name):
+    yield _Verdict(name, jacobi_check(ctx.spec, ctx.sampler), ctx.sampler.count)
 
 
-def _classify(ctx, inv):
+def _classify(ctx, name):
     spec, s = ctx.spec, ctx.sampler
     if s.count == 0:
         # with no samples every zero test passes, and any pair looks like d_zero
-        yield _Verdict(inv.name, ConsistencyReport(
+        yield _Verdict(name, ConsistencyReport(
             seed=s.seed, tolerance=s.tolerance, note="no samples"), 0)
         return
     tag = classify_family(spec.dLR, spec.dRL, spec, s)
@@ -147,55 +138,55 @@ def _classify(ctx, inv):
     report.conditions = (cross_jacobian_report(spec, s).conditions
                          + product_constraint_check(spec, s).conditions)
     report.conditions.append(ConditionResult("family-roundtrip", 0.0, None, roundtrip_ok))
-    yield _Verdict(inv.name, report, s.count)
+    yield _Verdict(name, report, s.count)
 
 
-def _boost_commutator(ctx, inv):
+def _boost_commutator(ctx, name):
     report = boost_commutator_zero(ctx.representation, ctx.sampler)
-    yield _Verdict(inv.name, report, ctx.sampler.count)
+    yield _Verdict(name, report, ctx.sampler.count)
 
 
-def _relations(ctx, inv):
+def _relations(ctx, name):
     report = verify_relations(ctx.representation, ctx.spec, ctx.sampler)
-    yield _Verdict(inv.name, report, ctx.sampler.count)
+    yield _Verdict(name, report, ctx.sampler.count)
 
 
-def _ode(ctx, inv):
-    yield _Verdict(inv.name, ode_solution_check(inv.args, ctx.sampler), ctx.sampler.count)
+def _ode(ctx, name):
+    yield _Verdict(name, ode_solution_check(ctx.spec, ctx.sampler), ctx.sampler.count)
 
 
-def _shortening(ctx, inv):
+def _shortening(ctx, name):
     report = shortening_identities(ctx.representation, ctx.sampler)
     # two identities per drawn (x, y)
-    yield _Verdict(inv.name, report, len(report.conditions) // 2)
+    yield _Verdict(name, report, len(report.conditions) // 2)
 
 
-def _coproduct_hom(ctx, inv):
+def _coproduct_hom(ctx, name):
     report = homomorphism_check(ctx.coproduct, ctx.spec, ctx.representation, ctx.sampler)
-    yield _Verdict(inv.name, report, ctx.sampler.count)
+    yield _Verdict(name, report, ctx.sampler.count)
 
 
-def _cocommutativity(ctx, inv):
+def _cocommutativity(ctx, name):
     s = ctx.sampler
     delta = ctx.coproduct
     report = ConsistencyReport(seed=s.seed, tolerance=s.tolerance, note="all central elements")
     for g in CENTRAL_GENS:
         report.conditions += cocommutativity_check(delta, g, s).conditions
-    yield _Verdict(inv.name, report, s.count)
+    yield _Verdict(name, report, s.count)
     fixture = cocommutativity_check(delta, Gen.Q_L, s, expected_fail=True)
     fixture.note = "the fermionic coproduct must not be cocommutative"
     yield _Verdict("cocommutativity_fermion_fixture", fixture, s.count, expect_fail=True)
 
 
-def _tail_cancellation(ctx, inv):
+def _tail_cancellation(ctx, name):
     tail = tail_cancellation_check(ctx.spec, ctx.cfg.braiding)
     note = "exact symbolic check; residual counts failed identities"
     report = ConsistencyReport(tolerance=0.0, note=f"{note}; {tail.note}" if tail.note else note)
     report.add("failed identities", len(tail.failures()), None)
-    yield _Verdict(inv.name, report, 0)
+    yield _Verdict(name, report, 0)
 
 
-def _short_reduction(ctx, inv):
+def _short_reduction(ctx, name):
     s = ctx.sampler
     symbolic = short_rep_reduction_symbolic(ctx.spec)
     numeric = short_rep_reduction_check(ctx.spec, ctx.representation, s)
@@ -204,16 +195,15 @@ def _short_reduction(ctx, inv):
         if symbolic.passed else "symbolic reduction failed"))
     report.conditions = numeric.conditions + [
         ConditionResult("exact reduction", 0.0, None, symbolic.passed)]
-    yield _Verdict(inv.name, report, s.count)
+    yield _Verdict(name, report, s.count)
 
 
 class Check(NamedTuple):
     """One check: what runs it, what ``explain`` says, and what a suite gives it."""
 
-    run: Callable[[_SuiteContext, CheckInvocation], Iterator[_Verdict]]
+    run: Callable[[_SuiteContext, str], Iterator[_Verdict]]
     explain: str
     reads: Tuple[str, ...] = ()  # the optional suite keys it consumes
-    takes: Optional[type] = None  # the class its argument list fills; None takes no list
 
 
 # The checks a suite may enable, in the order ``list-checks`` prints them.
@@ -233,9 +223,11 @@ CHECKS: Dict[str, Check] = {
         "Verifies every representable bracket-table row against the "
         "differential-operator images, including rows required to vanish."), reads=("eta",)),
     "ode": Check(_ode, (
-        "Checks that the arccot momentum map solves "
-        "dp_R/dp_L = gamma csc(p_L/2) sin(p_R/2) and that the pulled-back "
-        "right energy matches its closed form."), takes=MomentumMap),
+        "Checks that the ratio family's arccot momentum map, with kappa "
+        "and gamma = zeta hR/hL from the suite's family and dispersion, "
+        "solves dp_R/dp_L = gamma csc(p_L/2) sin(p_R/2) and that the "
+        "pulled-back right energy matches its closed form; any other "
+        "family fails with UnsupportedFamily.")),
     "shortening": Check(_shortening, (
         "Verifies the two eta-parameterised anticommutator identities of the "
         "hatted supercharges for randomly sampled mixing parameters."), reads=("eta",)),
@@ -277,11 +269,11 @@ def run_suite(cfg: CheckSuiteConfig, seed_override: Optional[int] = None) -> Lis
     ctx = _SuiteContext(cfg, seed_override)
     seed, count = ctx.sampler.seed, ctx.sampler.count
     records: List[ReportRecord] = []
-    for inv in cfg.checks:
+    for name in cfg.checks:
         done: List[ReportRecord] = []
         t0 = time.monotonic()
         try:
-            for v in CHECKS[inv.name].run(ctx, inv):
+            for v in CHECKS[name].run(ctx, name):
                 t1 = time.monotonic()
                 worst = v.report.worst
                 done.append(ReportRecord(
@@ -297,7 +289,7 @@ def run_suite(cfg: CheckSuiteConfig, seed_override: Optional[int] = None) -> Lis
                 t0 = t1
         except SuperbracketError as err:
             done = [ReportRecord(
-                check=inv.name,
+                check=name,
                 status="fail",
                 max_residual=float("nan"),
                 worst_point=None,

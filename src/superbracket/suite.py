@@ -9,7 +9,7 @@ Grammar (flat, line-diagnosable, no expression sublanguage):
                  | massive_magnon(hL=<num>, hR=<num>, m=<num>);
       braiding = braided | unbraided;
       eta = <num>;
-      checks = [ <check>[(<key>=<num>, ...)], ... ];   # the names in runner.CHECKS
+      checks = [ <check>, ... ];   # the names in runner.CHECKS
       sampling { seed=<int>, points=<int>, tol=<num>, domain=[<num>, <num>] }
     }
 
@@ -23,20 +23,19 @@ non-negative integers, ``points`` is at most ``MAX_POINTS``, ``tol`` is
 positive and ``domain`` increases.  The ``ratio`` family takes only the
 ``magnon`` dispersion.
 
-The checks, their argument lists and the optional keys each consumes are
-read from ``runner.CHECKS``.  A check's argument list fills the class its
-entry names (``ode(kappa=<num>, gamma=<num>)`` a ``MomentumMap``), and the
-class's fields are the keys the list requires.
+The checks and the optional keys each consumes are read from
+``runner.CHECKS``.  A check is its name alone: what it verifies comes from
+the suite's family and dispersion (``ode`` reads kappa and gamma = zeta
+hR/hL from ``ratio``), so an argument list after a check name is refused
+at the name.
 
 Each rule on a value belongs to the constructor of the object it
 constrains, and the parser reports that constructor's refusal at the
 value's token: ``Ratio``, ``LeftSeparable`` and ``RightSeparable`` refuse
 ``zeta = 0``; ``AlgebraParams`` refuses a non-positive ``hL``, ``hR`` or
-``kappa``; ``MomentumMap`` refuses an ``ode`` check's non-positive
-``kappa`` or zero ``gamma``; ``hatted_matrices`` refuses ``eta = 0``;
-``Sampler`` refuses a domain whose width overflows a float.  The d = +-1
-energy identification and a domain too thin for its points are refused
-only when the checks run.
+``kappa``; ``hatted_matrices`` refuses ``eta = 0``; ``Sampler`` refuses a
+domain whose width overflows a float.  The d = +-1 energy identification
+and a domain too thin for its points are refused only when the checks run.
 """
 from __future__ import annotations
 
@@ -57,7 +56,7 @@ from .algebra import (
 )
 from .errors import InconsistentParams, InvalidParams, SuperbracketError
 from .representations import hatted_matrices
-from .runner import CHECKS, CheckInvocation, CheckSuiteConfig
+from .runner import CHECKS, CheckSuiteConfig
 from .sampling import Sampler
 
 
@@ -282,7 +281,7 @@ def parse_suite(text: str) -> CheckSuiteConfig:
     disp_fields: dict = {}
     braiding = "braided"
     eta = 1.0
-    checks: list[CheckInvocation] = []
+    checks: list[str] = []
     sampler = Sampler()
     explicit: dict[str, Token] = {}  # optional top-level key -> its token
     seen: set[str] = set()
@@ -340,7 +339,7 @@ def parse_suite(text: str) -> CheckSuiteConfig:
         raise TypeMismatchError(
             f"family ratio needs the magnon dispersion, not {dispersion}: its arccot "
             "momentum map exists only for the magnon dispersion", disp_tok.line, disp_tok.col)
-    consumed = {key for c in checks for key in CHECKS[c.name].reads}
+    consumed = {key for c in checks for key in CHECKS[c].reads}
     for key, tok in explicit.items():
         if key not in consumed:
             raise UnknownKeyError(f"parameter {key!r} is set but consumed by no enabled check",
@@ -371,13 +370,16 @@ def _construct(tok: Token, build, *args, keys=None, **kwargs):
         raise TypeMismatchError(message, tok.line, tok.col) from err
 
 
-def _parse_fields(p: _Parser, tok: Token, what: str, cls, extra) -> Tuple[object, dict]:
-    """The ``cls`` that the list after ``tok`` fills, and the values it sets of ``extra``.
+def _parse_family(p: _Parser, tok: Token) -> Tuple[FamilyTag, dict]:
+    """The tag of the family ``tok`` names, and the AlgebraParams fields its list sets.
 
-    The class's fields are the keys the list requires and ``extra`` the other keys
-    it may set.  Without a class (None), the list must be absent.
+    The tag's fields are the keys the list requires; the AlgebraParams
+    fields the family takes are the other keys it may set.
     """
-    keys = [f.name for f in fields(cls)] if cls else []
+    if tok.text not in _FAMILIES:
+        raise UnknownKeyError(f"unknown family {tok.text!r}", tok.line, tok.col)
+    tag, extra = _FAMILIES[tok.text]
+    keys = [f.name for f in fields(tag)]
     args = dict(p.parse_kwargs())
     for key in keys:
         if key not in args:
@@ -385,17 +387,9 @@ def _parse_fields(p: _Parser, tok: Token, what: str, cls, extra) -> Tuple[object
     unknown = sorted(set(args).difference(keys, extra))
     if unknown:
         raise UnknownKeyError(f"unknown {tok.text} parameter {unknown[0]!r}" if keys
-                              else f"{what} {tok.text} takes no parameters", tok.line, tok.col)
-    built = _construct(tok, cls, **{k: args[k] for k in keys}) if cls else None
+                              else f"family {tok.text} takes no parameters", tok.line, tok.col)
+    built = _construct(tok, tag, **{k: args[k] for k in keys})
     return built, {k: args[k] for k in extra if k in args}
-
-
-def _parse_family(p: _Parser, tok: Token) -> Tuple[FamilyTag, dict]:
-    """The tag of the family ``tok`` names, and the AlgebraParams fields its list sets."""
-    if tok.text not in _FAMILIES:
-        raise UnknownKeyError(f"unknown family {tok.text!r}", tok.line, tok.col)
-    tag, param_keys = _FAMILIES[tok.text]
-    return _parse_fields(p, tok, "family", tag, param_keys)
 
 
 def _parse_dispersion(p: _Parser, tok: Token) -> dict:
@@ -410,17 +404,19 @@ def _parse_dispersion(p: _Parser, tok: Token) -> dict:
     return {keys[k]: v for k, v in args.items()}
 
 
-def _parse_checks(p: _Parser) -> list[CheckInvocation]:
+def _parse_checks(p: _Parser) -> list[str]:
     p.expect_punct("[")
-    out: list[CheckInvocation] = []
+    out: list[str] = []
     if p.maybe_punct("]"):
         return out
     while True:
         name = p.expect_ident()
         if name.text not in CHECKS:
             raise UnknownKeyError(f"unknown check {name.text!r}", name.line, name.col)
-        args, _ = _parse_fields(p, name, "check", CHECKS[name.text].takes, ())
-        out.append(CheckInvocation(name.text, args))
+        paren = p.peek()
+        if paren.kind == "punct" and paren.text == "(":
+            raise UnknownKeyError(f"check {name.text} takes no parameters", name.line, name.col)
+        out.append(name.text)
         if p.maybe_punct(","):
             if p.maybe_punct("]"):
                 break

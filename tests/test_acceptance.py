@@ -12,6 +12,7 @@ from scipy.integrate import solve_ivp
 
 from superbracket import expressions as ex
 from superbracket.algebra import (
+    AlgebraParams,
     DMinusOne,
     DPlusOne,
     DZero,
@@ -21,7 +22,6 @@ from superbracket.algebra import (
     RightSeparable,
     build_algebra,
     jacobi_check,
-    ratio_momentum_map,
 )
 from superbracket.coproducts import (
     CENTRAL_GENS,
@@ -38,7 +38,6 @@ from superbracket.families import (
     cross_jacobian_report,
 )
 from superbracket.representations import (
-    MomentumMap,
     boost_commutator_zero,
     build_representation,
     ode_solution_check,
@@ -144,7 +143,9 @@ def test_criterion_4_ode_family():
     worst = 0.0
     for kappa in (0.5, 1.0, 2.0):
         for gamma in (0.5, 1.0, 2.0):
-            report = ode_solution_check(MomentumMap(kappa, gamma), S100)
+            # the ratio algebra's own map: gamma = zeta when h_L = h_R
+            spec = build_algebra(Ratio(gamma), AlgebraParams(kappa=kappa))
+            report = ode_solution_check(spec, S100)
             assert report.passed, (kappa, gamma)
             worst = max(worst, report.max_residual)
             # independent oracle: numerical integration from p_L = pi
@@ -155,12 +156,11 @@ def test_criterion_4_ode_family():
                 (math.pi, targets.min()), [p0], rtol=1e-12, atol=1e-12,
                 dense_output=True,
             )
-            f = ratio_momentum_map(kappa, gamma)
-            closed = np.asarray(f.eval({"pL": targets + 0j})).real
+            closed = np.asarray(spec.constraint.eval({"pL": targets + 0j})).real
             oracle_gap = float(np.max(np.abs(closed - sol.sol(targets)[0])))
             assert oracle_gap <= TOL, (kappa, gamma, oracle_gap)
             worst = max(worst, oracle_gap)
-    f = ratio_momentum_map(1.0, 1.0)
+    f = build_algebra(Ratio(1.0), AlgebraParams(kappa=1.0)).constraint
     pts = np.linspace(0.15, math.pi - 0.1, 60)
     identity_gap = float(np.max(np.abs(np.asarray(f.eval({"pL": pts + 0j})) - pts)))
     _report(4, worst <= TOL and identity_gap <= 1e-12,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,12 +14,13 @@ from superbracket.algebra import (
     LeftSeparable,
     Ratio,
     RightSeparable,
+    build_algebra,
+    ratio_momentum_map,
 )
 from superbracket.diffops import OneVarContext, mat_eval, op_bracket, op_scale, op_sub
-from superbracket.errors import InvalidParams
+from superbracket.errors import InvalidParams, UnsupportedFamily
 from superbracket.expressions import const, diff
 from superbracket.representations import (
-    MomentumMap,
     boost_commutator_zero,
     build_representation,
     hatted_matrices,
@@ -137,8 +139,37 @@ def test_ratio_kappa_gamma_one_is_identity_map():
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
 def test_ode_solution_check(kappa, gamma):
-    report = ode_solution_check(MomentumMap(kappa, gamma), S)
+    # with h_L = h_R the map's exponent gamma is zeta
+    report = ode_solution_check(build_algebra(Ratio(gamma), AlgebraParams(kappa=kappa)), S)
     assert report.passed and report.max_residual <= 1e-9
+
+
+def test_ode_check_reads_gamma_from_zeta_and_the_couplings():
+    # gamma = zeta h_R/h_L = 1 here; a check that took gamma = zeta would fail
+    spec = build_algebra(Ratio(2.0), AlgebraParams(h_L=2.0, h_R=1.0, kappa=0.5))
+    report = ode_solution_check(spec, S)
+    assert report.passed and report.max_residual <= 1e-9
+
+
+@pytest.mark.parametrize("kappa, gamma, failing", [
+    (2.0, 2.0, "pulled-back-energy-closed-form"),  # solves the ODE, but with kappa = 2
+    (1.0, 3.0, "momentum-map-ode"),
+])
+def test_ode_check_verifies_the_algebras_own_map(kappa, gamma, failing):
+    # the spec's kappa is 1 and gamma = zeta = 2; its map is swapped for another
+    spec = build_algebra(Ratio(2.0), AlgebraParams(kappa=1.0))
+    assert ode_solution_check(spec, S).passed
+    wrong = dataclasses.replace(spec, constraint=ratio_momentum_map(kappa, gamma))
+    report = ode_solution_check(wrong, S)
+    assert not report.passed
+    assert not {c.name: c.passed for c in report.conditions}[failing]
+
+
+@pytest.mark.parametrize("family", [DPlusOne(), DMinusOne(), DZero(), LeftSeparable(2.0)],
+                         ids=repr)
+def test_ode_check_refuses_a_family_without_the_arccot_map(family):
+    with pytest.raises(UnsupportedFamily, match="has no arccot momentum map"):
+        ode_solution_check(build_algebra(family), S)
 
 
 @pytest.mark.parametrize("kappa,gamma", [(2.0, 1.0), (1.0, 2.0), (0.5, 0.5)])
@@ -154,7 +185,6 @@ def test_ode_against_numerical_integration(kappa, gamma):
     sol = solve_ivp(rhs, (math.pi, targets.min()), [p0], t_eval=sorted(targets)[::-1],
                     rtol=1e-12, atol=1e-12, dense_output=True)
     assert sol.success
-    from superbracket.algebra import ratio_momentum_map
     f = ratio_momentum_map(kappa, gamma)
     closed = np.asarray(f.eval({"pL": targets + 0j})).real
     numeric = sol.sol(targets)[0]
@@ -189,12 +219,6 @@ def test_invalid_params():
         build_representation(LeftSeparable(1.0))
     with pytest.raises(InvalidParams):
         hatted_matrices(0.0)
-    with pytest.raises(InvalidParams):
-        MomentumMap(-1.0, 1.0)
-    with pytest.raises(InvalidParams):
-        MomentumMap(0.0, 1.0)
-    with pytest.raises(InvalidParams):
-        MomentumMap(1.0, 0.0)
 
 
 def test_solvable_structure_relativistic():

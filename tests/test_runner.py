@@ -90,6 +90,17 @@ def test_errors_are_captured_not_raised():
     assert by_check["tail_cancellation"].status == "pass"
 
 
+def test_ode_on_a_family_without_the_arccot_map_fails_and_says_why(tmp_path):
+    text = 'suite "x" { family = d_plus_one; checks = [ jacobi, ode ]; }'
+    by_check = {r.check: r for r in run_suite(parse_suite(text))}
+    assert by_check["jacobi"].status == "pass"
+    assert by_check["ode"].status == "fail"
+    assert by_check["ode"].note == "UnsupportedFamily: d_plus_one has no arccot momentum map"
+    path = tmp_path / "ode.suite"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 1
+
+
 def test_json_reports_are_byte_identical_for_fixed_seed():
     cfg = parse_suite(bundled_text("d_plus_one"))
     a = emit_report(run_suite(cfg), "json")
@@ -185,10 +196,17 @@ def test_readme_and_list_checks_name_every_check_in_table_order(capsys):
     # a check added to CHECKS cannot skip its documentation
     readme = (SRC.parent / "README.md").read_text()
     [sentence] = re.findall(r"Available checks:(.*?)\.\s", readme, re.DOTALL)
-    documented = [name.split("(")[0] for name in sentence.split("`")[1::2]]
-    assert documented == list(CHECKS)
+    assert sentence.split("`")[1::2] == list(CHECKS)
     assert main(["list-checks"]) == 0
     assert capsys.readouterr().out.split() == list(CHECKS)
+
+
+def test_readme_suite_example_parses():
+    # the documented grammar cannot drift from the parser
+    readme = (SRC.parent / "README.md").read_text()
+    [example] = re.findall(r"### Suite files\s*```\n(.*?)```", readme, re.DOTALL)
+    cfg = parse_suite(example)
+    assert cfg.name == "example" and "ode" in cfg.checks
 
 
 def test_seed_override_changes_the_report():

@@ -14,8 +14,7 @@ from superbracket.algebra import (
     RightSeparable,
 )
 from superbracket.cli import main
-from superbracket.representations import MomentumMap
-from superbracket.runner import CHECKS, CheckInvocation, CheckSuiteConfig
+from superbracket.runner import CHECKS, CheckSuiteConfig
 from superbracket.sampling import Sampler
 from superbracket.suite import (
     MAX_POINTS,
@@ -38,7 +37,7 @@ def test_minimal_suite_gets_defaults():
     assert cfg.braiding == "braided"
     assert cfg.eta == 1.0
     assert cfg.sampler == Sampler()
-    assert cfg.checks == (CheckInvocation("jacobi"),)
+    assert cfg.checks == ("jacobi",)
 
 
 def test_full_suite():
@@ -49,7 +48,7 @@ def test_full_suite():
       dispersion = magnon(hL=1, hR=2);
       braiding = unbraided;
       eta = 3;
-      checks = [ jacobi, relations, ode(kappa=2, gamma=1), tail_cancellation ];
+      checks = [ jacobi, relations, ode, tail_cancellation ];
       sampling { seed=7, points=50, tol=1e-8, domain=[0.2, 2.9] }
     }
     '''
@@ -57,8 +56,7 @@ def test_full_suite():
     assert cfg.family == Ratio(2)
     assert cfg.params == AlgebraParams(h_L=1, h_R=2, kappa=1)
     assert cfg.braiding == "unbraided"
-    ode = [c for c in cfg.checks if c.name == "ode"][0]
-    assert ode.args == MomentumMap(kappa=2, gamma=1)
+    assert cfg.checks == ("jacobi", "relations", "ode", "tail_cancellation")
     assert cfg.sampler == Sampler(seed=7, count=50, tolerance=1e-8, domain=(0.2, 2.9))
 
 
@@ -137,8 +135,7 @@ def test_integer_literals_are_read_exactly():
     'suite "x" { family = d_zero; dispersion = magnon(hL=1e999, hR=1); checks=[jacobi]; }',
     'suite "x" { family = ratio(zeta=1e999); checks=[jacobi]; }',
     'suite "x" { family = d_plus_one; eta = 1e999; checks=[relations]; }',
-    'suite "x" { family = d_zero; checks=[ode(kappa=1, gamma=1e999)]; }',
-], ids=["tol", "domain", "dispersion", "zeta", "eta", "ode"])
+], ids=["tol", "domain", "dispersion", "zeta", "eta"])
 def test_a_number_that_overflows_is_refused_at_its_span(text, tmp_path, capsys):
     # float("1e999") is inf: an infinite tolerance would pass every check
     with pytest.raises(TypeMismatchError) as err:
@@ -204,9 +201,8 @@ def test_duplicate_key_rejected():
 @pytest.mark.parametrize("text, key", [
     # with a repeat, the parser's zeta check and the runner could read different values
     ('suite "x" { family = ratio(zeta=0, zeta=2); checks=[jacobi]; }', "zeta"),
-    ('suite "x" { family = d_zero; checks=[ode(kappa=1, gamma=2, kappa=3)]; }', "kappa"),
     ('suite "x" { family = d_zero; checks=[jacobi]; sampling { seed=1, seed=2 } }', "seed"),
-], ids=["family", "ode", "sampling"])
+], ids=["family", "sampling"])
 def test_a_key_repeated_inside_a_list_is_refused_at_its_span(text, key, tmp_path, capsys):
     with pytest.raises(UnknownKeyError) as err:
         parse_suite(text)
@@ -291,30 +287,20 @@ def test_a_family_value_its_constructor_refuses_is_refused_at_the_family(
     assert f"line 1, col 22: {message}" in capsys.readouterr().err
 
 
-def test_ode_argument_validation():
-    with pytest.raises(UnknownKeyError):
-        parse_suite('suite "x" { family = d_zero; checks = [ ode(kappa=1) ]; }')
-    with pytest.raises(UnknownKeyError):
-        parse_suite('suite "x" { family = d_zero; checks = [ jacobi(n=2) ]; }')
-
-
-@pytest.mark.parametrize("args, message", [
-    ("kappa=0, gamma=1", "kappa must be positive"),
-    ("kappa=-1, gamma=1", "kappa must be positive"),
-    ("kappa=1, gamma=0", "gamma must be nonzero"),
-])
-def test_an_ode_argument_its_constructor_refuses_is_refused_at_the_check(
-        args, message, tmp_path, capsys):
-    # MomentumMap owns these rules; the parser reports its refusal at the ode token
-    text = f'suite "x" {{ family = d_zero; checks = [ ode({args}) ]; }}'
-    with pytest.raises(TypeMismatchError) as err:
+@pytest.mark.parametrize("check", ["jacobi(n=2)", "ode(kappa=2, gamma=2)"], ids=["jacobi", "ode"])
+def test_a_check_argument_list_is_refused_at_the_check(check, tmp_path, capsys):
+    # a check is its name; ode reads kappa and gamma from the ratio family
+    name = check.split("(")[0]
+    text = f'suite "x" {{ family = ratio(zeta=2); checks = [ jacobi, {check} ]; }}'
+    col = text.index(check) + 1
+    with pytest.raises(UnknownKeyError) as err:
         parse_suite(text)
-    assert (err.value.line, err.value.col) == (1, 41)
-    assert message in str(err.value)
-    path = tmp_path / "ode.suite"
+    assert (err.value.line, err.value.col) == (1, col)
+    assert str(err.value) == f"line 1, col {col}: check {name} takes no parameters"
+    path = tmp_path / "args.suite"
     path.write_text(text)
     assert main(["run", str(path)]) == 2
-    assert f"line 1, col 41: {message}" in capsys.readouterr().err
+    assert f"line 1, col {col}: check {name} takes no parameters" in capsys.readouterr().err
 
 
 def test_a_zero_eta_is_refused_at_its_key(tmp_path, capsys):
@@ -342,9 +328,8 @@ def _kwargs(pairs) -> str:
 
 
 def _fields(obj) -> list:
-    """(field, value) of a dataclass instance, in field order; none for None."""
-    return [] if obj is None else [(f.name, getattr(obj, f.name))
-                                   for f in dataclasses.fields(obj)]
+    """(field, value) of a dataclass instance, in field order."""
+    return [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
 
 
 def print_suite(cfg: CheckSuiteConfig) -> str:
@@ -357,13 +342,12 @@ def print_suite(cfg: CheckSuiteConfig) -> str:
     disp = cfg.params.dispersion
     args = [(k, getattr(cfg.params, f)) for k, f in _DISPERSIONS[disp].items()]
     lines.append(f"  dispersion = {disp}{_kwargs(args)};")
-    consumed = {key for c in cfg.checks for key in CHECKS[c.name].reads}
+    consumed = {key for c in cfg.checks for key in CHECKS[c].reads}
     if "braiding" in consumed:
         lines.append(f"  braiding = {cfg.braiding};")
     if "eta" in consumed:
         lines.append(f"  eta = {_fmt_num(cfg.eta)};")
-    checks = ", ".join(c.name + _kwargs(_fields(c.args)) for c in cfg.checks)
-    lines.append(f"  checks = [ {checks} ];")
+    lines.append(f"  checks = [ {', '.join(cfg.checks)} ];")
     s = cfg.sampler
     lines.append(
         "  sampling { "
@@ -381,7 +365,7 @@ def test_round_trip_bundled_style():
 
 
 _check_strategy = st.lists(
-    st.sampled_from(["jacobi", "classify", "relations", "shortening", "tail_cancellation"]),
+    st.sampled_from(["jacobi", "classify", "relations", "ode", "shortening", "tail_cancellation"]),
     min_size=1,
     max_size=4,
     unique=True,
@@ -412,30 +396,21 @@ def _algebras(draw):
     return family, AlgebraParams(dispersion=dispersion, kappa=kappa, **values)
 
 
-# the ode check's argument list: kappa > 0 and gamma != 0, or the check left out
-_ode = st.one_of(st.none(), st.builds(MomentumMap, kappa=_positive,
-                                      gamma=_finite.filter(lambda g: g != 0)))
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     algebra=_algebras(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     points=st.integers(min_value=1, max_value=500),
     checks=_check_strategy,
-    ode=_ode,
     eta=st.integers(min_value=1, max_value=5),
 )
-def test_round_trip_property(algebra, seed, points, checks, ode, eta):
+def test_round_trip_property(algebra, seed, points, checks, eta):
     family, params = algebra
-    invocations = [CheckInvocation(c) for c in checks]
-    if ode is not None:
-        invocations.insert(len(invocations) // 2, CheckInvocation("ode", ode))
     cfg = CheckSuiteConfig(
         name="prop",
         family=family,
         params=params,
-        checks=tuple(invocations),
+        checks=tuple(checks),
         sampler=Sampler(seed=seed, count=points),
         eta=float(eta) if any("eta" in CHECKS[c].reads for c in checks) else 1.0,
     )
