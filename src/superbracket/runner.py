@@ -5,7 +5,8 @@ ConsistencyReport, sample count) per ReportRecord, and ``run_suite`` alone
 times it, captures its errors into the record rather than aborting the suite,
 picks the status and builds the record.  The verdict rules live in
 ConsistencyReport: a check passes when every condition's residual is
-<= tolerance (a NaN fails); it is vacuous when it evaluated no condition;
+<= tolerance (a NaN fails, and its record's note says that the residual is
+not finite); it is vacuous when it evaluated no condition;
 its worst condition, which the record's residual and worst point come from,
 is the first NaN, else the first largest.  With a fixed seed the records
 (minus wall-clock timing) are bit-reproducible, and the canonical JSON output
@@ -15,10 +16,13 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .algebra import (
     AlgebraParams,
@@ -259,6 +263,16 @@ def _status(v: _Verdict) -> str:
     return "pass" if v.report.passed else "fail"
 
 
+_NOT_FINITE = "the residual is not finite: a value overflowed or is undefined"
+
+
+def _note(report: ConsistencyReport) -> str:
+    """The report's note, which says so when the residual is not finite."""
+    if math.isfinite(report.max_residual):
+        return report.note
+    return f"{report.note}; {_NOT_FINITE}" if report.note else _NOT_FINITE
+
+
 def run_suite(cfg: CheckSuiteConfig, seed_override: Optional[int] = None) -> List[ReportRecord]:
     """Execute the enabled checks in declared order.
 
@@ -273,20 +287,22 @@ def run_suite(cfg: CheckSuiteConfig, seed_override: Optional[int] = None) -> Lis
         done: List[ReportRecord] = []
         t0 = time.monotonic()
         try:
-            for v in CHECKS[name].run(ctx, name):
-                t1 = time.monotonic()
-                worst = v.report.worst
-                done.append(ReportRecord(
-                    check=v.check,
-                    status=_status(v),
-                    max_residual=v.report.max_residual,
-                    worst_point=worst.worst_point if worst else None,
-                    samples=v.samples,
-                    seed=seed,
-                    elapsed_ms=(t1 - t0) * 1000.0,
-                    note=v.report.note,
-                ))
-                t0 = t1
+            # A non-finite value is reported in its record's note, not as a warning.
+            with np.errstate(all="ignore"):
+                for v in CHECKS[name].run(ctx, name):
+                    t1 = time.monotonic()
+                    worst = v.report.worst
+                    done.append(ReportRecord(
+                        check=v.check,
+                        status=_status(v),
+                        max_residual=v.report.max_residual,
+                        worst_point=worst.worst_point if worst else None,
+                        samples=v.samples,
+                        seed=seed,
+                        elapsed_ms=(t1 - t0) * 1000.0,
+                        note=_note(v.report),
+                    ))
+                    t0 = t1
         except SuperbracketError as err:
             done = [ReportRecord(
                 check=name,

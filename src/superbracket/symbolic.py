@@ -11,6 +11,12 @@ table (PBW-style, Koszul signs included); every bracket row used here has a
 constant coefficient.  A product accumulates into one flat map (word pair)
 -> {phase key: complex} and builds its objects only for the result.
 
+A word's normal form depends only on the table, so the checks share one
+engine per table (a small memo keyed by the table's exact content) and each
+word is rewritten once per engine rather than once per check.  A shared
+engine hands a check the very pairs a fresh one would compute, so it cannot
+change a result.
+
 The coefficients are complex floats, but their values are small dyadic
 Gaussian integers: ±1, ±i and ±2 in every product of the tail checks, and a
 test pins every real and imaginary part to a multiple of 2^-8 below 2^44.
@@ -22,7 +28,9 @@ which enter the tails only as overall factors and never need evaluating.
 """
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, Optional, Tuple
 
 from . import expressions as ex
@@ -125,8 +133,15 @@ class PhaseCoef:
         return " + ".join(bits)
 
 
+@lru_cache(maxsize=4096)
 def _word_parity(w: Word) -> int:
+    """The word's parity; PARITY is fixed, so each word's is computed once."""
     return sum(map(PARITY.__getitem__, w)) & 1
+
+
+def _single(terms: Dict[PhaseKey, complex]):
+    """The one (phase key, value) item of a one-term coefficient, else None."""
+    return next(iter(terms.items())) if len(terms) == 1 else None
 
 
 class SymbolicElement:
@@ -197,9 +212,10 @@ def symbolic_table(spec: AlgebraSpec) -> SymTable:
     Boost rows carry momentum-dependent coefficients and are left out: boost
     letters may ride along in words but cannot be reordered.
     """
+    boosts = (Gen.J_L, Gen.J_R)
     table: SymTable = {}
     for (a, b), row in spec.table.items():
-        if a in (Gen.J_L, Gen.J_R) or b in (Gen.J_L, Gen.J_R):
+        if a in boosts or b in boosts:
             continue
         if all(isinstance(c, ex.Const) for c in row.terms.values()):
             table[(a, b)] = {g: c.value for g, c in row.terms.items()}
@@ -284,21 +300,39 @@ class SymbolicEngine:
         c1 c2 is scaled by the Koszul sign and then by each normal-form
         factor, a new word pair stores that term as it is, and a seen one
         adds it phase by phase.  So the terms, their order and the
-        coefficient bits (signed zeros included) are the fold's.
+        coefficient bits (signed zeros included) are the fold's.  Two
+        one-term coefficients skip the phase map: their product is the
+        fold's 0 + x1 x2 under the summed phase key.
         """
         out: Dict[Tuple[Word, Word], Dict[PhaseKey, complex]] = {}
-        right = [(v1, v2, _word_parity(v1), c2.terms) for (v1, v2), c2 in e2.terms.items()]
-        normal_form = self.normal_order_word
+        right = [(v1, v2, _word_parity(v1), c2.terms, _single(c2.terms))
+                 for (v1, v2), c2 in e2.terms.items()]
+        forms, normal_form = self._normal_forms, self.normal_order_word
         for (w1, w2), c1 in e1.terms.items():
             odd_w2 = _word_parity(w2)
-            for v1, v2, odd_v1, c2 in right:
-                site1 = normal_form(w1 + v1)
-                site2 = normal_form(w2 + v2)
-                coef = _phase_product(c1.terms, c2)
-                if not coef:
-                    continue
+            c1 = c1.terms
+            one1 = _single(c1)
+            for v1, v2, odd_v1, c2, one2 in right:
+                site1 = forms.get(w1 + v1)
+                if site1 is None:
+                    site1 = normal_form(w1 + v1)
+                site2 = forms.get(w2 + v2)
+                if site2 is None:
+                    site2 = normal_form(w2 + v2)
                 sign = -1.0 if (odd_w2 and odd_v1) else 1.0
-                signed = [(k, x * sign) for k, x in coef.items()]
+                if one1 and one2:
+                    (a1, a2, a3, a4, s1), x1 = one1
+                    (b1, b2, b3, b4, s2), x2 = one2
+                    x = 0 + x1 * x2
+                    if x == 0:
+                        continue
+                    signed = [((a1 + b1, a2 + b2, a3 + b3, a4 + b4,
+                                tuple(sorted(s1 + s2)) if s1 or s2 else ()), x * sign)]
+                else:
+                    coef = _phase_product(c1, c2)
+                    if not coef:
+                        continue
+                    signed = [(k, x * sign) for k, x in coef.items()]
                 for f1, nw1 in site1:
                     for f2, nw2 in site2:
                         f = f1 * f2
@@ -347,6 +381,28 @@ class SymbolicEngine:
         return first
 
 
+_ENGINES: Dict[bytes, SymbolicEngine] = {}  # pickled table -> engine, least recently used first
+_ENGINES_KEPT = 4
+
+
+def _engine(table: SymTable) -> SymbolicEngine:
+    """The engine of ``table``, shared by every check with the same table.
+
+    A word's normal form depends only on the table, so a shared engine
+    gives each check the pairs a fresh one would rewrite.  The key is the
+    table's pickle, which spells its row order and each coefficient's type
+    and bits: equal keys are the same table, bit for bit.
+    """
+    key = pickle.dumps(table)
+    engine = _ENGINES.pop(key, None)
+    if engine is None:
+        engine = SymbolicEngine(table)
+    _ENGINES[key] = engine
+    while len(_ENGINES) > _ENGINES_KEPT:
+        del _ENGINES[next(iter(_ENGINES))]
+    return engine
+
+
 # --------------------------------------------------------------------------
 # Coproducts and tails as symbolic elements
 # --------------------------------------------------------------------------
@@ -381,56 +437,49 @@ def beta_coef(side: str) -> PhaseCoef:
     return PhaseCoef.phase(1, side, -1) * PhaseCoef.phase(2, side, -1)
 
 
+def _element(terms) -> SymbolicElement:
+    """The sum of (coef, word_1, word_2) terms on distinct word pairs, in order."""
+    return SymbolicElement({(w1, w2): coef for coef, w1, w2 in terms})
+
+
 def fermionic_tail(side: str, braiding: str = "braided",
                    include_outer_terms: bool = True) -> SymbolicElement:
     """The tail FT_side whose brackets with opposite-handed fermions vanish."""
+    P, K = (Gen.P,), (Gen.K,)
     if braiding == "braided":
         if side == "L":
-            e = (SymbolicElement.of(one(), (Gen.S_L,), (Gen.Q_L,))
-                 + SymbolicElement.of(one(), (Gen.Q_L,), (Gen.S_L,)))
+            terms = [(one(), (Gen.S_L,), (Gen.Q_L,)), (one(), (Gen.Q_L,), (Gen.S_L,))]
             if include_outer_terms:
-                a, b = alpha_coef("R"), beta_coef("R")
-                e = e + SymbolicElement.of(a.scaled(-1.0), (Gen.P,), (Gen.t_rp,))
-                e = e + SymbolicElement.of(a.scaled(-1.0), (Gen.K,), (Gen.t_lp,))
-                e = e + SymbolicElement.of(b.scaled(-1.0), (Gen.t_rp,), (Gen.P,))
-                e = e + SymbolicElement.of(b.scaled(-1.0), (Gen.t_lp,), (Gen.K,))
-            return e
-        e = (SymbolicElement.of(one(), (Gen.S_R,), (Gen.Q_R,))
-             + SymbolicElement.of(one(), (Gen.Q_R,), (Gen.S_R,)))
+                a, b = alpha_coef("R").scaled(-1.0), beta_coef("R").scaled(-1.0)
+                terms += [(a, P, (Gen.t_rp,)), (a, K, (Gen.t_lp,)),
+                          (b, (Gen.t_rp,), P), (b, (Gen.t_lp,), K)]
+            return _element(terms)
+        terms = [(one(), (Gen.S_R,), (Gen.Q_R,)), (one(), (Gen.Q_R,), (Gen.S_R,))]
         if include_outer_terms:
-            a, b = alpha_coef("L"), beta_coef("L")
-            e = e + SymbolicElement.of(a.scaled(-1.0), (Gen.P,), (Gen.t_lm,))
-            e = e + SymbolicElement.of(a.scaled(-1.0), (Gen.K,), (Gen.t_rm,))
-            e = e + SymbolicElement.of(b.scaled(-1.0), (Gen.t_lm,), (Gen.P,))
-            e = e + SymbolicElement.of(b.scaled(-1.0), (Gen.t_rm,), (Gen.K,))
-        return e
+            a, b = alpha_coef("L").scaled(-1.0), beta_coef("L").scaled(-1.0)
+            terms += [(a, P, (Gen.t_lm,)), (a, K, (Gen.t_rm,)),
+                      (b, (Gen.t_lm,), P), (b, (Gen.t_rm,), K)]
+        return _element(terms)
 
     # Unbraided: hypercharge block plus F+/F- blocks with opaque coefficients.
     fp, fm, g_sym = PhaseCoef.symbol("F+"), PhaseCoef.symbol("F-"), PhaseCoef.symbol("G")
+    terms = _hypercharge_terms(side, g_sym) if include_outer_terms else []
     if side == "L":
-        e = _hypercharge_block("L", g_sym) if include_outer_terms else SymbolicElement()
-        e = e + SymbolicElement.of(fp, (Gen.S_L,), (Gen.Q_L,))
-        e = e + SymbolicElement.of(fm, (Gen.Q_L,), (Gen.S_L,))
+        terms += [(fp, (Gen.S_L,), (Gen.Q_L,)), (fm, (Gen.Q_L,), (Gen.S_L,))]
         if include_outer_terms:
             a, b = alpha_coef("R"), beta_coef("R")
-            e = e + SymbolicElement.of(fp * b.scaled(-1.0), (Gen.t_rp,), (Gen.P,))
-            e = e + SymbolicElement.of(fp * b, (Gen.K,), (Gen.t_lp,))
-            e = e + SymbolicElement.of(fm * a.scaled(-1.0), (Gen.P,), (Gen.t_rp,))
-            e = e + SymbolicElement.of(fm * a, (Gen.t_lp,), (Gen.K,))
-        return e
-    e = _hypercharge_block("R", g_sym) if include_outer_terms else SymbolicElement()
-    e = e + SymbolicElement.of(fp, (Gen.Q_R,), (Gen.S_R,))
-    e = e + SymbolicElement.of(fm, (Gen.S_R,), (Gen.Q_R,))
+            terms += [(fp * b.scaled(-1.0), (Gen.t_rp,), P), (fp * b, K, (Gen.t_lp,)),
+                      (fm * a.scaled(-1.0), P, (Gen.t_rp,)), (fm * a, (Gen.t_lp,), K)]
+        return _element(terms)
+    terms += [(fp, (Gen.Q_R,), (Gen.S_R,)), (fm, (Gen.S_R,), (Gen.Q_R,))]
     if include_outer_terms:
         a, b = alpha_coef("L"), beta_coef("L")
-        e = e + SymbolicElement.of(fp * a, (Gen.t_rm,), (Gen.K,))
-        e = e + SymbolicElement.of(fp * a.scaled(-1.0), (Gen.P,), (Gen.t_lm,))
-        e = e + SymbolicElement.of(fm * b, (Gen.K,), (Gen.t_rm,))
-        e = e + SymbolicElement.of(fm * b.scaled(-1.0), (Gen.t_lm,), (Gen.P,))
-    return e
+        terms += [(fp * a, (Gen.t_rm,), K), (fp * a.scaled(-1.0), P, (Gen.t_lm,)),
+                  (fm * b, K, (Gen.t_rm,)), (fm * b.scaled(-1.0), (Gen.t_lm,), P)]
+    return _element(terms)
 
 
-def _hypercharge_block(side: str, g_sym: PhaseCoef) -> SymbolicElement:
+def _hypercharge_terms(side: str, g_sym: PhaseCoef) -> list:
     """G [B_side (x) 1 - 1 (x) B_side] written through the gl(2) generators.
 
     -i B_R = t^l_0 - t^r_0 - t^l_3 - t^r_3 and
@@ -443,11 +492,15 @@ def _hypercharge_block(side: str, g_sym: PhaseCoef) -> SymbolicElement:
         (Gen.t_l3, s * 1j),
         (Gen.t_r3, s * 1j),
     ]
-    e = SymbolicElement()
+    terms = []
     for g, c in combo:
-        e = e + SymbolicElement.of(g_sym.scaled(c), (g,), ())
-        e = e + SymbolicElement.of(g_sym.scaled(-c), (), (g,))
-    return e
+        terms += [(g_sym.scaled(c), (g,), ()), (g_sym.scaled(-c), (), (g,))]
+    return terms
+
+
+def _hypercharge_block(side: str, g_sym: PhaseCoef) -> SymbolicElement:
+    """The hypercharge block of an unbraided tail, as an element."""
+    return _element(_hypercharge_terms(side, g_sym))
 
 
 def _outer_terms(side: str, braiding: str, full: SymbolicElement,
@@ -528,8 +581,17 @@ def tail_cancellation_check(spec: AlgebraSpec, braiding: str = "braided") -> Sym
     (b) the full tails commute with both opposite-handed fermion coproducts;
     (c) the added outer-automorphism terms annihilate the same-handed
         fermion coproducts.
+
+    Each full tail FT_side is the sum of its parts: the bare tail, the outer
+    terms and, unbraided, the hypercharge block.  Each part is bracketed
+    once with each opposite-handed fermion coproduct, and (b)'s residual is
+    the sum of the parts' brackets; the bare tail's bracket with Delta Q is
+    also (a)'s residual, and the hypercharge block's brackets are its own
+    identities.  The bracket is bilinear and every coefficient is a small
+    dyadic Gaussian integer, so the sum equals [FT_side, Delta X] exactly.
+    The engine comes from the per-table memo (see the module docstring).
     """
-    engine = SymbolicEngine(symbolic_table(spec))
+    engine = _engine(symbolic_table(spec))
     report = SymbolicReport()
 
     self_test = convention_self_test(engine)
@@ -544,27 +606,31 @@ def tail_cancellation_check(spec: AlgebraSpec, braiding: str = "braided") -> Sym
     }
     for side in ("L", "R"):
         other_q, other_s, own_q, own_s = pairs[side]
+        delta = {g: delta_fermion_symbolic(g, braiding) for g in pairs[side]}
         ft = fermionic_tail(side, braiding)
         bare = fermionic_tail(side, braiding, include_outer_terms=False)
-        res = engine.bracket(bare, delta_fermion_symbolic(other_q, braiding))
+        extra = _outer_terms(side, braiding, ft, bare)
+        parts = [bare, extra]
+        if braiding == "unbraided":
+            parts.append(_hypercharge_block(side, PhaseCoef.symbol("G")))
+        # [part, Delta X] for each part of FT_side and each opposite-handed X
+        brackets = {g: [engine.bracket(part, delta[g]) for part in parts]
+                    for g in (other_q, other_s)}
         report.add(
             f"[FT_{side} without outer terms, Delta {other_q.label}] leaves central terms",
-            res,
+            brackets[other_q][0],
             negated=True,
         )
         for g in (other_q, other_s):
-            res = engine.bracket(ft, delta_fermion_symbolic(g, braiding))
-            report.add(f"[FT_{side}, Delta {g.label}] = 0", res)
-        extra = _outer_terms(side, braiding, ft, bare)
+            first, *rest = brackets[g]
+            report.add(f"[FT_{side}, Delta {g.label}] = 0", sum(rest, first))
         for g in (own_q, own_s):
-            res = engine.bracket(extra, delta_fermion_symbolic(g, braiding))
+            res = engine.bracket(extra, delta[g])
             report.add(f"[FT_{side} outer terms, Delta {g.label}] = 0", res)
         if braiding == "unbraided":
-            hyper = _hypercharge_block(side, PhaseCoef.symbol("G"))
             for g in (other_q, other_s):
-                res = engine.bracket(hyper, delta_fermion_symbolic(g, braiding))
                 report.add(
-                    f"[FT_{side} hypercharge block, Delta {g.label}] = 0", res
+                    f"[FT_{side} hypercharge block, Delta {g.label}] = 0", brackets[g][2]
                 )
     return report
 
@@ -585,7 +651,7 @@ def short_rep_reduction_symbolic(spec: AlgebraSpec) -> SymbolicReport:
         (T, Q): {Q: 1.0},
         (T, S): {S: 1.0},
     }
-    engine = SymbolicEngine(table)
+    engine = _engine(table)
     report = SymbolicReport()
     alpha, beta = alpha_coef("L"), beta_coef("L")
     reduced = fermionic_tail("L", include_outer_terms=False)  # S(x)Q + Q(x)S
@@ -594,9 +660,10 @@ def short_rep_reduction_symbolic(spec: AlgebraSpec) -> SymbolicReport:
     full = reduced.scaled(2.0) + t_terms
     for g, name in ((Q, "Q"), (S, "S")):
         dx = delta_fermion_symbolic(g, "braided")
-        res = engine.bracket(full, dx) - engine.bracket(reduced, dx)
+        target = engine.bracket(reduced, dx)
+        res = engine.bracket(full, dx) - target
         report.add(f"short-reduction[{name}]", res)
-        res_neg = engine.bracket(full - t_terms, dx) - engine.bracket(reduced, dx)
+        res_neg = engine.bracket(full - t_terms, dx) - target
         report.add(
             f"short-reduction[{name}] without T terms (sides must differ)",
             res_neg,

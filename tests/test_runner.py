@@ -315,6 +315,25 @@ def test_cli_exit_codes(tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
+def test_a_non_finite_residual_is_named_in_the_note_and_not_warned(tmp_path):
+    # The couplings are finite, but products of them overflow to inf and then NaN.
+    suite = tmp_path / "overflow.suite"
+    suite.write_text('suite "overflow" { family = d_zero;\n'
+                     '  dispersion = magnon(hL=1e308, hR=1e308);\n'
+                     '  checks = [ jacobi, relations ]; }')
+    proc = subprocess.run(
+        [sys.executable, "-m", "superbracket.cli", "run", str(suite)],
+        capture_output=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+    note = "the residual is not finite: a value overflowed or is undefined"
+    records = json.loads(proc.stdout)["records"]
+    assert [(r["check"], r["status"], r["max_residual"], r["note"]) for r in records] == [
+        ("jacobi", "fail", None, note), ("relations", "fail", None, note)]
+
+
 def test_cli_env_seed(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):

@@ -12,6 +12,7 @@ from superbracket.algebra import (
     RightSeparable,
     build_algebra,
     koszul,
+    mutate_row,
 )
 from superbracket.coproducts import build_coproduct
 from superbracket.diffops import op_add, op_bracket, op_scale, op_sub
@@ -143,6 +144,15 @@ def test_bracket_equals_the_folded_supercommutator_on_every_identity(monkeypatch
     assert len(calls) >= 100 and any(calls) and not all(calls)
 
 
+def test_one_term_coefficients_take_the_fold_float_steps(engine):
+    # (-0+1j)(1+0j) = -0+1j, whose negative zero the fold's 0 + x1 x2 clears.
+    x = SymbolicElement.of(PhaseCoef({(1, 0, 0, 0, ("F+",)): complex(-0.0, 1.0)}), (Gen.Q_L,), ())
+    y = SymbolicElement.of(PhaseCoef({(0, -1, 0, 0, ()): 1 + 0j}), (Gen.S_L,), ())
+    got = engine.product(x, y)
+    assert _bits(got) == _bits(folded_product(engine, x, y))
+    assert [v.real.hex() for coef in got.terms.values() for v in coef.terms.values()] == ["0x0.0p+0"]
+
+
 def test_engine_coefficients_are_small_dyadic_gaussian_integers(monkeypatch):
     # Every sum of multiples of 2^-8 below 2^44 in size is exact in a double,
     # so the engine's float accumulation cannot round, in any order.
@@ -158,10 +168,55 @@ def test_engine_coefficients_are_small_dyadic_gaussian_integers(monkeypatch):
 
     monkeypatch.setattr(SymbolicEngine, "product", spied)
     _run_every_exact_check()
-    assert len(calls) == 328 and values
+    assert len(calls) == 372 and values
     for x in values:
         for part in (x.real, x.imag):
             assert (part * 256).is_integer() and abs(part) < 2.0**44, x
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=repr)
+@pytest.mark.parametrize("braiding, pairs", [("braided", 168), ("unbraided", 296)])
+def test_tail_check_multiplies_a_fixed_number_of_term_pairs(monkeypatch, family, braiding, pairs):
+    # Each tail part is bracketed once with each fermion coproduct; the full
+    # tails are never multiplied (that took 184 and 440 term pairs).
+    counted = []
+    product = SymbolicEngine.product
+
+    def spied(self, e1, e2):
+        counted.append(len(e1.terms) * len(e2.terms))
+        return product(self, e1, e2)
+
+    monkeypatch.setattr(SymbolicEngine, "product", spied)
+    assert tail_cancellation_check(build_algebra(family), braiding).passed
+    assert sum(counted) == pairs
+
+
+@pytest.mark.parametrize("braiding", BRAIDINGS)
+def test_a_second_tail_check_on_the_same_table_rewrites_no_word(monkeypatch, braiding):
+    specs = [build_algebra(family) for family in ALL_FAMILIES]
+    assert all(symbolic_table(spec) == symbolic_table(specs[0]) for spec in specs)
+    tail_cancellation_check(specs[0], braiding)
+    rewritten = []
+    rewrite = SymbolicEngine._rewrite
+
+    def spied(self, word):
+        rewritten.append(word)
+        return rewrite(self, word)
+
+    monkeypatch.setattr(SymbolicEngine, "_rewrite", spied)
+    for spec in specs:
+        assert tail_cancellation_check(spec, braiding).passed
+    assert rewritten == []
+    # A table that differs in one coefficient gets an engine of its own.
+    tail_cancellation_check(mutate_row(specs[0], (Gen.Q_L, Gen.S_L)), braiding)
+    assert rewritten
+
+
+def test_the_engine_memo_is_bounded():
+    spec = build_algebra(DPlusOne())
+    for factor in range(2, 4 + symbolic._ENGINES_KEPT):
+        tail_cancellation_check(mutate_row(spec, (Gen.Q_L, Gen.S_L), float(factor)))
+    assert len(symbolic._ENGINES) == symbolic._ENGINES_KEPT
 
 
 def test_memoised_normal_forms_keep_the_step_budget(monkeypatch):
@@ -208,6 +263,57 @@ def test_tail_check_fails_with_a_wrong_tail_coefficient(monkeypatch, braiding):
         "[FT_R, Delta Q_L] = 0", "[FT_R, Delta S_L] = 0",
     ]
     assert all(not i.residual.is_zero for i in report.failures())
+
+
+def _values(element):
+    """Word pairs -> {phase key: complex}: equal when the terms are equal in value."""
+    return {words: coef.terms for words, coef in element.terms.items()}
+
+
+def _assert_residuals_are_direct_brackets(spec, braiding):
+    """Each [FT_side, Delta X] = 0 residual equals the full tail's bracket, taken directly.
+
+    Returns the check's report and the direct brackets, by identity name.
+    """
+    engine = SymbolicEngine(symbolic_table(spec))
+    direct = {}
+    for side, others in (("L", (Gen.Q_R, Gen.S_R)), ("R", (Gen.Q_L, Gen.S_L))):
+        ft = fermionic_tail(side, braiding)
+        for g in others:
+            direct[f"[FT_{side}, Delta {g.label}] = 0"] = engine.bracket(
+                ft, delta_fermion_symbolic(g, braiding))
+    report = tail_cancellation_check(spec, braiding)
+    got = {i.name: i.residual for i in report.identities if i.name in direct}
+    assert list(got) == list(direct)
+    for name, residual in got.items():
+        assert _values(residual) == _values(direct[name]), name
+    return report, direct
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=repr)
+@pytest.mark.parametrize("braiding", BRAIDINGS)
+def test_tail_residuals_are_the_direct_brackets_of_the_full_tails(family, braiding):
+    _assert_residuals_are_direct_brackets(build_algebra(family), braiding)
+
+
+@pytest.mark.parametrize("braiding", BRAIDINGS)
+def test_tail_residuals_are_the_direct_brackets_under_a_wrong_tail_coefficient(
+        monkeypatch, braiding):
+    alpha = symbolic.alpha_coef
+    monkeypatch.setattr(symbolic, "alpha_coef", lambda side: alpha(side).scaled(-1.0))
+    report, direct = _assert_residuals_are_direct_brackets(build_algebra(DPlusOne()), braiding)
+    assert [i.name for i in report.failures()] == list(direct)
+
+
+def test_unbraided_tail_residuals_include_the_hypercharge_block(monkeypatch):
+    # The other side's block acts as the hypercharge on the fermions the tail
+    # must commute with, so each full tail's bracket is nonzero only through
+    # the block's own brackets, which the residual must therefore include.
+    terms = symbolic._hypercharge_terms
+    monkeypatch.setattr(symbolic, "_hypercharge_terms",
+                        lambda side, g_sym: terms("R" if side == "L" else "L", g_sym))
+    _, direct = _assert_residuals_are_direct_brackets(build_algebra(DPlusOne()), "unbraided")
+    assert not any(residual.is_zero for residual in direct.values())
 
 
 def identities(report):
